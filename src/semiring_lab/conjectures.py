@@ -100,8 +100,14 @@ class BoundedSubsetPredicate:
     ordered, so every value bounds itself up to a nudge); bounded search on
     presentation targets, where upper bounds are scanned over the integer
     constants 1..max_bound and absence within the scan yields Unknown --
-    an upper bound might always exist further out.  The congruence closure
-    of a presentation target is built once and reused across queries.
+    an upper bound might always exist further out.
+
+    A presentation target is queried through one congruence closure, built
+    at construction (which explores nothing) or supplied by the caller for
+    the same presentation and budget.  ABOVE and TWO_SIDED queries read and
+    extend its exploration memo, so across the queries of one predicate
+    each constant's component is explored once; ABSORBING queries run the
+    targeted searches of ``words_equivalent``.
     """
 
     kind: BoundClass
@@ -111,7 +117,16 @@ class BoundedSubsetPredicate:
     closure: CongruenceClosure | None = None
 
     def __post_init__(self):
-        if isinstance(self.structure, Presentation) and self.closure is None:
+        if self.closure is not None:
+            if (
+                self.closure.presentation != self.structure
+                or self.closure.budget != self.budget
+            ):
+                raise ValueError(
+                    "the supplied closure is for another presentation or budget "
+                    "than the predicate's"
+                )
+        elif isinstance(self.structure, Presentation):
             object.__setattr__(
                 self, "closure", congruence_close(self.structure, self.budget)
             )
@@ -162,7 +177,7 @@ class BoundedSubsetPredicate:
             upper, detail = self._upper_bound(s)
             answer = Tri.YES if upper is not None else Tri.UNKNOWN
             return BoundVerdict(answer, upper=upper, detail=detail)
-        lower_answer = preorder_leq(self.structure.one, s, self.structure, self.budget)
+        lower_answer = preorder_leq(self.structure.one, s, self.closure)
         if lower_answer.verdict is Tri.NO:
             return BoundVerdict(
                 Tri.NO,
@@ -180,7 +195,7 @@ class BoundedSubsetPredicate:
         cap = min(self.max_bound, self.budget.max_coeff)
         for q in range(1, cap + 1):
             bound = Polynomial.constant(self.nvars, q, Domain.NAT)
-            if preorder_leq(s, bound, self.structure, self.budget).verdict is Tri.YES:
+            if preorder_leq(s, bound, self.closure).verdict is Tri.YES:
                 return Fraction(q), f"word <= {q} derived"
             # No and Unknown both leave larger constants untested
         return None, f"no constant bound found up to {cap}"

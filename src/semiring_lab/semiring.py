@@ -35,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -215,18 +216,61 @@ class Component:
     complete: bool
 
 
+_SEED_SATURATION_EFFORT = 4000
+
+
 @dataclass(frozen=True)
 class CongruenceClosure:
-    """Saturated (within budget) congruence data for a presentation.
+    """Congruence data for a presentation under one budget, grown on demand.
 
-    Holds the fully or partially explored components of every relation side.
-    Queries (words_equivalent and friends) are pure: they never mutate the
-    closure."""
+    The closure owns a memo from a start word to the full-budget, untargeted
+    exploration of its component.  ``explore`` reads and extends it, so each
+    start word is explored at most once per closure, and the memo lives as
+    long as the closure.  An exploration is a pure function of (word,
+    presentation, budget): answers, witnesses and member order do not
+    depend on what was asked before.  The saturated
+    components of the relation sides (``components``, ``status``) are
+    computed on first read.  Equality compares presentation and budget."""
 
     presentation: Presentation
     budget: Budget
-    components: tuple[Component, ...]
-    status: SaturationStatus
+    _explored: dict[Polynomial, _Exploration] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def explore(self, start: Polynomial) -> _Exploration:
+        """The memoised full-budget exploration of ``start``'s component."""
+        exploration = self._explored.get(start)
+        if exploration is None:
+            exploration = _explore(start, self.presentation, self.budget)
+            self._explored[start] = exploration
+        return exploration
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """The components of every relation side, each explored with at most
+        a fixed saturation effort (never more than the budget allows)."""
+        components: list[Component] = []
+        seen: set[Polynomial] = set()
+        for lhs, rhs in self.presentation.relations:
+            for side in (lhs, rhs):
+                if side in seen:
+                    continue
+                exploration = _explore(
+                    side, self.presentation, self.budget, effort=_SEED_SATURATION_EFFORT
+                )
+                members = tuple(exploration.members)
+                components.append(Component(members, exploration.complete))
+                seen.update(members)
+        return tuple(components)
+
+    @property
+    def status(self) -> SaturationStatus:
+        """COMPLETE when every relation side's component was explored in
+        full, EXHAUSTED when any exploration was cut off."""
+        if all(c.complete for c in self.components):
+            return SaturationStatus.COMPLETE
+        return SaturationStatus.EXHAUSTED
 
 
 # -- the rewrite engine ----------------------------------------------------
@@ -395,34 +439,19 @@ def _separating_evaluation(
 # -- public operations -----------------------------------------------------
 
 
-_SEED_SATURATION_EFFORT = 4000
-
-
 def congruence_close(pres: Presentation, budget: Budget = Budget()) -> CongruenceClosure:
-    """Saturate the congruence components of every relation side.
+    """The congruence closure of a presentation under a budget.
 
-    Deterministic for a fixed budget.  Construction spends at most a fixed
-    saturation effort per seed (never more than the budget allows); queries
-    against the closure always search with the full budget.  Status is
-    COMPLETE when every seed component was explored in full, EXHAUSTED when
+    Construction explores nothing.  Queries against the closure search with
+    the full budget; ``preorder_leq`` and the bound predicates share its
+    exploration memo, while ``words_equivalent`` runs its own targeted
+    searches.  The relation sides are saturated, within a fixed effort per
+    side, when ``components`` or ``status`` is first read; status is
+    COMPLETE when every such component was explored in full, EXHAUSTED when
     any exploration was cut off (queries may then answer Unknown).
+    Deterministic for a fixed budget.
     """
-    components: list[Component] = []
-    seen: set[Polynomial] = set()
-    for lhs, rhs in pres.relations:
-        for side in (lhs, rhs):
-            if side in seen:
-                continue
-            exploration = _explore(side, pres, budget, effort=_SEED_SATURATION_EFFORT)
-            members = tuple(exploration.members)
-            components.append(Component(members, exploration.complete))
-            seen.update(members)
-    status = (
-        SaturationStatus.COMPLETE
-        if all(c.complete for c in components)
-        else SaturationStatus.EXHAUSTED
-    )
-    return CongruenceClosure(pres, budget, tuple(components), status)
+    return CongruenceClosure(pres, budget)
 
 
 def words_equivalent(
@@ -567,7 +596,10 @@ class PreorderAnswer:
 
 
 def preorder_leq(
-    a, b, structure: "Presentation | EvalHom", budget: Budget = Budget()
+    a,
+    b,
+    structure: "Presentation | CongruenceClosure | EvalHom",
+    budget: Budget | None = None,
 ) -> PreorderAnswer:
     """The natural preorder: a <= b iff b = a + c for some c in the structure.
 
@@ -576,22 +608,30 @@ def preorder_leq(
     (where 0 is an element, making the preorder reflexive) the search is
     bounded: Yes when some member of b's component termwise dominates a,
     No when b's component is fully explored and none does, else Unknown.
+
+    Given a CongruenceClosure, b's component comes from the closure's
+    exploration memo (extending it on a miss) under the closure's budget;
+    an explicit ``budget`` must then equal it.  A bare Presentation is
+    searched through a fresh closure under ``budget`` (default ``Budget()``).
     """
     if isinstance(structure, EvalHom):
         fa, fb = Fraction(a), Fraction(b)
         if fa < fb:
             return PreorderAnswer(Tri.YES, witness=fb - fa)
         return PreorderAnswer(Tri.NO)
-    pres = structure
-    exploration = _explore(b, pres, budget)
-    best: Polynomial | None = None
+    if isinstance(structure, CongruenceClosure):
+        closure = structure
+        if budget is not None and budget != closure.budget:
+            raise ValueError(
+                f"budget {budget} differs from the closure's budget {closure.budget}"
+            )
+    else:
+        closure = CongruenceClosure(structure, Budget() if budget is None else budget)
+    exploration = closure.explore(b)
     for member in exploration.members:
-        candidate = member.checked_sub(a)
-        if candidate is not None:
-            best = candidate
-            break
-    if best is not None:
-        return PreorderAnswer(Tri.YES, witness=best)
+        witness = member.checked_sub(a)
+        if witness is not None:
+            return PreorderAnswer(Tri.YES, witness=witness)
     if exploration.complete:
         return PreorderAnswer(Tri.NO)
     return PreorderAnswer(Tri.UNKNOWN)

@@ -3,6 +3,7 @@ points, cone-derived fraction witnesses, and the four-condition verifier."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,8 @@ from semiring_lab.conjectures import (
 )
 from semiring_lab.groebner import GroebnerBudget
 from semiring_lab.polynomials import Domain, DomainError, Polynomial, parse_poly, t_names
-from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri
+from semiring_lab import semiring
+from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri, congruence_close
 from tests.oracles import purity_violations, semigroup_within_box
 
 SEED = 66217
@@ -111,6 +113,20 @@ def test_predicate_rejects_bad_words(ev):
         pred.classify(word("T1", 1))
 
 
+def test_supplied_closure_must_match_the_target(absorbing, collapse_to_one, ev):
+    matching = congruence_close(absorbing, SMALL)
+    pred = BoundedSubsetPredicate(BoundClass.ABSORBING, absorbing, SMALL, closure=matching)
+    assert pred.closure is matching
+    for closure in (
+        congruence_close(collapse_to_one, SMALL),
+        congruence_close(absorbing, Budget()),
+    ):
+        with pytest.raises(ValueError):
+            BoundedSubsetPredicate(BoundClass.ABSORBING, absorbing, SMALL, closure=closure)
+    with pytest.raises(ValueError):
+        BoundedSubsetPredicate(BoundClass.ABOVE, ev, closure=matching)
+
+
 # -- cone enumeration -------------------------------------------------------
 
 
@@ -162,6 +178,25 @@ def test_cone_determinism(absorbing):
     a = cone_enumerate(absorbing, 3, SMALL, max_bound=4)
     b = cone_enumerate(absorbing, 3, SMALL, max_bound=4)
     assert a == b
+
+
+def test_cone_explores_each_start_once(monkeypatch):
+    starts = Counter()
+    explore = semiring._explore
+
+    def counting(start, *args, **kwargs):
+        starts[start] += 1
+        return explore(start, *args, **kwargs)
+
+    monkeypatch.setattr(semiring, "_explore", counting)
+    pres = Presentation.from_text(2, "T1*T2 = 1")
+    budget = Budget(max_degree=5, max_coeff=8, max_steps=5000)
+    for kind in BoundClass:
+        BoundedSubsetPredicate(kind, pres, budget)
+    assert not starts, "constructing a predicate explored"
+    cone_enumerate(pres, 2, budget)
+    assert starts
+    assert max(starts.values()) == 1, "a start word was explored twice"
 
 
 # -- cone dimension ---------------------------------------------------------

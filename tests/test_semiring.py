@@ -130,7 +130,9 @@ def test_closure_status_reports_clipping(absorbing_one, successor_absorbed):
 
 
 def test_closure_is_deterministic(successor_absorbed):
-    assert congruence_close(successor_absorbed) == congruence_close(successor_absorbed)
+    a, b = congruence_close(successor_absorbed), congruence_close(successor_absorbed)
+    assert a == b
+    assert a.components == b.components and a.status is b.status
 
 
 # -- the word problem ------------------------------------------------------
@@ -314,6 +316,50 @@ def test_presentation_preorder_with_witness(successor_absorbed, free1):
     # and unit absorption makes T+3 <= T hold as well (the preorder is not an order)
     back = preorder_leq(P1("T1 + 3"), P1("T1"), successor_absorbed)
     assert back.verdict is Tri.YES
+
+
+# the presentations of scripts/explore_idempotent_presentations.py and four
+# two-variable ones
+CATALOG = [
+    (1, None),
+    (1, "1 = 0"),
+    (1, "1 + 1 = 1"),
+    (1, "T1 + 1 = T1"),
+    (1, "T1 = 1"),
+    (1, "T1^2 = T1"),
+    (1, "T1 + T1 = T1"),
+    (1, "T1 + T1 = 1"),
+    (2, "T1*T2 = 1"),
+    (2, "T1 + T2 = T2"),
+    (2, "T1^2 = T2"),
+    (2, "T1 = 0"),
+]
+
+
+def test_closure_preorder_matches_presentation_preorder():
+    # the closure's exploration memo must not change any verdict or witness,
+    # whatever order the queries come in
+    budget = Budget(max_degree=4, max_coeff=8, max_steps=300)
+    rng = random.Random(SEED + 6)
+    for nvars, text in CATALOG:
+        pres = Presentation.free(nvars) if text is None else Presentation.from_text(nvars, text)
+        words = [
+            random_poly(rng, nvars, Domain.NAT, max_terms=2, max_exp=2, max_coeff=3)
+            for _ in range(5)
+        ]
+        pairs = [(a, b) for a in words for b in words[:3]]
+        expected = [preorder_leq(a, b, pres, budget) for a, b in pairs]
+        cc = congruence_close(pres, budget)
+        assert [preorder_leq(a, b, cc) for a, b in pairs] == expected
+        assert [preorder_leq(a, b, cc, budget) for a, b in reversed(pairs)] == expected[::-1]
+        fresh = congruence_close(pres, budget)
+        assert [preorder_leq(a, b, fresh) for a, b in reversed(pairs)] == expected[::-1]
+
+
+def test_closure_preorder_rejects_another_budget(successor_absorbed):
+    cc = congruence_close(successor_absorbed, Budget(max_degree=3, max_coeff=8, max_steps=2000))
+    with pytest.raises(ValueError):
+        preorder_leq(P1("T1"), P1("T1 + 1"), cc, Budget())
 
 
 # -- the set L -------------------------------------------------------------
