@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .polynomials import (
@@ -80,7 +80,7 @@ class MembershipCertificate:
     For ideal membership, ``cofactors`` aligns with the queried generators
     and expands exactly to the query.  For subalgebra membership,
     ``representation`` is the canonical polynomial in the tag variables
-    X2..X_{k} with ``poly_subst(representation, generators) == query``;
+    X2..X_{k} with ``representation.substitute(generators) == query``;
     ``integral`` reports whether all its coefficients are integers, and
     ``truncation_level`` records how many generators were available (the
     subalgebra was truncated there).  ``basis_complete`` is False when the
@@ -122,6 +122,15 @@ class RelationIdealResult:
 
 _Terms = dict  # Exponent -> Fraction, zero values never stored
 
+# One divisor-table entry per monic basis element: its leading monomial, the
+# support mask of that monomial (bit i set iff variable i occurs), and its
+# terms.  ``lm_mask & ~u_mask`` nonzero proves lm does not divide u, which
+# skips most candidate divisors without building a quotient exponent (the
+# "short exponent vector" test, one bit per variable).
+_Entry = tuple  # (Exponent, int, _Terms)
+
+_ZERO = Fraction(0)
+
 
 class _DegreeCapHit(Exception):
     pass
@@ -132,24 +141,44 @@ def _to_rat(p: Polynomial) -> Polynomial:
 
 
 def _terms_of(p: Polynomial) -> _Terms:
-    return dict(p.terms())
+    return dict(p._terms)
 
 
 def _poly(nvars: int, terms: _Terms) -> Polynomial:
     return Polynomial(nvars, Domain.RAT, terms)
 
 
+def _mask(u: Exponent) -> int:
+    m = 0
+    for i, e in enumerate(u):
+        if e:
+            m |= 1 << i
+    return m
+
+
+def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
+    """Divisor-table entry of a nonzero monic polynomial."""
+    lm, _ = p.leading_term(order)
+    return lm, _mask(lm), _terms_of(p)
+
+
+def _divides(lm: Exponent, lm_mask: int, u: Exponent, u_mask: int) -> bool:
+    return not lm_mask & ~u_mask and mono_div(u, lm) is not None
+
+
 def _divide(
     target: _Terms,
-    divisors: Sequence[tuple[Exponent, Fraction, _Terms]],
+    divisors: Sequence[_Entry],
     order: MonomialOrder,
     degree_cap: int | None = None,
 ) -> tuple[list[_Terms], _Terms]:
     """Multivariate division: target = sum(quotient_i * divisor_i) + remainder.
 
-    Divisors are pre-split as (leading monomial, leading coeff, all terms).
-    No remainder term is divisible by any divisor's leading monomial.  With a
-    degree cap, intermediate blowup past the cap raises _DegreeCapHit.
+    Divisors are monic divisor-table entries; each step reduces by the first
+    divisor, in table order, whose leading monomial divides the current
+    leading term.  No remainder term is divisible by any divisor's leading
+    monomial.  With a degree cap, intermediate blowup past the cap raises
+    _DegreeCapHit.
     """
     work = dict(target)
     quotients: list[_Terms] = [{} for _ in divisors]
@@ -160,14 +189,17 @@ def _divide(
         c = work[u]
         if degree_cap is not None and mono_deg(u) > degree_cap:
             raise _DegreeCapHit
-        for qi, (lm, lc, terms) in zip(quotients, divisors):
+        u_mask = _mask(u)
+        for qi, (lm, lm_mask, terms) in zip(quotients, divisors):
+            if lm_mask & ~u_mask:
+                continue
             shift = mono_div(u, lm)
             if shift is not None:
-                factor = c / lc
-                qi[shift] = qi.get(shift, Fraction(0)) + factor
+                # the leading term strictly decreases, so no shift repeats
+                qi[shift] = c
                 for v, cv in terms.items():
                     w = mono_mul(shift, v)
-                    s = work.get(w, Fraction(0)) - factor * cv
+                    s = work.get(w, _ZERO) - c * cv
                     if s == 0:
                         work.pop(w, None)
                     else:
@@ -202,7 +234,9 @@ class GroebnerBasis:
     ``generators`` are monic and sorted by leading monomial (ascending in
     ``order``).  ``source`` keeps the original input generators (coerced to
     Q); when certificate tracking was on, ``cofactors[i]`` expresses
-    ``generators[i]`` as a combination of ``source``.
+    ``generators[i]`` as a combination of ``source``.  The divisor table
+    that reductions scan (leading monomial, its support mask and the terms
+    of each generator) is built on the first reduction and kept.
     """
 
     generators: tuple[Polynomial, ...]
@@ -218,12 +252,9 @@ class GroebnerBasis:
             return self.generators[0].nvars
         return self.source[0].nvars
 
-    def _split(self) -> list[tuple[Exponent, Fraction, _Terms]]:
-        out = []
-        for g in self.generators:
-            lm, lc = g.leading_term(self.order)
-            out.append((lm, lc, _terms_of(g)))
-        return out
+    @cached_property
+    def _divisors(self) -> tuple[_Entry, ...]:
+        return tuple(_entry(g, self.order) for g in self.generators)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
@@ -232,13 +263,17 @@ class GroebnerBasis:
         return r
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
-        """Remainder plus the quotients: p = sum(q_i * generators[i]) + r."""
+        """Remainder plus the quotients: p = sum(q_i * generators[i]) + r.
+
+        Every empty quotient is the same zero polynomial object.
+        """
         p = _to_rat(p)
         if p.nvars != self.nvars:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
-        quotients, remainder = _divide(_terms_of(p), self._split(), self.order)
+        quotients, remainder = _divide(_terms_of(p), self._divisors, self.order)
         n = p.nvars
-        return _poly(n, remainder), tuple(_poly(n, q) for q in quotients)
+        zero = Polynomial.zero(n, Domain.RAT)
+        return _poly(n, remainder), tuple(_poly(n, q) if q else zero for q in quotients)
 
     def contains(self, p: Polynomial) -> bool:
         """Ideal membership via normal form (sound and complete when reduced)."""
@@ -264,6 +299,12 @@ def buchberger(
     is interreduced and monic -- the canonical reduced basis, independent of
     generator input order.
 
+    Each basis element enters a divisor table once, when it is added: its
+    leading monomial, that monomial's support mask and its terms.  Every
+    S-polynomial reduction scans this table, and the support masks reject
+    most non-divisors in the chain criterion, the reductions and the final
+    minimalisation before any exponent is compared.
+
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
     ideal_membership).  Budgets are enforced; exceeding one raises
@@ -278,7 +319,7 @@ def buchberger(
             raise ArityError("generators live in different rings")
 
     basis: list[Polynomial] = []
-    lms: list[Exponent] = []
+    table: list[_Entry] = []
     combos: list[tuple[Polynomial, ...]] = []
     zero = Polynomial.zero(nvars, Domain.RAT)
 
@@ -288,18 +329,21 @@ def buchberger(
             for j in range(len(source))
         )
 
+    def add(p: Polynomial, combo: tuple[Polynomial, ...]) -> None:
+        basis.append(p)
+        table.append(_entry(p, order))
+        combos.append(combo)
+
     steps = 0
 
     def partial_basis() -> GroebnerBasis:
-        return _finalize(basis, lms, combos, order, source, steps, track, reduced=False)
+        return _finalize(basis, table, combos, order, source, steps, track, reduced=False)
 
     for idx, g in enumerate(source):
         if g.is_zero:
             continue
-        lm, lc = g.leading_term(order)
-        basis.append(g.scale(Fraction(1) / lc))
-        lms.append(lm)
-        combos.append(unit_combo(idx, Fraction(1) / lc) if track else ())
+        _, lc = g.leading_term(order)
+        add(g.scale(Fraction(1) / lc), unit_combo(idx, Fraction(1) / lc) if track else ())
 
     if not basis:
         return GroebnerBasis((), order, True, source, () if track else None, 0)
@@ -308,7 +352,7 @@ def buchberger(
     pending: set[tuple[int, int]] = set()
     for j in range(len(basis)):
         for i in range(j):
-            heapq.heappush(heap, _spair_key(order, lms[i], lms[j], i, j))
+            heapq.heappush(heap, _spair_key(order, table[i][0], table[j][0], i, j))
             pending.add((i, j))
 
     while heap:
@@ -316,14 +360,16 @@ def buchberger(
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
+        (lm_i, mask_i, terms_i), (lm_j, mask_j, terms_j) = table[i], table[j]
+        lcm = mono_lcm(lm_i, lm_j)
         # coprimality criterion: coprime leading monomials reduce to zero
-        if lcm == mono_mul(lms[i], lms[j]):
+        if not mask_i & mask_j:
             continue
         # chain criterion: a third element dividing the lcm, both side pairs done
+        lcm_mask = mask_i | mask_j
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or mono_div(lcm, lms[k]) is None:
+        for k, (lm_k, mask_k, _) in enumerate(table):
+            if k in (i, j) or not _divides(lm_k, mask_k, lcm, lcm_mask):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 skip = True
@@ -337,24 +383,19 @@ def buchberger(
                 f"step budget {budget.max_steps} exceeded", partial_basis()
             )
 
-        shift_i = mono_div(lcm, lms[i])
-        shift_j = mono_div(lcm, lms[j])
-        gi, gj = _terms_of(basis[i]), _terms_of(basis[j])
-        spoly: _Terms = {}
-        for v, c in gi.items():
-            w = mono_mul(shift_i, v)
-            spoly[w] = spoly.get(w, Fraction(0)) + c
-        for v, c in gj.items():
+        shift_i = mono_div(lcm, lm_i)
+        shift_j = mono_div(lcm, lm_j)
+        spoly: _Terms = {mono_mul(shift_i, v): c for v, c in terms_i.items()}
+        for v, c in terms_j.items():
             w = mono_mul(shift_j, v)
-            s = spoly.get(w, Fraction(0)) - c
+            s = spoly.get(w, _ZERO) - c
             if s == 0:
                 spoly.pop(w, None)
             else:
                 spoly[w] = s
 
-        divisors = [(lms[t], Fraction(1), _terms_of(basis[t])) for t in range(len(basis))]
         try:
-            quotients, remainder = _divide(spoly, divisors, order, budget.max_degree)
+            quotients, remainder = _divide(spoly, table, order, budget.max_degree)
         except _DegreeCapHit:
             raise BudgetExceededError(
                 f"degree budget {budget.max_degree} exceeded", partial_basis()
@@ -380,19 +421,17 @@ def buchberger(
         else:
             combo = ()
         new_index = len(basis)
-        basis.append(r_poly.scale(inv))
-        lms.append(lm)
-        combos.append(combo)
+        add(r_poly.scale(inv), combo)
         for t in range(new_index):
-            heapq.heappush(heap, _spair_key(order, lms[t], lm, t, new_index))
+            heapq.heappush(heap, _spair_key(order, table[t][0], lm, t, new_index))
             pending.add((t, new_index))
 
-    return _finalize(basis, lms, combos, order, source, steps, track, reduced=True)
+    return _finalize(basis, table, combos, order, source, steps, track, reduced=True)
 
 
 def _finalize(
     basis: list[Polynomial],
-    lms: list[Exponent],
+    table: list[_Entry],
     combos: list[tuple[Polynomial, ...]],
     order: MonomialOrder,
     source: tuple[Polynomial, ...],
@@ -402,43 +441,43 @@ def _finalize(
 ) -> GroebnerBasis:
     """Minimalize, interreduce, sort: the canonical reduced basis."""
     nvars = source[0].nvars
-    order_of = sorted(range(len(basis)), key=lambda t: order.key(lms[t]))
+    order_of = sorted(range(len(basis)), key=lambda t: order.key(table[t][0]))
     kept: list[int] = []
     for t in order_of:
-        if any(mono_div(lms[t], lms[s]) is not None for s in kept):
+        lm, mask, _ = table[t]
+        if any(_divides(table[s][0], table[s][1], lm, mask) for s in kept):
             continue
         kept.append(t)
     polys = [basis[t] for t in kept]
+    entries = [table[t] for t in kept]
     kept_combos = [combos[t] for t in kept]
 
     changed = True
     while changed:
         changed = False
         for t in range(len(polys)):
-            others = [
-                (p.leading_term(order)[0], Fraction(1), _terms_of(p))
-                for s, p in enumerate(polys)
-                if s != t
-            ]
-            quotients, remainder = _divide(_terms_of(polys[t]), others, order)
+            others = entries[:t] + entries[t + 1 :]
+            quotients, remainder = _divide(entries[t][2], others, order)
             r_poly = _poly(nvars, remainder)
             if r_poly != polys[t]:
                 changed = True
                 if track:
-                    other_combos = [c for s, c in enumerate(kept_combos) if s != t]
+                    other_combos = kept_combos[:t] + kept_combos[t + 1 :]
                     kept_combos[t] = _combo_update(kept_combos[t], quotients, other_combos, nvars)
                 if r_poly.is_zero:
                     del polys[t]
+                    del entries[t]
                     del kept_combos[t]
                 else:
-                    lm, lc = r_poly.leading_term(order)
+                    _, lc = r_poly.leading_term(order)
                     inv = Fraction(1) / lc
                     polys[t] = r_poly.scale(inv)
+                    entries[t] = _entry(polys[t], order)
                     if track:
                         kept_combos[t] = tuple(c * inv for c in kept_combos[t])
                 break
 
-    final = sorted(range(len(polys)), key=lambda t: order.key(polys[t].leading_term(order)[0]))
+    final = sorted(range(len(polys)), key=lambda t: order.key(entries[t][0]))
     return GroebnerBasis(
         generators=tuple(polys[t] for t in final),
         order=order,
@@ -519,10 +558,22 @@ def tag_ring_generators(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 
 
 @lru_cache(maxsize=64)
-def _tag_elimination_basis(gens: tuple[Polynomial, ...], budget: GroebnerBudget) -> GroebnerBasis:
-    """Cached elimination basis of {X_i - g_i} with the T-block dominant."""
-    nvars = gens[0].nvars
-    return buchberger(tag_ring_generators(gens), elimination(nvars), budget, track=False)
+def _tag_elimination_basis(
+    gens: tuple[Polynomial, ...], budget: GroebnerBudget
+) -> tuple[tuple[Polynomial, ...], GroebnerBasis, bool]:
+    """Cached elimination basis of {X_i - g_i} with the T-block dominant.
+
+    Keyed by the caller's generators as given, whose hashes the polynomials
+    keep, so a repeated query converts nothing.  Returns the generators over
+    Q, the basis and whether it is complete; a budget-truncated basis is
+    cached with ``complete=False`` like a complete one.
+    """
+    source = tuple(_to_rat(g) for g in gens)
+    order = elimination(source[0].nvars)
+    try:
+        return source, buchberger(tag_ring_generators(source), order, budget), True
+    except BudgetExceededError as exc:
+        return source, exc.partial, False
 
 
 def _tag_free_part(gb: GroebnerBasis, nvars: int, tag_count: int) -> tuple[Polynomial, ...]:
@@ -550,15 +601,8 @@ def relation_ideal(
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
-    source = tuple(_to_rat(g) for g in gens)
-    nvars = source[0].nvars
-    try:
-        gb = _tag_elimination_basis(source, budget)
-        complete = True
-    except BudgetExceededError as exc:
-        gb = exc.partial
-        complete = False
-    relations = _tag_free_part(gb, nvars, len(source))
+    source, gb, complete = _tag_elimination_basis(tuple(gens), budget)
+    relations = _tag_free_part(gb, source[0].nvars, len(source))
     return RelationIdealResult(
         relations=relations,
         complete=complete,
@@ -585,19 +629,13 @@ def subalgebra_membership(
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
-    source = tuple(_to_rat(g) for g in gens)
     h = _to_rat(h)
-    nvars = source[0].nvars
+    nvars = gens[0].nvars
     if h.nvars != nvars:
         raise ArityError(f"query has {h.nvars} variables, generators have {nvars}")
+    source, gb, complete = _tag_elimination_basis(tuple(gens), budget)
     tag_count = len(source)
     truncation = tag_count + 1  # generators are numbered 2..k
-    try:
-        gb = _tag_elimination_basis(source, budget)
-        complete = True
-    except BudgetExceededError as exc:
-        gb = exc.partial
-        complete = False
     total = nvars + tag_count
     remainder = gb.normal_form(h.embed(total, 0))
     t_free = not any(any(u[:nvars]) for u in remainder.support())

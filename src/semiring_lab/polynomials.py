@@ -28,8 +28,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
-Coeff = "int | Fraction"
-
 
 class DomainError(ValueError):
     """Coefficient domain violated or mixed between operands."""
@@ -409,34 +407,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-# -- named operation surface ----------------------------------------------
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Termwise sum; operands must share variable count and domain."""
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Distributive convolution product, normalized."""
-    return p * q
-
-
-def poly_eval(p: Polynomial, point: Sequence[int | Fraction]) -> Fraction:
-    """Exact rational value of p at the point."""
-    return p.evaluate(point)
-
-
-def poly_subst(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Substitute images for the variables of p, fully expanded."""
-    return p.substitute(images)
-
-
-def leading_term(p: Polynomial, order: MonomialOrder) -> tuple[Exponent, int | Fraction]:
-    """Maximal term of a nonzero polynomial under the order."""
-    return p.leading_term(order)
 
 
 # -- variable naming -------------------------------------------------------

@@ -1,15 +1,19 @@
 """Groebner engine: canonical bases, certificates, elimination, budgets."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from semiring_lab import abhyankar, groebner
+from semiring_lab.abhyankar import AbhyankarContext
 from semiring_lab.polynomials import (
     Domain,
     GRLEX,
     LEX,
+    MonomialOrder,
     Polynomial,
     elimination,
     format_poly,
@@ -117,31 +121,52 @@ def test_determinism_repeated_runs():
     assert a.generators == b.generators and a.steps_used == b.steps_used
 
 
+def _sympy_basis(gens: list[Polynomial], order: str) -> set[Polynomial]:
+    """sympy's reduced basis of the ideal, each element rescaled to monic."""
+    nvars = gens[0].nvars
+    syms = sympy.symbols(f"x0:{nvars}")
+    polys = [sympy.Poly.from_dict(dict(g.terms()), *syms, domain="QQ") for g in gens]
+    monic_order = LEX if order == "lex" else GRLEX
+    out = set()
+    for e in sympy.groebner(polys, *syms, order=order).exprs:
+        poly = sympy.Poly(e, *syms)
+        terms = {tuple(mon): Fraction(*coeff.as_numer_denom()) for mon, coeff in poly.terms()}
+        q = Polynomial(nvars, Domain.RAT, terms)
+        # sympy normalizes to integer content; rescale to monic for comparison
+        _, lc = q.leading_term(monic_order)
+        out.add(q.scale(Fraction(1) / lc))
+    return out
+
+
 def test_agrees_with_sympy_on_fixed_ideals():
-    s_t1, s_t2 = sympy.symbols("T1 T2")
     cases = [
         ["T1^2 + T2^2 - 1", "T1*T2 - 1"],
         ["T1^3 - 2*T1*T2", "T1^2*T2 - 2*T2^2 + T1"],
         ["2*T1^2 + 3*T2", "T1*T2 - T1"],
     ]
     for texts in cases:
-        mine = buchberger([p2(t) for t in texts], GRLEX)
-        theirs = sympy.groebner(
-            [sympy.sympify(t.replace("^", "**")) for t in texts],
-            s_t1,
-            s_t2,
-            order="grlex",
-        )
-        mine_set = {format_poly(g) for g in mine.generators}
-        theirs_set = set()
-        for e in theirs.exprs:
-            poly = sympy.Poly(e, s_t1, s_t2)
-            terms = {tuple(mon): Fraction(*coeff.as_numer_denom()) for mon, coeff in poly.terms()}
-            q = Polynomial(2, Domain.RAT, terms)
-            # sympy normalizes to integer content; rescale to monic for comparison
-            _, lc = q.leading_term(GRLEX)
-            theirs_set.add(format_poly(q.scale(Fraction(1) / lc)))
-        assert mine_set == theirs_set, texts
+        gens_list = [p2(t) for t in texts]
+        mine = buchberger(gens_list, GRLEX)
+        assert set(mine.generators) == _sympy_basis(gens_list, "grlex"), texts
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX], ids=["lex", "grlex"])
+def test_agrees_with_sympy_on_random_ideals(order):
+    rng = random.Random(SEED + 7)
+    checked = 0
+    while checked < 50:
+        nvars = rng.randint(2, 3)
+        # exponents up to 3 already give lex runs past the default degree cap
+        gens_list = [
+            random_poly(rng, nvars, Domain.INT, max_terms=3, max_exp=2)
+            for _ in range(rng.randint(2, 3))
+        ]
+        gens_list = [g for g in gens_list if not g.is_zero]
+        if not gens_list:
+            continue
+        mine = buchberger(gens_list, order)
+        assert set(mine.generators) == _sympy_basis(gens_list, order.kind), gens_list
+        checked += 1
 
 
 def test_zero_generators_are_tolerated():
@@ -203,6 +228,67 @@ def test_difference_to_normal_form_lies_in_ideal():
         for q, g in zip(quotients, gb.generators):
             total = total + q * g
         assert total == p - r
+
+
+def _reference_divide(target, divisors, order, degree_cap=None):
+    """Division straight from the definition: each step reduces the leading
+    term by the first divisor, in list order, whose leading monomial divides
+    it, comparing exponents one by one."""
+    work = dict(target.terms())
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        u = max(work, key=order.key)
+        c = work[u]
+        if degree_cap is not None and sum(u) > degree_cap:
+            raise groebner._DegreeCapHit
+        for q, d in zip(quotients, divisors):
+            lm, lc = d.leading_term(order)
+            if all(a >= b for a, b in zip(u, lm)):
+                shift = tuple(a - b for a, b in zip(u, lm))
+                factor = c / lc
+                q[shift] = q.get(shift, 0) + factor
+                for v, cv in d.terms():
+                    w = tuple(a + b for a, b in zip(shift, v))
+                    work[w] = work.get(w, 0) - factor * cv
+                    if work[w] == 0:
+                        del work[w]
+                break
+        else:
+            remainder[u] = c
+            del work[u]
+    return quotients, remainder
+
+
+@pytest.mark.parametrize("kind", ["lex", "grlex", "elim"])
+def test_divide_matches_reference_division(kind):
+    rng = random.Random(f"divide:{kind}")
+    raised = 0
+    for _ in range(150):
+        nvars = rng.randint(2, 4)
+        order = elimination(rng.randint(1, nvars - 1)) if kind == "elim" else MonomialOrder(kind)
+        divisors = []
+        for _ in range(rng.randint(1, 5)):
+            d = random_poly(rng, nvars, Domain.RAT, max_terms=3, max_exp=2)
+            if not d.is_zero:
+                divisors.append(d.scale(Fraction(1) / d.leading_term(order)[1]))
+        if not divisors:
+            continue
+        # a combination of the divisors plus noise, so that reductions happen
+        target = random_poly(rng, nvars, Domain.RAT, max_terms=4, max_exp=3)
+        for d in divisors:
+            target = target + random_poly(rng, nvars, Domain.RAT, max_terms=2, max_exp=2) * d
+        cap = rng.choice([None, None, 4])
+        table = [groebner._entry(d, order) for d in divisors]
+        try:
+            expected = _reference_divide(target, divisors, order, cap)
+        except groebner._DegreeCapHit:
+            with pytest.raises(groebner._DegreeCapHit):
+                groebner._divide(dict(target.terms()), table, order, cap)
+            raised += 1
+            continue
+        assert groebner._divide(dict(target.terms()), table, order, cap) == expected
+    assert raised  # the degree cap was exercised too
 
 
 # -- ideal membership ------------------------------------------------------
@@ -420,3 +506,48 @@ def test_elimination_basis_cache_is_deterministic(gens):
     first = relation_ideal(g)
     second = relation_ideal(g)
     assert first == second
+
+
+def test_budget_exhausted_elimination_basis_is_computed_once(monkeypatch):
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    groebner._tag_elimination_basis.cache_clear()
+    abhyankar._context_data.cache_clear()
+    budget = GroebnerBudget(max_degree=8)
+    ctx = AbhyankarContext.build(10, budget)
+    assert not ctx.report.relations_complete
+    for n in (2, 5, 10):
+        h = ctx.generator_poly(n) * ctx.generator_poly(3)
+        cert = subalgebra_membership(h, ctx.generators, budget)
+        assert not cert.basis_complete
+    assert len(calls) == 1
+
+
+# relation_ideal of f_2..f_k: S-pairs reduced, number of relations, and the
+# SHA-256 prefix of the relations printed one per line in X2..Xk
+_RELATION_PINS = {
+    4: (10, 1, "27690855f0bc46b3"),
+    5: (23, 3, "099c991b7771d655"),
+    6: (45, 6, "793fe372279ab3ad"),
+    7: (78, 10, "6a009f6a0d8800b5"),
+    8: (125, 15, "c9ee97faf08a80e5"),
+    9: (188, 21, "d62c3128b0879d5d"),
+    10: (270, 28, "07a1b4130a9cddfb"),
+    11: (373, 36, "0531244252500a4a"),
+    12: (500, 45, "f2528751dce53f73"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_RELATION_PINS))
+def test_relation_ideal_is_pinned(k):
+    result = relation_ideal(tuple(closed_form_generator(n) for n in range(2, k + 1)))
+    text = "\n".join(format_poly(r, x_names(k)) for r in result.relations)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert result.complete
+    assert (result.steps_used, len(result.relations), digest) == _RELATION_PINS[k]
