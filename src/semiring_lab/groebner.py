@@ -145,7 +145,7 @@ def _terms_of(p: Polynomial) -> _Terms:
 
 
 def _poly(nvars: int, terms: _Terms) -> Polynomial:
-    return Polynomial(nvars, Domain.RAT, terms)
+    return Polynomial._raw(nvars, Domain.RAT, terms)
 
 
 def _mask(u: Exponent) -> int:

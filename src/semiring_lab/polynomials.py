@@ -56,6 +56,12 @@ class Domain(Enum):
 
     def coerce(self, value: int | Fraction) -> int | Fraction:
         """Validate and normalize a scalar for this domain."""
+        if type(value) is int:
+            if self is Domain.RAT:
+                return Fraction(value)
+            if self is Domain.NAT and value < 0:
+                raise DomainError(f"negative coefficient {value} not allowed in natural-number domain")
+            return value
         if self is Domain.RAT:
             return Fraction(value)
         frac = Fraction(value)
@@ -127,7 +133,16 @@ def elimination(split: int) -> MonomialOrder:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; zero coefficients are never stored."""
+    """Immutable sparse polynomial; zero coefficients are never stored.
+
+    ``Polynomial(nvars, domain, terms)`` validates every exponent and
+    coefficient.  ``Polynomial._raw(nvars, domain, store)`` skips that: only
+    code that computed ``store`` from already-validated polynomials of the
+    same ring may call it, and only with a fresh dict of exponent tuples of
+    length ``nvars`` to nonzero coefficients of the domain's type (``int``,
+    nonnegative in NAT; ``Fraction`` in RAT).  The dict is taken over, not
+    copied, so the caller must not touch it afterwards.
+    """
 
     __slots__ = ("nvars", "domain", "_terms", "_hash")
 
@@ -145,10 +160,20 @@ class Polynomial:
                 store[exp] = store.get(exp, 0) + c if exp in store else c
                 if store[exp] == 0:
                     del store[exp]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_terms", store)
-        object.__setattr__(self, "_hash", None)
+        self.nvars = nvars
+        self.domain = domain
+        self._terms = store
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, nvars: int, domain: Domain, store: dict[Exponent, int | Fraction]) -> Polynomial:
+        """Trusted constructor: takes over ``store`` without validation."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.domain = domain
+        p._terms = store
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -235,14 +260,14 @@ class Polynomial:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return Polynomial(self.nvars, self.domain, out)
+        return Polynomial._raw(self.nvars, self.domain, out)
 
     def __neg__(self) -> Polynomial:
         if self.domain is Domain.NAT:
             if self.is_zero:
                 return self
             raise DomainError("negation is not defined in the natural-number domain")
-        return Polynomial(self.nvars, self.domain, {u: -c for u, c in self._terms.items()})
+        return Polynomial._raw(self.nvars, self.domain, {u: -c for u, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         self._check_compatible(other)
@@ -269,7 +294,7 @@ class Polynomial:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return Polynomial(self.nvars, self.domain, out)
+        return Polynomial._raw(self.nvars, self.domain, out)
 
     def __mul__(self, other: Polynomial | int | Fraction) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -284,7 +309,7 @@ class Polynomial:
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return Polynomial(self.nvars, self.domain, out)
+        return Polynomial._raw(self.nvars, self.domain, out)
 
     __rmul__ = __mul__
 
@@ -292,7 +317,7 @@ class Polynomial:
         c = self.domain.coerce(c)
         if c == 0:
             return Polynomial.zero(self.nvars, self.domain)
-        return Polynomial(self.nvars, self.domain, {u: a * c for u, a in self._terms.items()})
+        return Polynomial._raw(self.nvars, self.domain, {u: a * c for u, a in self._terms.items()})
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -315,7 +340,7 @@ class Polynomial:
         h = self._hash
         if h is None:
             h = hash((self.nvars, self.domain, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     # -- evaluation and substitution --------------------------------------
@@ -391,7 +416,7 @@ class Polynomial:
         if offset < 0 or offset + self.nvars > nvars:
             raise ArityError(f"cannot embed {self.nvars} variables at offset {offset} into {nvars}")
         pre, post = (0,) * offset, (0,) * (nvars - offset - self.nvars)
-        return Polynomial(nvars, self.domain, {pre + u + post: c for u, c in self._terms.items()})
+        return Polynomial._raw(nvars, self.domain, {pre + u + post: c for u, c in self._terms.items()})
 
     def project(self, start: int, stop: int) -> Polynomial:
         """Restrict to the variable block [start, stop); support outside it must be empty."""

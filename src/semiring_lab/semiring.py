@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -276,15 +276,36 @@ class CongruenceClosure:
 # -- the rewrite engine ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
+    """Exponent vectors in ``nvars`` variables of total degree at most
+    ``max_degree``, in ascending tuple order."""
+    if max_degree < 0:
+        return ()
+    if nvars == 0:
+        return ((),)
+    return tuple(
+        (e,) + rest
+        for e in range(max_degree + 1)
+        for rest in _bounded_exponents(nvars - 1, max_degree - e)
+    )
+
+
 def _iter_rewrites(
     word: Polynomial, pres: Presentation, budget: Budget
 ) -> Iterator[tuple[Step, Polynomial | None]]:
     """All one-step rewrites of ``word``, deterministically ordered.
 
     Yields (step, result); result is None when the rewritten word violates
-    the budget box (the caller records clipping).
+    the budget box (the caller records clipping).  Results are computed on
+    the term dicts: removing ``mult * T^shift * src`` only lowers
+    coefficients, so when ``word`` lies in the box only the terms that
+    ``mult * T^shift * dst`` touches can leave it.
     """
     n = pres.nvars
+    max_degree, max_coeff = budget.max_degree, budget.max_coeff
+    terms = word._terms
+    inside = budget.admits(word)
     for rel_index, (lhs, rhs) in enumerate(pres.relations):
         for forward in (True, False):
             src, dst = (lhs, rhs) if forward else (rhs, lhs)
@@ -292,42 +313,39 @@ def _iter_rewrites(
                 continue
             if src.is_zero:
                 # adding c*T^u*dst is always permitted; bound by the box
-                head = dst.total_degree()
-                if head > budget.max_degree:
-                    continue
+                shifts = _bounded_exponents(n, max_degree - dst.total_degree())
+            else:
+                anchor, _ = src.leading_term(GRLEX)
                 shifts = sorted(
-                    u
-                    for u in product(range(budget.max_degree + 1), repeat=n)
-                    if mono_deg(u) + head <= budget.max_degree
+                    {shift for w in terms if (shift := mono_div(w, anchor)) is not None}
                 )
-                for shift in shifts:
-                    for mult in range(1, budget.max_coeff + 1):
-                        factor = Polynomial.monomial(shift, mult, Domain.NAT)
-                        result = word + factor * dst
-                        step = Step(rel_index, forward, shift, mult)
-                        yield step, (result if budget.admits(result) else None)
-                continue
-            anchor, anchor_coeff = src.leading_term(GRLEX)
-            shifts = sorted(
-                {
-                    shift
-                    for w in word.support()
-                    if (shift := mono_div(w, anchor)) is not None
-                }
-            )
             for shift in shifts:
-                top = min(
-                    int(word.coefficient(mono_mul(shift, v))) // int(c)
-                    for v, c in src.terms()
-                )
+                moved_src = [(mono_mul(shift, v), c) for v, c in src._terms.items()]
+                if moved_src:
+                    top = min(terms.get(w, 0) // c for w, c in moved_src)
+                else:
+                    # a zero source fits any word: the coefficient cap bounds mult
+                    top = max_coeff
+                if top == 0:
+                    continue
+                moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
+                fits_degree = all(mono_deg(w) <= max_degree for w, _ in moved_dst)
                 for mult in range(1, top + 1):
-                    factor = Polynomial.monomial(shift, mult, Domain.NAT)
-                    removed = word.checked_sub(factor * src)
-                    if removed is None:
-                        break
-                    result = removed + factor * dst
-                    step = Step(rel_index, forward, shift, mult)
-                    yield step, (result if budget.admits(result) else None)
+                    out = dict(terms)
+                    for w, c in moved_src:
+                        left = out[w] - mult * c
+                        if left:
+                            out[w] = left
+                        else:
+                            del out[w]
+                    for w, c in moved_dst:
+                        out[w] = out.get(w, 0) + mult * c
+                    result = Polynomial._raw(n, Domain.NAT, out)
+                    if inside:
+                        admitted = fits_degree and all(out[w] <= max_coeff for w, _ in moved_dst)
+                    else:
+                        admitted = budget.admits(result)
+                    yield Step(rel_index, forward, shift, mult), (result if admitted else None)
 
 
 @dataclass
@@ -657,13 +675,7 @@ def find_L(
     pres = structure
     cc = congruence_close(pres, budget)
     one = pres.one
-    monomials = sorted(
-        (
-            u
-            for u in product(range(search_degree + 1), repeat=pres.nvars)
-            if mono_deg(u) <= search_degree
-        ),
-    )
+    monomials = _bounded_exponents(pres.nvars, search_degree)
     found: list[Polynomial] = []
     for coeffs in product(range(search_coeff + 1), repeat=len(monomials)):
         candidate = Polynomial(

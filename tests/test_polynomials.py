@@ -78,6 +78,23 @@ def test_rat_coefficients_are_fractions():
     assert p.coefficient((1,)) == Fraction(1, 2)
 
 
+def test_coerce_keeps_its_answers_off_the_plain_int_path():
+    # bool and Fraction do not take the plain-int shortcut
+    assert Domain.NAT.coerce(True) == 1 and type(Domain.NAT.coerce(True)) is int
+    assert Domain.INT.coerce(True) == 1 and type(Domain.INT.coerce(True)) is int
+    assert Domain.RAT.coerce(True) == Fraction(1) and type(Domain.RAT.coerce(True)) is Fraction
+    assert Domain.NAT.coerce(Fraction(3, 1)) == 3 and type(Domain.NAT.coerce(Fraction(3, 1))) is int
+    assert Domain.INT.coerce(Fraction(-3, 1)) == -3
+    with pytest.raises(DomainError, match=r"^negative coefficient -1 not allowed in natural-number domain$"):
+        Domain.NAT.coerce(-1)
+    with pytest.raises(DomainError, match=r"^Fraction\(1, 2\) is not an integer, cannot live in integer coefficients$"):
+        Domain.INT.coerce(Fraction(1, 2))
+    for value in (0, 7, -7, 10**30):
+        assert type(Domain.INT.coerce(value)) is int and Domain.INT.coerce(value) == value
+        assert type(Domain.RAT.coerce(value)) is Fraction and Domain.RAT.coerce(value) == value
+    assert type(Domain.NAT.coerce(7)) is int and Domain.NAT.coerce(7) == 7
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(ArityError):
         Polynomial(2, Domain.INT, {(1,): 1})
@@ -145,6 +162,50 @@ def test_semiring_axioms_randomized_int():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + zero == a and a * one == a and a * zero == zero
+
+
+def _assert_valid(r: Polynomial) -> None:
+    """What the trusted constructor must keep: nothing re-validation would
+    change, no stored zero, coefficients of the domain's exact type."""
+    assert r == Polynomial(r.nvars, r.domain, r._terms)
+    assert all(len(u) == r.nvars for u in r._terms)
+    assert all(c != 0 for c in r._terms.values())
+    if r.domain is Domain.RAT:
+        assert all(type(c) is Fraction for c in r._terms.values())
+    else:
+        assert all(type(c) is int for c in r._terms.values())
+    if r.domain is Domain.NAT:
+        assert all(c > 0 for c in r._terms.values())
+
+
+def test_raw_constructor_takes_the_dict_over():
+    store = {(1, 0): 2}
+    p = Polynomial._raw(2, Domain.NAT, store)
+    assert p._terms is store and p == p_nat("2*T1") and hash(p) == hash(p_nat("2*T1"))
+
+
+def test_arithmetic_results_stay_valid_randomized():
+    rng = random.Random(SEMIRING_SEED + 2)
+    # scalars of every type each domain accepts
+    scalars = {
+        Domain.NAT: (0, 2, Fraction(3), True),
+        Domain.INT: (0, -2, Fraction(-3), True),
+        Domain.RAT: (0, -2, Fraction(3, 4), True),
+    }
+    for domain in (Domain.NAT, Domain.INT, Domain.RAT):
+        for _ in range(60):
+            # coefficients up to 3 make cancellations in sums and products common
+            p, q = (random_poly(rng, 2, domain, max_terms=4, max_exp=2, max_coeff=3) for _ in range(2))
+            results = [p + q, p * q, p**2, p.embed(4, 1)]
+            results += [p.scale(c) for c in scalars[domain]] + [c * p for c in scalars[domain]]
+            if domain is not Domain.NAT:
+                results += [-p, p - q, p + (-p)]
+            for a, b in ((p, q), (p + q, q), (p * q + p, p)):
+                diff = a.checked_sub(b)
+                if diff is not None:
+                    results.append(diff)
+            for r in results:
+                _assert_valid(r)
 
 
 # -- evaluation and substitution ------------------------------------------

@@ -3,10 +3,20 @@ preorder, L-sets, difference rings."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from semiring_lab.polynomials import Domain, DomainError, Polynomial, format_poly, parse_poly, t_names
+from semiring_lab import semiring
+from semiring_lab.polynomials import (
+    Domain,
+    DomainError,
+    Polynomial,
+    format_poly,
+    mono_deg,
+    parse_poly,
+    t_names,
+)
 from semiring_lab.semiring import (
     Budget,
     BudgetError,
@@ -354,6 +364,58 @@ def test_closure_preorder_matches_presentation_preorder():
         assert [preorder_leq(a, b, cc, budget) for a, b in reversed(pairs)] == expected[::-1]
         fresh = congruence_close(pres, budget)
         assert [preorder_leq(a, b, fresh) for a, b in reversed(pairs)] == expected[::-1]
+
+
+def test_rewrite_kernel_matches_step_replay():
+    # _iter_rewrites computes results on term dicts; Step.apply replays each
+    # step through public arithmetic, independently of it
+    budget = Budget(max_degree=4, max_coeff=8, max_steps=300)
+    rng = random.Random(SEED + 7)
+    yielded = clipped = 0
+    for nvars, text in CATALOG:
+        pres = Presentation.free(nvars) if text is None else Presentation.from_text(nvars, text)
+        words = [
+            random_poly(rng, nvars, Domain.NAT, max_terms=3, max_exp=2, max_coeff=4)
+            for _ in range(4)
+        ]
+        # start words outside the box: a coefficient and a degree too large
+        unit = (0,) * nvars
+        words.append(Polynomial(nvars, Domain.NAT, {unit: 9, (1,) + unit[1:]: 2}))
+        words.append(Polynomial(nvars, Domain.NAT, {(5,) + unit[1:]: 1, unit: 1}))
+        for word in words:
+            for step, result in semiring._iter_rewrites(word, pres, budget):
+                replayed = step.apply(word, pres)
+                yielded += 1
+                if budget.admits(replayed):
+                    assert result == replayed, (text, format_poly(word), step)
+                else:
+                    assert result is None, (text, format_poly(word), step)
+                    clipped += 1
+    assert yielded > clipped > 0
+
+
+def test_zero_side_shifts_match_the_filtered_product():
+    for n in range(4):
+        for max_degree in range(6):
+            for head in range(max_degree + 2):
+                expected = sorted(
+                    u
+                    for u in product(range(max_degree + 1), repeat=n)
+                    if mono_deg(u) + head <= max_degree
+                )
+                assert list(semiring._bounded_exponents(n, max_degree - head)) == expected
+
+
+def test_zero_side_rewrite_does_not_enumerate_the_full_box(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full exponent box was enumerated")
+
+    monkeypatch.setattr(semiring, "product", refuse)
+    pres = Presentation.from_text(8, "0 = T1")
+    word = Polynomial.one(8, Domain.NAT)
+    step, result = next(semiring._iter_rewrites(word, pres, Budget(max_degree=8)))
+    assert step == Step(0, True, (0,) * 8, 1)
+    assert result == word + Polynomial.variable(8, 0, Domain.NAT)
 
 
 def test_closure_preorder_rejects_another_budget(successor_absorbed):
