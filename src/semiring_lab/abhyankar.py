@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .groebner import (
@@ -172,8 +172,7 @@ class AbhyankarContext:
             raise ValueError(
                 f"representation has {rep.nvars} tag variables, context has {self.tag_count}"
             )
-        ambient = rep.substitute(list(self.generators))
-        return SubringElement(self, ambient, rep)
+        return SubringElement(self, rep)
 
     def constant(self, c: int) -> "SubringElement":
         return self.element(Polynomial.constant(self.tag_count, c, Domain.INT))
@@ -187,8 +186,9 @@ class AbhyankarContext:
         """Certify an ambient polynomial as a subring element.
 
         Uses canonical subalgebra membership and accepts only when the
-        canonical representation has integer coefficients.  This is a
-        conservative certificate for the Z-subalgebra: the canonical coset
+        canonical representation has integer coefficients; membership itself
+        checks that the representation substitutes back to ``ambient``.
+        This is a conservative certificate for the Z-subalgebra: the canonical coset
         representative can pick up rational coefficients from the relations
         even when an integer representation exists (f_3*f_5 is an example),
         and in that case lift refuses rather than guessing.
@@ -209,12 +209,7 @@ class AbhyankarContext:
                 f"{format_poly(cert.representation, x_names(self.truncation))} "
                 f"has non-integer coefficients"
             )
-        rep = Polynomial(
-            self.tag_count,
-            Domain.INT,
-            {exp: int(c) for exp, c in cert.representation.terms()},
-        )
-        return SubringElement(self, ambient.as_domain(Domain.INT), rep)
+        return SubringElement(self, cert.representation.as_domain(Domain.INT))
 
     # -- the surjection onto Q ---------------------------------------------
 
@@ -237,18 +232,17 @@ class AbhyankarContext:
 
 @dataclass(frozen=True)
 class SubringElement:
-    """An element of the truncated subring: its expanded ambient form in
-    Z[T1,T2] plus an integer tag representation, kept consistent
-    (substituting the generators into the representation gives the ambient
-    form exactly -- checked at construction)."""
+    """An element of the truncated subring, stored as its integer tag
+    representation.  Its expanded form in Z[T1,T2], ``ambient``, is the
+    representation with the generators substituted, computed on first read
+    and kept; arithmetic acts on the representation alone."""
 
     context: AbhyankarContext
-    ambient: Polynomial
     representation: Polynomial
 
-    def __post_init__(self):
-        if self.representation.substitute(list(self.context.generators)) != self.ambient:
-            raise ValueError("representation does not expand to the ambient form")
+    @cached_property
+    def ambient(self) -> Polynomial:
+        return self.representation.substitute(list(self.context.generators))
 
     def _check(self, other: "SubringElement") -> None:
         if not isinstance(other, SubringElement):
@@ -258,33 +252,25 @@ class SubringElement:
 
     def __add__(self, other: "SubringElement") -> "SubringElement":
         self._check(other)
-        return SubringElement(
-            self.context, self.ambient + other.ambient, self.representation + other.representation
-        )
+        return SubringElement(self.context, self.representation + other.representation)
 
     def __sub__(self, other: "SubringElement") -> "SubringElement":
         self._check(other)
-        return SubringElement(
-            self.context, self.ambient - other.ambient, self.representation - other.representation
-        )
+        return SubringElement(self.context, self.representation - other.representation)
 
     def __mul__(self, other: "SubringElement | int") -> "SubringElement":
         if isinstance(other, int):
-            return SubringElement(
-                self.context, self.ambient * other, self.representation * other
-            )
+            return SubringElement(self.context, self.representation * other)
         self._check(other)
-        return SubringElement(
-            self.context, self.ambient * other.ambient, self.representation * other.representation
-        )
+        return SubringElement(self.context, self.representation * other.representation)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SubringElement":
-        return SubringElement(self.context, -self.ambient, -self.representation)
+        return SubringElement(self.context, -self.representation)
 
     def __pow__(self, n: int) -> "SubringElement":
-        return SubringElement(self.context, self.ambient**n, self.representation**n)
+        return SubringElement(self.context, self.representation**n)
 
     @property
     def rational_image(self) -> Fraction:
@@ -472,8 +458,7 @@ class UnivarOverSubring:
     coeffs: tuple[SubringElement, ...]
 
     def __post_init__(self):
-        contexts = {c.context.truncation for c in self.coeffs}
-        if len(contexts) > 1:
+        if any(c.context != self.coeffs[0].context for c in self.coeffs):
             raise ValueError("coefficients come from different contexts")
 
     @property

@@ -29,7 +29,7 @@ witness, and budget exhaustion yields Unknown, never a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -103,10 +103,10 @@ class BoundedSubsetPredicate:
     an upper bound might always exist further out.
 
     A presentation target is queried through one congruence closure, built
-    at construction (which explores nothing) or supplied by the caller for
-    the same presentation and budget.  ABOVE and TWO_SIDED queries read and
-    extend its exploration memo, so across the queries of one predicate
-    each constant's component is explored once; ABSORBING queries run the
+    at construction (which explores nothing); ``closure`` is None for an
+    evaluation target.  ABOVE and TWO_SIDED queries read and extend its
+    exploration memo, so across the queries of one predicate each
+    constant's component is explored once; ABSORBING queries run the
     targeted searches of ``words_equivalent``.
     """
 
@@ -114,19 +114,10 @@ class BoundedSubsetPredicate:
     structure: "EvalHom | Presentation"
     budget: Budget = Budget()
     max_bound: int = 16
-    closure: CongruenceClosure | None = None
+    closure: CongruenceClosure | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.closure is not None:
-            if (
-                self.closure.presentation != self.structure
-                or self.closure.budget != self.budget
-            ):
-                raise ValueError(
-                    "the supplied closure is for another presentation or budget "
-                    "than the predicate's"
-                )
-        elif isinstance(self.structure, Presentation):
+        if isinstance(self.structure, Presentation):
             object.__setattr__(
                 self, "closure", congruence_close(self.structure, self.budget)
             )

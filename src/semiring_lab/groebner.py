@@ -140,10 +140,6 @@ def _to_rat(p: Polynomial) -> Polynomial:
     return p.as_domain(Domain.RAT)
 
 
-def _terms_of(p: Polynomial) -> _Terms:
-    return dict(p._terms)
-
-
 def _poly(nvars: int, terms: _Terms) -> Polynomial:
     return Polynomial._raw(nvars, Domain.RAT, terms)
 
@@ -157,9 +153,17 @@ def _mask(u: Exponent) -> int:
 
 
 def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
-    """Divisor-table entry of a nonzero monic polynomial."""
+    """Divisor-table entry of a nonzero monic polynomial, sharing its dict."""
     lm, _ = p.leading_term(order)
-    return lm, _mask(lm), _terms_of(p)
+    return lm, _mask(lm), p._terms
+
+
+def _monic_entry(terms: _Terms, order: MonomialOrder) -> tuple[_Entry, Fraction]:
+    """Divisor-table entry of ``terms`` divided by its leading coefficient,
+    and the factor 1/lc that was applied."""
+    lm = max(terms, key=order.key)
+    inv = 1 / terms[lm]
+    return (lm, _mask(lm), {u: c * inv for u, c in terms.items()}), inv
 
 
 def _divides(lm: Exponent, lm_mask: int, u: Exponent, u_mask: int) -> bool:
@@ -236,7 +240,9 @@ class GroebnerBasis:
     Q); when certificate tracking was on, ``cofactors[i]`` expresses
     ``generators[i]`` as a combination of ``source``.  The divisor table
     that reductions scan (leading monomial, its support mask and the terms
-    of each generator) is built on the first reduction and kept.
+    of each generator) is built on the first reduction and kept; its term
+    dicts are the generators' own, shared and never copied, which is safe
+    because polynomials are immutable and division only reads its divisors.
     """
 
     generators: tuple[Polynomial, ...]
@@ -270,7 +276,7 @@ class GroebnerBasis:
         p = _to_rat(p)
         if p.nvars != self.nvars:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
-        quotients, remainder = _divide(_terms_of(p), self._divisors, self.order)
+        quotients, remainder = _divide(p._terms, self._divisors, self.order)
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
         return _poly(n, remainder), tuple(_poly(n, q) if q else zero for q in quotients)
@@ -299,11 +305,13 @@ def buchberger(
     is interreduced and monic -- the canonical reduced basis, independent of
     generator input order.
 
-    Each basis element enters a divisor table once, when it is added: its
-    leading monomial, that monomial's support mask and its terms.  Every
-    S-polynomial reduction scans this table, and the support masks reject
-    most non-divisors in the chain criterion, the reductions and the final
-    minimalisation before any exponent is compared.
+    While it runs, the basis is its divisor table and nothing else: one
+    entry per monic element, added once, holding its leading monomial, that
+    monomial's support mask and the element's term dict.  Every S-polynomial
+    reduction scans this table, and the support masks reject most
+    non-divisors in the chain criterion, the reductions and the final
+    minimalisation before any exponent is compared.  The term dicts become
+    ``Polynomial`` generators once, in the finalisation.
 
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
@@ -318,47 +326,39 @@ def buchberger(
         if g.nvars != nvars:
             raise ArityError("generators live in different rings")
 
-    basis: list[Polynomial] = []
     table: list[_Entry] = []
     combos: list[tuple[Polynomial, ...]] = []
     zero = Polynomial.zero(nvars, Domain.RAT)
-
-    def unit_combo(idx: int, scale: Fraction) -> tuple[Polynomial, ...]:
-        return tuple(
-            Polynomial.constant(nvars, scale, Domain.RAT) if j == idx else zero
-            for j in range(len(source))
-        )
-
-    def add(p: Polynomial, combo: tuple[Polynomial, ...]) -> None:
-        basis.append(p)
-        table.append(_entry(p, order))
-        combos.append(combo)
-
     steps = 0
 
     def partial_basis() -> GroebnerBasis:
-        return _finalize(basis, table, combos, order, source, steps, track, reduced=False)
+        return _finalize(table, combos, order, source, steps, track, reduced=False)
 
     for idx, g in enumerate(source):
         if g.is_zero:
             continue
-        _, lc = g.leading_term(order)
-        add(g.scale(Fraction(1) / lc), unit_combo(idx, Fraction(1) / lc) if track else ())
+        entry, inv = _monic_entry(g._terms, order)
+        table.append(entry)
+        if track:
+            combos.append(tuple(
+                Polynomial.constant(nvars, inv, Domain.RAT) if j == idx else zero
+                for j in range(len(source))
+            ))
 
-    if not basis:
+    if not table:
         return GroebnerBasis((), order, True, source, () if track else None, 0)
 
+    # every pair is pushed exactly once; ``pending`` holds those not yet
+    # popped, which the chain criterion reads
     heap: list[tuple] = []
     pending: set[tuple[int, int]] = set()
-    for j in range(len(basis)):
+    for j in range(len(table)):
         for i in range(j):
             heapq.heappush(heap, _spair_key(order, table[i][0], table[j][0], i, j))
             pending.add((i, j))
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         (lm_i, mask_i, terms_i), (lm_j, mask_j, terms_j) = table[i], table[j]
         lcm = mono_lcm(lm_i, lm_j)
@@ -394,6 +394,8 @@ def buchberger(
             else:
                 spoly[w] = s
 
+        # every remainder term was once the leading term of the work and
+        # passed the degree cap there, so the remainder needs no check
         try:
             quotients, remainder = _divide(spoly, table, order, budget.max_degree)
         except _DegreeCapHit:
@@ -403,13 +405,7 @@ def buchberger(
         if not remainder:
             continue
 
-        r_poly = _poly(nvars, remainder)
-        if r_poly.total_degree() > budget.max_degree:
-            raise BudgetExceededError(
-                f"degree budget {budget.max_degree} exceeded", partial_basis()
-            )
-        lm, lc = r_poly.leading_term(order)
-        inv = Fraction(1) / lc
+        entry, inv = _monic_entry(remainder, order)
         if track:
             mono_i = Polynomial.monomial(shift_i, 1, Domain.RAT)
             mono_j = Polynomial.monomial(shift_j, 1, Domain.RAT)
@@ -417,20 +413,17 @@ def buchberger(
                 mono_i * a - mono_j * b for a, b in zip(combos[i], combos[j])
             )
             combo = _combo_update(base, quotients, combos, nvars)
-            combo = tuple(c * inv for c in combo)
-        else:
-            combo = ()
-        new_index = len(basis)
-        add(r_poly.scale(inv), combo)
+            combos.append(tuple(c * inv for c in combo))
+        new_index = len(table)
+        table.append(entry)
         for t in range(new_index):
-            heapq.heappush(heap, _spair_key(order, table[t][0], lm, t, new_index))
+            heapq.heappush(heap, _spair_key(order, table[t][0], entry[0], t, new_index))
             pending.add((t, new_index))
 
-    return _finalize(basis, table, combos, order, source, steps, track, reduced=True)
+    return _finalize(table, combos, order, source, steps, track, reduced=True)
 
 
 def _finalize(
-    basis: list[Polynomial],
     table: list[_Entry],
     combos: list[tuple[Polynomial, ...]],
     order: MonomialOrder,
@@ -439,51 +432,36 @@ def _finalize(
     track: bool,
     reduced: bool,
 ) -> GroebnerBasis:
-    """Minimalize, interreduce, sort: the canonical reduced basis."""
+    """Minimalize and interreduce, in ascending leading-monomial order.
+
+    After minimalisation no kept leading monomial divides another, so
+    reducing an element leaves its monic leading term in place and only
+    elements with a smaller leading monomial can divide its other terms.
+    One ascending pass, each element reduced by the already reduced ones
+    below it, therefore yields the interreduced basis: no remainder is zero,
+    none needs rescaling, and the order stays sorted.
+    """
     nvars = source[0].nvars
-    order_of = sorted(range(len(basis)), key=lambda t: order.key(table[t][0]))
     kept: list[int] = []
-    for t in order_of:
+    for t in sorted(range(len(table)), key=lambda t: order.key(table[t][0])):
         lm, mask, _ = table[t]
-        if any(_divides(table[s][0], table[s][1], lm, mask) for s in kept):
-            continue
-        kept.append(t)
-    polys = [basis[t] for t in kept]
-    entries = [table[t] for t in kept]
-    kept_combos = [combos[t] for t in kept]
+        if not any(_divides(table[s][0], table[s][1], lm, mask) for s in kept):
+            kept.append(t)
 
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(polys)):
-            others = entries[:t] + entries[t + 1 :]
-            quotients, remainder = _divide(entries[t][2], others, order)
-            r_poly = _poly(nvars, remainder)
-            if r_poly != polys[t]:
-                changed = True
-                if track:
-                    other_combos = kept_combos[:t] + kept_combos[t + 1 :]
-                    kept_combos[t] = _combo_update(kept_combos[t], quotients, other_combos, nvars)
-                if r_poly.is_zero:
-                    del polys[t]
-                    del entries[t]
-                    del kept_combos[t]
-                else:
-                    _, lc = r_poly.leading_term(order)
-                    inv = Fraction(1) / lc
-                    polys[t] = r_poly.scale(inv)
-                    entries[t] = _entry(polys[t], order)
-                    if track:
-                        kept_combos[t] = tuple(c * inv for c in kept_combos[t])
-                break
-
-    final = sorted(range(len(polys)), key=lambda t: order.key(entries[t][0]))
+    entries: list[_Entry] = []
+    kept_combos: list[tuple[Polynomial, ...]] = []
+    for t in kept:
+        lm, mask, terms = table[t]
+        quotients, remainder = _divide(terms, entries, order)
+        entries.append((lm, mask, remainder))
+        if track:
+            kept_combos.append(_combo_update(combos[t], quotients, kept_combos, nvars))
     return GroebnerBasis(
-        generators=tuple(polys[t] for t in final),
+        generators=tuple(_poly(nvars, terms) for _, _, terms in entries),
         order=order,
         reduced=reduced,
         source=source,
-        cofactors=tuple(kept_combos[t] for t in final) if track else None,
+        cofactors=tuple(kept_combos) if track else None,
         steps_used=steps,
     )
 

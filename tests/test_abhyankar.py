@@ -151,10 +151,23 @@ def test_element_substitution_invariant(ctx):
     assert e.representation.substitute(list(ctx.generators)) == e.ambient
 
 
-def test_inconsistent_pair_rejected(ctx):
-    rep = parse_poly("X2", x_names(6), Domain.INT)
-    with pytest.raises(ValueError):
-        SubringElement(ctx, tp("T1*T2 + 1"), rep)
+def test_ambient_form_is_derived_once_on_demand(ctx, monkeypatch):
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(self)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    rep = parse_poly("3*X2*X4 - X6 + 5", x_names(6), Domain.INT)
+    e = ctx.element(rep)
+    assert e.rational_image == ctx.element(rep).rational_image
+    assert calls == []
+    assert e.ambient == e.ambient
+    assert calls == [rep]
+    p = (generator(2) * generator(3) - generator(4) * 3 + ONE * 7).as_domain(Domain.RAT)
+    assert ctx.lift(p).ambient == p.as_domain(Domain.INT)
 
 
 def test_element_arithmetic_tracks_ambient(ctx):
@@ -259,8 +272,9 @@ def test_image_is_representation_independent():
     rel_int = Polynomial(3, Domain.INT, {e: int(c) for e, c in rel_doubled.terms()})
     rep = parse_poly("X2*X3 + 2*X4", x_names(4), Domain.INT)
     e = ctx4.element(rep)
-    shifted = SubringElement(ctx4, e.ambient, rep + rel_int * 3)
+    shifted = SubringElement(ctx4, rep + rel_int * 3)
     assert shifted.representation != e.representation
+    assert shifted.ambient == e.ambient
     assert shifted.rational_image == e.rational_image
 
 
@@ -378,6 +392,10 @@ def test_univar_rejects_mixed_contexts(ctx):
     other = AbhyankarContext.build(4)
     with pytest.raises(ValueError):
         UnivarOverSubring((ctx.constant(1), other.constant(1)))
+    # same truncation, but only the first context is verified
+    unverified = AbhyankarContext.build(6, GroebnerBudget(max_degree=3))
+    with pytest.raises(ValueError):
+        UnivarOverSubring((ctx.constant(1), unverified.constant(1)))
 
 
 # -- annihilators outside the kernel ----------------------------------------

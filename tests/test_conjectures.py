@@ -28,7 +28,7 @@ from semiring_lab.conjectures import (
 from semiring_lab.groebner import GroebnerBudget
 from semiring_lab.polynomials import Domain, DomainError, Polynomial, parse_poly, t_names
 from semiring_lab import semiring
-from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri, congruence_close
+from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri
 from tests.oracles import purity_violations, semigroup_within_box
 
 SEED = 66217
@@ -111,20 +111,6 @@ def test_predicate_rejects_bad_words(ev):
         pred.classify(parse_poly("T1 - 1", t_names(2), Domain.INT))
     with pytest.raises(ValueError):
         pred.classify(word("T1", 1))
-
-
-def test_supplied_closure_must_match_the_target(absorbing, collapse_to_one, ev):
-    matching = congruence_close(absorbing, SMALL)
-    pred = BoundedSubsetPredicate(BoundClass.ABSORBING, absorbing, SMALL, closure=matching)
-    assert pred.closure is matching
-    for closure in (
-        congruence_close(collapse_to_one, SMALL),
-        congruence_close(absorbing, Budget()),
-    ):
-        with pytest.raises(ValueError):
-            BoundedSubsetPredicate(BoundClass.ABSORBING, absorbing, SMALL, closure=closure)
-    with pytest.raises(ValueError):
-        BoundedSubsetPredicate(BoundClass.ABOVE, ev, closure=matching)
 
 
 # -- cone enumeration -------------------------------------------------------

@@ -121,6 +121,42 @@ def test_determinism_repeated_runs():
     assert a.generators == b.generators and a.steps_used == b.steps_used
 
 
+@pytest.mark.parametrize("max_steps", [3, 10, 50_000])
+@pytest.mark.parametrize("kind", ["lex", "grlex", "elim"])
+def test_complete_and_partial_bases_are_interreduced_randomized(kind, max_steps):
+    rng = random.Random(f"finalize:{kind}:{max_steps}")
+    partial = 0
+    for _ in range(30):
+        nvars = rng.randint(2, 3)
+        order = elimination(rng.randint(1, nvars - 1)) if kind == "elim" else MonomialOrder(kind)
+        gens_list = [
+            random_poly(rng, nvars, Domain.INT, max_terms=4, max_exp=2)
+            for _ in range(rng.randint(2, 4))
+        ]
+        gens_list = [g for g in gens_list if not g.is_zero]
+        if not gens_list:
+            continue
+        runs = []
+        for track in (False, True):
+            try:
+                runs.append(buchberger(gens_list, order, GroebnerBudget(max_steps=max_steps), track))
+            except BudgetExceededError as exc:
+                runs.append(exc.partial)
+        gb, tracked = runs
+        assert gb.generators == tracked.generators and gb.steps_used == tracked.steps_used
+        partial += not gb.reduced
+        leading = [g.leading_term(order) for g in gb.generators]
+        assert all(lc == 1 for _, lc in leading)
+        keys = [order.key(lm) for lm, _ in leading]
+        assert keys == sorted(set(keys))
+        for i, g in enumerate(gb.generators):
+            for u in g.support():
+                for j, (lm, _) in enumerate(leading):
+                    assert i == j or not all(a >= b for a, b in zip(u, lm)), (gens_list, g)
+    if max_steps < 50_000:
+        assert partial  # truncated bases were checked too
+
+
 def _sympy_basis(gens: list[Polynomial], order: str) -> set[Polynomial]:
     """sympy's reduced basis of the ideal, each element rescaled to monic."""
     nvars = gens[0].nvars
