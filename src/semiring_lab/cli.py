@@ -210,9 +210,7 @@ class Report:
 def _parse_word(text: str, nvars: int, domain: Domain) -> Polynomial:
     try:
         return parse_poly(text, t_names(nvars), domain)
-    except ParseError as exc:
-        raise UsageError(f"cannot parse {text!r}: {exc}") from exc
-    except (DomainError, ValueError) as exc:
+    except (ParseError, DomainError, ValueError) as exc:
         raise UsageError(f"cannot parse {text!r}: {exc}") from exc
 
 
@@ -892,14 +890,8 @@ def _config_from_args(args, env) -> RunConfig:
     overrides = _env_overrides(env)
     resolved = dict(_DEFAULTS)
     resolved.update(overrides)
-    for key, attr in (
-        ("deg", "deg"),
-        ("coeff", "coeff"),
-        ("steps", "steps"),
-        ("box", "box"),
-        ("k", "k"),
-    ):
-        flag = getattr(args, attr, None)
+    for key in _DEFAULTS:
+        flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
     return RunConfig(
@@ -941,7 +933,7 @@ def main(argv=None, env=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
-        print(f"error: {exc} (raise --deg/--coeff/--steps)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotInSubringError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,10 +104,10 @@ class BoundedSubsetPredicate:
 
     A presentation target is queried through one congruence closure, built
     at construction (which explores nothing); ``closure`` is None for an
-    evaluation target.  ABOVE and TWO_SIDED queries read and extend its
-    exploration memo, so across the queries of one predicate each
-    constant's component is explored once; ABSORBING queries run the
-    targeted searches of ``words_equivalent``.
+    evaluation target.  ABOVE and TWO_SIDED queries resume its memoised
+    searches, so across the queries of one predicate each constant's
+    component is searched once, and only as far as the queries need;
+    ABSORBING queries run the fresh searches of ``words_equivalent``.
     """
 
     kind: BoundClass

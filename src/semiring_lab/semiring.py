@@ -31,13 +31,14 @@ of a certified cancellative semiring.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import islice, product
+from typing import Callable, Iterator, Sequence
 
 from .polynomials import (
     Domain,
@@ -217,20 +218,21 @@ class Component:
 
 
 _SEED_SATURATION_EFFORT = 4000
+# above the largest exponent list any default builds (12,870 at n = 8, D = 8)
+_MAX_EXPONENTS = 10**6
 
 
 @dataclass(frozen=True)
 class CongruenceClosure:
     """Congruence data for a presentation under one budget, grown on demand.
 
-    The closure owns a memo from a start word to the full-budget, untargeted
-    exploration of its component.  ``explore`` reads and extends it, so each
-    start word is explored at most once per closure, and the memo lives as
-    long as the closure.  An exploration is a pure function of (word,
-    presentation, budget): answers, witnesses and member order do not
-    depend on what was asked before.  The saturated
-    components of the relation sides (``components``, ``status``) are
-    computed on first read.  Equality compares presentation and budget."""
+    The closure memoises one resumable search (``_Exploration``) per start
+    word.  ``preorder_leq`` and the bound predicates advance it through
+    ``explore`` only as far as each query needs, so no start word is searched
+    twice per closure; answers, witnesses and member order do not depend on
+    what was asked before.  ``words_equivalent`` does not use the memo.  The
+    relation sides' components (``components``, ``status``) are computed on
+    first read.  Equality compares presentation and budget."""
 
     presentation: Presentation
     budget: Budget
@@ -239,26 +241,24 @@ class CongruenceClosure:
     )
 
     def explore(self, start: Polynomial) -> _Exploration:
-        """The memoised full-budget exploration of ``start``'s component."""
-        exploration = self._explored.get(start)
-        if exploration is None:
-            exploration = _explore(start, self.presentation, self.budget)
-            self._explored[start] = exploration
-        return exploration
+        """The memoised search of ``start``'s component under the closure's budget."""
+        if start not in self._explored:
+            self._explored[start] = _Exploration(start, self.presentation, self.budget)
+        return self._explored[start]
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
         """The components of every relation side, each explored with at most
         a fixed saturation effort (never more than the budget allows)."""
+        cap = min(self.budget.max_steps, _SEED_SATURATION_EFFORT)
         components: list[Component] = []
         seen: set[Polynomial] = set()
         for lhs, rhs in self.presentation.relations:
             for side in (lhs, rhs):
                 if side in seen:
                     continue
-                exploration = _explore(
-                    side, self.presentation, self.budget, effort=_SEED_SATURATION_EFFORT
-                )
+                exploration = _Exploration(side, self.presentation, self.budget)
+                exploration.find(lambda _: False, cap)
                 members = tuple(exploration.members)
                 components.append(Component(members, exploration.complete))
                 seen.update(members)
@@ -279,9 +279,16 @@ class CongruenceClosure:
 @lru_cache(maxsize=None)
 def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
     """Exponent vectors in ``nvars`` variables of total degree at most
-    ``max_degree``, in ascending tuple order."""
+    ``max_degree``, in ascending tuple order.  Raises BudgetError, before
+    building anything, when there would be more than ``_MAX_EXPONENTS``."""
     if max_degree < 0:
         return ()
+    count = math.comb(nvars + max_degree, nvars)
+    if count > _MAX_EXPONENTS:
+        raise BudgetError(
+            f"{count:,} exponent vectors of degree <= {max_degree} in {nvars} variables "
+            f"exceed the limit of {_MAX_EXPONENTS:,}"
+        )
     if nvars == 0:
         return ((),)
     return tuple(
@@ -348,66 +355,73 @@ def _iter_rewrites(
                     yield Step(rel_index, forward, shift, mult), (result if admitted else None)
 
 
-@dataclass
-class _Exploration:
-    members: dict[Polynomial, tuple[Polynomial | None, Step | None]]
-    complete: bool
-    steps_used: int
-    found_target: bool
-
-
-def _explore(
-    start: Polynomial,
-    pres: Presentation,
-    budget: Budget,
-    target: Polynomial | None = None,
-    effort: int | None = None,
-) -> _Exploration:
-    """Breadth-first exploration of the congruence component of ``start``,
-    stopping early when ``target`` is reached.  Deterministic.
-
-    Work is counted in rewrite applications; ``effort`` lowers the cap below
-    the budget's (never above).  A run that stopped for any budget reason is
-    marked incomplete, so absence of the target proves nothing.
-    """
-    cap = budget.max_steps if effort is None else min(budget.max_steps, effort)
-    members: dict[Polynomial, tuple[Polynomial | None, Step | None]] = {start: (None, None)}
-    if target is not None and target == start:
-        return _Exploration(members, True, 0, True)
-    queue: deque[Polynomial] = deque([start])
-    clipped = False
-    steps_used = 0
+def _rewrites(queue: deque[Polynomial], pres: Presentation, budget: Budget) -> Iterator[tuple]:
+    """(word, step, result) for each word popped from ``queue`` until it is
+    empty.  Holds no reference to the search, so the two form no cycle."""
     while queue:
         word = queue.popleft()
         for step, result in _iter_rewrites(word, pres, budget):
-            steps_used += 1
-            if steps_used > cap:
-                return _Exploration(members, False, steps_used, False)
-            if result is None:
-                clipped = True
-                continue
-            if result in members:
-                continue
-            members[result] = (word, step)
-            if target is not None and result == target:
-                return _Exploration(members, not clipped, steps_used, True)
-            queue.append(result)
-    return _Exploration(members, not clipped, steps_used, False)
+            yield word, step, result
 
 
-def _trace_to(
-    exploration: _Exploration, target: Polynomial
-) -> tuple[Step, ...]:
-    steps: list[Step] = []
-    word = target
-    while True:
-        parent, step = exploration.members[word]
-        if parent is None:
-            break
-        steps.append(step)
-        word = parent
-    steps.reverse()
-    return tuple(steps)
+class _Exploration:
+    """A resumable, deterministic breadth-first search of ``start``'s
+    congruence component.  ``members`` maps each word found to (parent,
+    step, rewrites used when found), in discovery order, whichever way the
+    search was advanced.  Rewrites are drawn one ahead, so a search stopped
+    at its cap knows whether it had finished; ``steps_used`` counts the drawn
+    one (c + 1 at cap c).  ``complete``: the search ended and no rewrite left
+    the budget box, so the component is finite and fully known."""
+
+    def __init__(self, start: Polynomial, pres: Presentation, budget: Budget):
+        self.members: dict[Polynomial, tuple] = {start: (None, None, 0)}
+        self._queue: deque[Polynomial] = deque([start])
+        self._rewrites = _rewrites(self._queue, pres, budget)
+        self._next = next(self._rewrites, None)
+        self._used = 0
+        self._clipped = False
+
+    @property
+    def complete(self) -> bool:
+        return self._next is None and not self._clipped
+
+    @property
+    def steps_used(self) -> int:
+        return self._used + (self._next is not None)
+
+    def find(self, wanted: Callable[[Polynomial], bool], cap: int) -> Polynomial | None:
+        """The first member, in discovery order, that ``wanted`` accepts, or
+        None.  Searches on only until that member appears, the search ends,
+        or ``cap`` rewrites in total are used."""
+        for member in self.members:
+            if wanted(member):
+                return member
+        while self._next is not None and self._used < cap:
+            word, step, result = self._next
+            self._used += 1
+            self._clipped |= result is None
+            new = result is not None and result not in self.members
+            if new:
+                self.members[result] = (word, step, self._used)
+                self._queue.append(result)
+            try:
+                self._next = next(self._rewrites, None)
+            except BaseException:
+                # the generator is finished now; never report the search complete
+                self._next, self._clipped = None, True
+                raise
+            if new and wanted(result):
+                return result
+        return None
+
+    def trace_to(self, target: Polynomial) -> tuple[Step, ...]:
+        """The derivation from ``start`` to the member ``target``."""
+        steps: list[Step] = []
+        parent, step, _ = self.members[target]
+        while parent is not None:
+            steps.append(step)
+            parent, step, _ = self.members[parent]
+        return tuple(reversed(steps))
 
 
 # -- separating evaluations ------------------------------------------------
@@ -437,17 +451,13 @@ class EvalHom:
 _GRID_VALUES = tuple(
     Fraction(a, b) for a, b in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 1), (1, 4))
 )
+_GRID_LIMIT = 2000
 
 
-def _separating_evaluation(
-    p: Polynomial, q: Polynomial, pres: Presentation, limit: int = 2000
-) -> EvalHom | None:
-    """First grid EvalHom consistent with all relations that tells p from q."""
-    count = 0
-    for values in product(_GRID_VALUES, repeat=pres.nvars):
-        count += 1
-        if count > limit:
-            return None
+def _separating_evaluation(p: Polynomial, q: Polynomial, pres: Presentation) -> EvalHom | None:
+    """First EvalHom among the first ``_GRID_LIMIT`` grid points that is
+    consistent with all relations and tells p from q."""
+    for values in islice(product(_GRID_VALUES, repeat=pres.nvars), _GRID_LIMIT):
         hom = EvalHom(values)
         if hom.consistent_with(pres) and hom.apply(p) != hom.apply(q):
             return hom
@@ -461,12 +471,12 @@ def congruence_close(pres: Presentation, budget: Budget = Budget()) -> Congruenc
     """The congruence closure of a presentation under a budget.
 
     Construction explores nothing.  Queries against the closure search with
-    the full budget; ``preorder_leq`` and the bound predicates share its
-    exploration memo, while ``words_equivalent`` runs its own targeted
-    searches.  The relation sides are saturated, within a fixed effort per
-    side, when ``components`` or ``status`` is first read; status is
-    COMPLETE when every such component was explored in full, EXHAUSTED when
-    any exploration was cut off (queries may then answer Unknown).
+    the full budget; ``preorder_leq`` and the bound predicates resume its
+    memoised searches, while ``words_equivalent`` runs fresh searches that
+    end with the call.  The relation sides are saturated, within a fixed
+    effort per side, when ``components`` or ``status`` is first read; status
+    is COMPLETE when every such component was explored in full, EXHAUSTED
+    when any exploration was cut off (queries may then answer Unknown).
     Deterministic for a fixed budget.
     """
     return CongruenceClosure(pres, budget)
@@ -493,34 +503,23 @@ def words_equivalent(
                 f"word {format_poly(word)} exceeds the budget box "
                 f"(degree <= {budget.max_degree}, coefficients <= {budget.max_coeff})"
             )
-    exploration = _explore(p, pres, budget, target=q)
-    if exploration.found_target:
-        return EquivalenceAnswer(
-            Tri.YES, trace=_trace_to(exploration, q), steps_used=exploration.steps_used
-        )
-    if exploration.complete:
-        return EquivalenceAnswer(
-            Tri.NO,
-            separator=Separator(
-                "exhausted-component", component_size=len(exploration.members)
-            ),
-            steps_used=exploration.steps_used,
-        )
-    back = _explore(q, pres, budget, target=p)
-    total = exploration.steps_used + back.steps_used
-    if back.found_target:
-        # the forward search was clipped before finding this path; derivable after all
-        trace = tuple(
-            Step(s.rel_index, not s.forward, s.shift, s.mult)
-            for s in reversed(_trace_to(back, p))
-        )
-        return EquivalenceAnswer(Tri.YES, trace=trace, steps_used=total)
-    if back.complete:
-        return EquivalenceAnswer(
-            Tri.NO,
-            separator=Separator("exhausted-component", component_size=len(back.members)),
-            steps_used=total,
-        )
+    total = 0
+    for source, target, backwards in ((p, q, False), (q, p, True)):
+        exploration = _Exploration(source, pres, budget)
+        if exploration.find(lambda word: word == target, budget.max_steps) is not None:
+            trace = exploration.trace_to(target)
+            if backwards:
+                # the search from p was cut off before this path; derivable after all
+                trace = tuple(
+                    Step(s.rel_index, not s.forward, s.shift, s.mult) for s in reversed(trace)
+                )
+            steps_used = total + exploration.members[target][2]
+            return EquivalenceAnswer(Tri.YES, trace=trace, steps_used=steps_used)
+        total += exploration.steps_used
+        if exploration.complete:
+            size = len(exploration.members)
+            separator = Separator("exhausted-component", component_size=size)
+            return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=total)
     hom = _separating_evaluation(p, q, pres)
     if hom is not None:
         return EquivalenceAnswer(
@@ -627,10 +626,11 @@ def preorder_leq(
     bounded: Yes when some member of b's component termwise dominates a,
     No when b's component is fully explored and none does, else Unknown.
 
-    Given a CongruenceClosure, b's component comes from the closure's
-    exploration memo (extending it on a miss) under the closure's budget;
-    an explicit ``budget`` must then equal it.  A bare Presentation is
-    searched through a fresh closure under ``budget`` (default ``Budget()``).
+    Given a CongruenceClosure, b's memoised search is advanced only until
+    its first member, in discovery order, that dominates a (the witness is
+    that member minus a), under the closure's budget; an explicit
+    ``budget`` must then equal it.  A bare Presentation is searched through
+    a fresh closure under ``budget`` (default ``Budget()``).
     """
     if isinstance(structure, EvalHom):
         fa, fb = Fraction(a), Fraction(b)
@@ -646,10 +646,9 @@ def preorder_leq(
     else:
         closure = CongruenceClosure(structure, Budget() if budget is None else budget)
     exploration = closure.explore(b)
-    for member in exploration.members:
-        witness = member.checked_sub(a)
-        if witness is not None:
-            return PreorderAnswer(Tri.YES, witness=witness)
+    member = exploration.find(lambda w: w.checked_sub(a) is not None, closure.budget.max_steps)
+    if member is not None:
+        return PreorderAnswer(Tri.YES, witness=member.checked_sub(a))
     if exploration.complete:
         return PreorderAnswer(Tri.NO)
     return PreorderAnswer(Tri.UNKNOWN)

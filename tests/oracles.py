@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from semiring_lab import semiring
 from semiring_lab.polynomials import Domain, Exponent, Polynomial, mono_mul
+from semiring_lab.semiring import Budget, EquivalenceAnswer, Presentation, Separator, Step, Tri
 
 
 def closed_form_generator(n: int) -> Polynomial:
@@ -181,3 +185,93 @@ def purity_violations(generators, box: int, nvars: int | None = None) -> list:
             if all(x % k == 0 for x in a) and tuple(x // k for x in a) not in members:
                 out.append((a, k))
     return out
+
+
+@dataclass
+class ReferenceExploration:
+    members: dict
+    complete: bool
+    steps_used: int
+    found_target: bool
+
+
+def reference_explore(
+    start: Polynomial,
+    pres: Presentation,
+    budget: Budget,
+    target: Polynomial | None = None,
+) -> ReferenceExploration:
+    """Breadth-first search of ``start``'s congruence component, stopping
+    early at ``target``, as one self-contained loop that restarts from
+    scratch on every call.  It shares only the one-step rewrites
+    (``semiring._iter_rewrites``) with the resumable search it checks.
+
+    ``members`` maps each word to (parent, step).  A search stopped at the
+    step cap reports cap + 1 steps, counting the rewrite it drew past the
+    cap; one that reached ``target`` reports the steps used until then.
+    """
+    members = {start: (None, None)}
+    if target is not None and target == start:
+        return ReferenceExploration(members, True, 0, True)
+    queue = deque([start])
+    clipped = False
+    steps_used = 0
+    while queue:
+        word = queue.popleft()
+        for step, result in semiring._iter_rewrites(word, pres, budget):
+            steps_used += 1
+            if steps_used > budget.max_steps:
+                return ReferenceExploration(members, False, steps_used, False)
+            if result is None:
+                clipped = True
+                continue
+            if result in members:
+                continue
+            members[result] = (word, step)
+            if target is not None and result == target:
+                return ReferenceExploration(members, not clipped, steps_used, True)
+            queue.append(result)
+    return ReferenceExploration(members, not clipped, steps_used, False)
+
+
+def _reference_trace(exploration: ReferenceExploration, target: Polynomial) -> tuple:
+    steps = []
+    word = target
+    while exploration.members[word][0] is not None:
+        word, step = exploration.members[word]
+        steps.append(step)
+    return tuple(reversed(steps))
+
+
+def reference_words_equivalent(
+    p: Polynomial, q: Polynomial, pres: Presentation, budget: Budget
+) -> EquivalenceAnswer:
+    """``semiring.words_equivalent`` built on ``reference_explore``: a
+    targeted search from p, then, unless it settled the question, one from
+    q, then a separating evaluation."""
+    forward = reference_explore(p, pres, budget, target=q)
+    if forward.found_target:
+        return EquivalenceAnswer(
+            Tri.YES, trace=_reference_trace(forward, q), steps_used=forward.steps_used
+        )
+    if forward.complete:
+        separator = Separator("exhausted-component", component_size=len(forward.members))
+        return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=forward.steps_used)
+    back = reference_explore(q, pres, budget, target=p)
+    total = forward.steps_used + back.steps_used
+    if back.found_target:
+        trace = tuple(
+            Step(s.rel_index, not s.forward, s.shift, s.mult)
+            for s in reversed(_reference_trace(back, p))
+        )
+        return EquivalenceAnswer(Tri.YES, trace=trace, steps_used=total)
+    if back.complete:
+        separator = Separator("exhausted-component", component_size=len(back.members))
+        return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=total)
+    hom = semiring._separating_evaluation(p, q, pres)
+    if hom is not None:
+        separator = Separator(
+            "evaluation", assignment=hom.assignment, values=(hom.apply(p), hom.apply(q))
+        )
+        return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=total)
+    return EquivalenceAnswer(Tri.UNKNOWN, steps_used=total)

@@ -254,6 +254,29 @@ def test_presentation_word_outside_budget_box_is_usage_error(capsys, absorbing_f
     assert "budget" in err
 
 
+def test_oversized_zero_side_shift_list_fails_fast(capsys, tmp_path):
+    # a zero relation side rewrites by adding every shift of the other side
+    # that fits the degree budget: C(8 + 17, 8) = 1,081,575 of them here
+    path = tmp_path / "zero.txt"
+    path.write_text("T1 = 0\n")
+    code, _, err = run_cli(
+        capsys,
+        "presentation",
+        "equal",
+        "--relations",
+        str(path),
+        "--nvars",
+        "8",
+        "--deg",
+        "18",
+        "T1",
+        "T2",
+    )
+    assert code == 2
+    assert "1,081,575 exponent vectors" in err and "limit of 1,000,000" in err
+    assert "raise --deg" not in err
+
+
 def test_presentation_idempotent_yes_and_no(capsys, idempotent_file):
     code, out, _ = run_cli(
         capsys, "presentation", "idempotent", "--relations", idempotent_file

@@ -168,13 +168,13 @@ def test_cone_determinism(absorbing):
 
 def test_cone_explores_each_start_once(monkeypatch):
     starts = Counter()
-    explore = semiring._explore
+    exploration = semiring._Exploration
 
-    def counting(start, *args, **kwargs):
+    def counting(start, *args):
         starts[start] += 1
-        return explore(start, *args, **kwargs)
+        return exploration(start, *args)
 
-    monkeypatch.setattr(semiring, "_explore", counting)
+    monkeypatch.setattr(semiring, "_Exploration", counting)
     pres = Presentation.from_text(2, "T1*T2 = 1")
     budget = Budget(max_degree=5, max_coeff=8, max_steps=5000)
     for kind in BoundClass:

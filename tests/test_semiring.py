@@ -1,7 +1,9 @@
 """Presented semirings: word problem, idempotence, cancellativity,
 preorder, L-sets, difference rings."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -41,7 +43,7 @@ from semiring_lab.semiring import (
     replay_trace,
     words_equivalent,
 )
-from tests.oracles import random_poly
+from tests.oracles import random_poly, reference_explore, reference_words_equivalent
 
 SEED = 91731
 
@@ -416,6 +418,108 @@ def test_zero_side_rewrite_does_not_enumerate_the_full_box(monkeypatch):
     step, result = next(semiring._iter_rewrites(word, pres, Budget(max_degree=8)))
     assert step == Step(0, True, (0,) * 8, 1)
     assert result == word + Polynomial.variable(8, 0, Domain.NAT)
+
+
+def _catalog_presentation(nvars, text):
+    return Presentation.free(nvars) if text is None else Presentation.from_text(nvars, text)
+
+
+def _advanced(start, pres, budget, *caps):
+    search = semiring._Exploration(start, pres, budget)
+    for cap in caps:
+        assert search.find(lambda _: False, cap) is None
+    return search
+
+
+def test_search_matches_the_reference_search_at_every_cap():
+    # the resumable search must reproduce a from-scratch search exactly:
+    # members and their order, parents and steps, completeness and step
+    # counts, at and around every cap boundary, however it was advanced
+    rng = random.Random(SEED + 8)
+    for nvars, text in CATALOG:
+        pres = _catalog_presentation(nvars, text)
+        box = Budget(max_degree=2, max_coeff=2, max_steps=10**6)
+        words = [pres.one, pres.one + pres.one]
+        words += [side for rel in pres.relations for side in rel if box.admits(side)]
+        while len(words) < 8:
+            word = random_poly(rng, nvars, Domain.NAT, max_terms=3, max_exp=2, max_coeff=2)
+            if box.admits(word):
+                words.append(word)
+        for start in words:
+            n = reference_explore(start, pres, box).steps_used
+            for cap in sorted({0, 1, 2, n // 2, max(n - 1, 0), n, n + 1}):
+                budget = Budget(max_degree=2, max_coeff=2, max_steps=cap)
+                expected = reference_explore(start, pres, budget)
+                fresh = _advanced(start, pres, budget, cap)
+                resumed = _advanced(start, pres, budget, min(n // 2, cap), cap)
+                for search in (fresh, resumed):
+                    assert list(search.members) == list(expected.members), (text, start, cap)
+                    assert {w: v[:2] for w, v in search.members.items()} == expected.members
+                    assert (search.complete, search.steps_used) == (
+                        expected.complete,
+                        expected.steps_used,
+                    ), (text, start, cap)
+                assert resumed.members == fresh.members
+                cc = congruence_close(pres, budget)
+                for target in words:
+                    answer = words_equivalent(start, target, cc)
+                    assert answer == reference_words_equivalent(start, target, pres, budget), (
+                        text,
+                        format_poly(start),
+                        format_poly(target),
+                        cap,
+                    )
+                    if answer.verdict is Tri.YES:
+                        assert replay_trace(start, answer.trace, pres) == target
+
+
+def test_queries_free_their_searches_on_return(monkeypatch):
+    # a search that formed a reference cycle with its rewrite generator would
+    # outlive the query with the cycle collector off
+    refs = []
+    exploration = semiring._Exploration
+
+    def tracking(*args):
+        search = exploration(*args)
+        refs.append(weakref.ref(search))
+        return search
+
+    monkeypatch.setattr(semiring, "_Exploration", tracking)
+    budget = Budget(max_degree=3, max_coeff=4, max_steps=400)
+    gc.disable()
+    try:
+        for nvars, text in CATALOG:
+            pres = _catalog_presentation(nvars, text)
+            for query in (
+                lambda: words_equivalent(pres.one + pres.one, pres.one, congruence_close(pres, budget)),
+                lambda: find_L(pres, budget, search_degree=1),
+            ):
+                refs.clear()
+                query()
+                assert refs, text
+                assert all(ref() is None for ref in refs), text
+    finally:
+        gc.enable()
+
+
+def test_oversized_exponent_list_fails_before_building():
+    # n = 8, D = 8 is the largest list the defaults build; C(25, 8) is the
+    # smallest eight-variable count over the limit
+    assert len(semiring._bounded_exponents(8, 8)) == 12_870
+    with pytest.raises(BudgetError, match="1,081,575 .* limit of 1,000,000"):
+        semiring._bounded_exponents(8, 17)
+
+
+def test_search_cut_off_by_an_error_never_reports_complete():
+    # the zero-side shift list is built on the first draw that needs it; the
+    # search must stay incomplete after that draw raised
+    pres = Presentation.from_text(8, "T1 = 0")
+    word = Polynomial.variable(8, 0, Domain.NAT)
+    search = semiring._Exploration(word, pres, Budget(max_degree=18))
+    with pytest.raises(BudgetError):
+        search.find(lambda _: False, 100)
+    assert search.find(lambda _: False, 100) is None
+    assert not search.complete
 
 
 def test_closure_preorder_rejects_another_budget(successor_absorbed):
