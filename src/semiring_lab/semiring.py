@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 from .polynomials import (
@@ -56,7 +56,8 @@ from .polynomials import (
 
 
 class BudgetError(ValueError):
-    """Input lies outside the active budget box."""
+    """Input lies outside the active budget box, or the budget would make a
+    search build an over-limit list; the message names the flags to change."""
 
 
 class TraceError(RuntimeError):
@@ -287,7 +288,7 @@ def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
     if count > _MAX_EXPONENTS:
         raise BudgetError(
             f"{count:,} exponent vectors of degree <= {max_degree} in {nvars} variables "
-            f"exceed the limit of {_MAX_EXPONENTS:,}"
+            f"exceed the limit of {_MAX_EXPONENTS:,} (lower --deg or --nvars)"
         )
     if nvars == 0:
         return ((),)
@@ -364,63 +365,76 @@ def _rewrites(queue: deque[Polynomial], pres: Presentation, budget: Budget) -> I
             yield word, step, result
 
 
+_UNDRAWN = object()
+
+
 class _Exploration:
     """A resumable, deterministic breadth-first search of ``start``'s
     congruence component.  ``members`` maps each word found to (parent,
-    step, rewrites used when found), in discovery order, whichever way the
-    search was advanced.  Rewrites are drawn one ahead, so a search stopped
-    at its cap knows whether it had finished; ``steps_used`` counts the drawn
-    one (c + 1 at cap c).  ``complete``: the search ended and no rewrite left
-    the budget box, so the component is finite and fully known."""
+    step) in discovery order, however the search was advanced, and
+    ``rewrites_used`` counts the rewrites taken.  The next rewrite is drawn
+    only to go on or to tell whether a search stopped at its cap had ended;
+    ``steps_used`` counts it (c + 1 at cap c).  ``complete``: the search
+    ended and no rewrite left the budget box, so the component is finite
+    and fully known.  An over-limit zero-side shift list raises BudgetError
+    at construction, not partway; a draw that raised raises again on resume."""
 
     def __init__(self, start: Polynomial, pres: Presentation, budget: Budget):
-        self.members: dict[Polynomial, tuple] = {start: (None, None, 0)}
+        for lhs, rhs in pres.relations:
+            if lhs.is_zero != rhs.is_zero:  # rewrites add every shift of the other side
+                _bounded_exponents(pres.nvars, budget.max_degree - (lhs + rhs).total_degree())
+        self.members: dict[Polynomial, tuple] = {start: (None, None)}
         self._queue: deque[Polynomial] = deque([start])
         self._rewrites = _rewrites(self._queue, pres, budget)
-        self._next = next(self._rewrites, None)
-        self._used = 0
+        self._next = _UNDRAWN
+        self.rewrites_used = 0
         self._clipped = False
+
+    def _peek(self) -> tuple | None:
+        """The next rewrite, drawn on first need; None once the search ended."""
+        if self._next is _UNDRAWN:
+            try:
+                self._next = next(self._rewrites, None)
+            except BaseException as error:
+                self._next = error
+        if isinstance(self._next, BaseException):
+            raise self._next
+        return self._next
 
     @property
     def complete(self) -> bool:
-        return self._next is None and not self._clipped
+        return self._peek() is None and not self._clipped
 
     @property
     def steps_used(self) -> int:
-        return self._used + (self._next is not None)
+        return self.rewrites_used + (self._peek() is not None)
 
     def find(self, wanted: Callable[[Polynomial], bool], cap: int) -> Polynomial | None:
         """The first member, in discovery order, that ``wanted`` accepts, or
         None.  Searches on only until that member appears, the search ends,
         or ``cap`` rewrites in total are used."""
-        for member in self.members:
-            if wanted(member):
-                return member
-        while self._next is not None and self._used < cap:
-            word, step, result = self._next
-            self._used += 1
-            self._clipped |= result is None
-            new = result is not None and result not in self.members
-            if new:
-                self.members[result] = (word, step, self._used)
+        if (member := next(filter(wanted, self.members), None)) is not None:
+            return member
+        while self.rewrites_used < cap and (rewrite := self._peek()) is not None:
+            word, step, result = rewrite
+            self._next = _UNDRAWN
+            self.rewrites_used += 1
+            if result is None:
+                self._clipped = True
+            elif result not in self.members:
+                self.members[result] = (word, step)
                 self._queue.append(result)
-            try:
-                self._next = next(self._rewrites, None)
-            except BaseException:
-                # the generator is finished now; never report the search complete
-                self._next, self._clipped = None, True
-                raise
-            if new and wanted(result):
-                return result
+                if wanted(result):
+                    return result
         return None
 
     def trace_to(self, target: Polynomial) -> tuple[Step, ...]:
         """The derivation from ``start`` to the member ``target``."""
         steps: list[Step] = []
-        parent, step, _ = self.members[target]
+        parent, step = self.members[target]
         while parent is not None:
             steps.append(step)
-            parent, step, _ = self.members[parent]
+            parent, step = self.members[parent]
         return tuple(reversed(steps))
 
 
@@ -501,7 +515,8 @@ def words_equivalent(
         if not budget.admits(word):
             raise BudgetError(
                 f"word {format_poly(word)} exceeds the budget box "
-                f"(degree <= {budget.max_degree}, coefficients <= {budget.max_coeff})"
+                f"(degree <= {budget.max_degree}, coefficients <= {budget.max_coeff}; "
+                "raise --deg/--coeff)"
             )
     total = 0
     for source, target, backwards in ((p, q, False), (q, p, True)):
@@ -513,7 +528,7 @@ def words_equivalent(
                 trace = tuple(
                     Step(s.rel_index, not s.forward, s.shift, s.mult) for s in reversed(trace)
                 )
-            steps_used = total + exploration.members[target][2]
+            steps_used = total + exploration.rewrites_used
             return EquivalenceAnswer(Tri.YES, trace=trace, steps_used=steps_used)
         total += exploration.steps_used
         if exploration.complete:
@@ -521,17 +536,11 @@ def words_equivalent(
             separator = Separator("exhausted-component", component_size=size)
             return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=total)
     hom = _separating_evaluation(p, q, pres)
-    if hom is not None:
-        return EquivalenceAnswer(
-            Tri.NO,
-            separator=Separator(
-                "evaluation",
-                assignment=hom.assignment,
-                values=(hom.apply(p), hom.apply(q)),
-            ),
-            steps_used=total,
-        )
-    return EquivalenceAnswer(Tri.UNKNOWN, steps_used=total)
+    if hom is None:
+        return EquivalenceAnswer(Tri.UNKNOWN, steps_used=total)
+    values = (hom.apply(p), hom.apply(q))
+    separator = Separator("evaluation", assignment=hom.assignment, values=values)
+    return EquivalenceAnswer(Tri.NO, separator=separator, steps_used=total)
 
 
 def is_add_idempotent(pres: Presentation, budget: Budget = Budget()) -> EquivalenceAnswer:
@@ -573,36 +582,29 @@ def is_add_cancellative(
     cc = congruence_close(pres, budget)
     attempts = 0
     for component in cc.components:
-        members = component.members[:50]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if attempts >= 40:
-                    return CancellativityReport(
-                        Tri.UNKNOWN, reason="witness search attempt cap reached"
-                    )
-                x, y = members[i], members[j]
-                shared = Polynomial(
-                    pres.nvars,
-                    Domain.NAT,
-                    {
-                        u: min(x.coefficient(u), y.coefficient(u))
-                        for u in x.support() & y.support()
-                    },
+        for x, y in combinations(component.members[:50], 2):
+            if attempts >= 40:
+                return CancellativityReport(
+                    Tri.UNKNOWN, reason="witness search attempt cap reached"
                 )
-                if shared.is_zero:
-                    continue
-                a = x.checked_sub(shared)
-                b = y.checked_sub(shared)
-                if a == b:
-                    continue
-                attempts += 1
-                answer = words_equivalent(a, b, cc)
-                if answer.verdict is Tri.NO:
-                    return CancellativityReport(
-                        Tri.NO,
-                        witness=(a, b, shared),
-                        reason="a + c ~ b + c derivable yet a and b separated",
-                    )
+            common = x.support() & y.support()
+            shared = Polynomial(
+                pres.nvars, Domain.NAT, {u: min(x.coefficient(u), y.coefficient(u)) for u in common}
+            )
+            if shared.is_zero:
+                continue
+            a = x.checked_sub(shared)
+            b = y.checked_sub(shared)
+            if a == b:
+                continue
+            attempts += 1
+            answer = words_equivalent(a, b, cc)
+            if answer.verdict is Tri.NO:
+                return CancellativityReport(
+                    Tri.NO,
+                    witness=(a, b, shared),
+                    reason="a + c ~ b + c derivable yet a and b separated",
+                )
     return CancellativityReport(Tri.UNKNOWN, reason="no witness found within budget")
 
 
@@ -649,9 +651,7 @@ def preorder_leq(
     member = exploration.find(lambda w: w.checked_sub(a) is not None, closure.budget.max_steps)
     if member is not None:
         return PreorderAnswer(Tri.YES, witness=member.checked_sub(a))
-    if exploration.complete:
-        return PreorderAnswer(Tri.NO)
-    return PreorderAnswer(Tri.UNKNOWN)
+    return PreorderAnswer(Tri.NO if exploration.complete else Tri.UNKNOWN)
 
 
 def find_L(

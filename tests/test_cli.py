@@ -254,6 +254,14 @@ def test_presentation_word_outside_budget_box_is_usage_error(capsys, absorbing_f
     assert "budget" in err
 
 
+def test_word_outside_budget_box_names_the_flags_to_raise(capsys, absorbing_file):
+    code, _, err = run_cli(
+        capsys, "presentation", "equal", "--relations", absorbing_file, "T1", "T1^3", "--deg", "2"
+    )
+    assert code == 2
+    assert "exceeds the budget box (degree <= 2" in err and "raise --deg/--coeff" in err
+
+
 def test_oversized_zero_side_shift_list_fails_fast(capsys, tmp_path):
     # a zero relation side rewrites by adding every shift of the other side
     # that fits the degree budget: C(8 + 17, 8) = 1,081,575 of them here
@@ -274,7 +282,7 @@ def test_oversized_zero_side_shift_list_fails_fast(capsys, tmp_path):
     )
     assert code == 2
     assert "1,081,575 exponent vectors" in err and "limit of 1,000,000" in err
-    assert "raise --deg" not in err
+    assert "lower --deg or --nvars" in err and "raise --deg" not in err
 
 
 def test_presentation_idempotent_yes_and_no(capsys, idempotent_file):

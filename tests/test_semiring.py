@@ -454,7 +454,7 @@ def test_search_matches_the_reference_search_at_every_cap():
                 resumed = _advanced(start, pres, budget, min(n // 2, cap), cap)
                 for search in (fresh, resumed):
                     assert list(search.members) == list(expected.members), (text, start, cap)
-                    assert {w: v[:2] for w, v in search.members.items()} == expected.members
+                    assert search.members == expected.members
                     assert (search.complete, search.steps_used) == (
                         expected.complete,
                         expected.steps_used,
@@ -510,16 +510,52 @@ def test_oversized_exponent_list_fails_before_building():
         semiring._bounded_exponents(8, 17)
 
 
-def test_search_cut_off_by_an_error_never_reports_complete():
-    # the zero-side shift list is built on the first draw that needs it; the
-    # search must stay incomplete after that draw raised
+def test_oversized_shift_list_fails_before_any_search():
+    # the zero-side shift list depends only on n, the degree budget and the
+    # relations, so the error comes before any member is found, and again on
+    # every later query against the same closure
     pres = Presentation.from_text(8, "T1 = 0")
+    cc = congruence_close(pres, Budget(max_degree=18))
     word = Polynomial.variable(8, 0, Domain.NAT)
-    search = semiring._Exploration(word, pres, Budget(max_degree=18))
-    with pytest.raises(BudgetError):
-        search.find(lambda _: False, 100)
-    assert search.find(lambda _: False, 100) is None
-    assert not search.complete
+    for _ in range(2):
+        with pytest.raises(BudgetError, match=r"1,081,575 .*\(lower --deg or --nvars\)"):
+            preorder_leq(word, word, cc)
+        with pytest.raises(BudgetError):
+            words_equivalent(word, word, cc)
+
+
+def _failing_rewrites(after):
+    # the one-step rewrites, with the draw after the first ``after`` raising
+    def rewrites(word, pres, budget):
+        for step, result in iter_rewrites(word, pres, budget):
+            if counter[0] == after:
+                raise RuntimeError("draw failed")
+            counter[0] += 1
+            yield step, result
+
+    iter_rewrites, counter = semiring._iter_rewrites, [0]
+    return rewrites
+
+
+def test_search_resumed_after_a_failed_draw_answers_as_a_fresh_one(monkeypatch, successor_absorbed):
+    budget = Budget(max_degree=3, max_coeff=4, max_steps=400)
+    start = Polynomial.variable(1, 0, Domain.NAT)
+    full = semiring._Exploration(start, successor_absorbed, budget)
+    full.find(lambda _: False, 400)
+    found = list(full.members)
+    assert len(found) > 3
+    # the draw right after the one that found the third member fails
+    after = reference_explore(start, successor_absorbed, budget, target=found[2]).steps_used
+    monkeypatch.setattr(semiring, "_iter_rewrites", _failing_rewrites(after))
+    search = semiring._Exploration(start, successor_absorbed, budget)
+    # the target is returned without drawing past it
+    assert search.find(lambda w: w == found[2], 400) == found[2]
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="draw failed"):
+            search.find(lambda w: w == found[3], 400)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            search.complete
+    assert search.find(lambda w: w == found[1], 400) == found[1]
 
 
 def test_closure_preorder_rejects_another_budget(successor_absorbed):
