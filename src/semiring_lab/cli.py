@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -281,6 +282,37 @@ def _structure_from_args(args, config: RunConfig):
 
 _DOMAINS = {"nat": Domain.NAT, "int": Domain.INT, "rat": Domain.RAT}
 
+# the largest power `poly pow` builds, predicted before it starts: a 10,000-term
+# result takes about a second, and 10,000-bit coefficients still print
+_MAX_POW_TERMS = 10**4
+_MAX_POW_COEFF_BITS = 10**4
+
+
+def _check_pow_size(a: Polynomial, exponent: int) -> None:
+    """Raise BudgetError when a**exponent could pass either size limit: its
+    terms are at most the fewer of the base's multinomial count and the
+    monomials of the degree reached, and its coefficients (over the common
+    denominator L of the base's) at most (L * sum |numerators|) ** exponent,
+    whose bit length is bounded in integers, so no exponent overflows a float."""
+    if a.is_zero:
+        return
+    coeffs = [Fraction(c) for _, c in a.terms()]
+    terms = min(
+        math.comb(len(coeffs) + exponent - 1, exponent),
+        math.comb(a.nvars + a.total_degree() * exponent, a.nvars),
+    )
+    height = math.lcm(*(c.denominator for c in coeffs)) * sum(abs(c.numerator) for c in coeffs)
+    bits = exponent * (height - 1).bit_length()
+    if terms > _MAX_POW_TERMS or bits > _MAX_POW_COEFF_BITS:
+        def size(n: int) -> str:  # past 64 bits a power of two: str() refuses huge ints
+            return f"{n:,}" if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
+
+        raise BudgetError(
+            f"({format_poly(a)})^{exponent} may have {size(terms)} terms and {size(bits)}-bit "
+            f"coefficients, over the limit of {_MAX_POW_TERMS:,} terms or "
+            f"{_MAX_POW_COEFF_BITS:,} bits (lower the exponent)"
+        )
+
 
 # -- subcommand handlers ----------------------------------------------------
 
@@ -309,6 +341,7 @@ def _handle_poly(args, config: RunConfig) -> HandlerResult:
             raise UsageError(f"exponent must be an integer, got {args.b!r}") from exc
         if exponent < 0:
             raise UsageError("exponent must be nonnegative")
+        _check_pow_size(a, exponent)
         try:
             out = a**exponent
         except DomainError as exc:

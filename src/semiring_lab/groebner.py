@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .polynomials import (
     ArityError,
@@ -34,23 +35,22 @@ from .polynomials import (
     Polynomial,
     elimination,
     mono_deg,
-    mono_div,
-    mono_lcm,
-    mono_mul,
 )
 
 
 @dataclass(frozen=True)
 class GroebnerBudget:
-    """Degree and step caps for basis completion.
+    """Degree, step and coefficient caps for basis completion.
 
-    ``max_degree`` bounds the total degree of any intermediate polynomial;
-    ``max_steps`` bounds the number of S-pair reductions.  Exceeding either
-    raises :class:`BudgetExceededError` carrying the partial basis.
+    ``max_degree`` bounds the total degree of any intermediate polynomial,
+    ``max_steps`` the S-pair reductions and ``max_coeff_bits`` the bit length
+    of each numerator and denominator of a new monic basis element.
+    Exceeding any raises :class:`BudgetExceededError` carrying the partial basis.
     """
 
     max_degree: int = 30
     max_steps: int = 50_000
+    max_coeff_bits: int = 2048
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,14 +120,7 @@ class RelationIdealResult:
 
 # -- internal sparse-dict plumbing ----------------------------------------
 
-_Terms = dict  # Exponent -> Fraction, zero values never stored
-
-# One divisor-table entry per monic basis element: its leading monomial, the
-# support mask of that monomial (bit i set iff variable i occurs), and its
-# terms.  ``lm_mask & ~u_mask`` nonzero proves lm does not divide u, which
-# skips most candidate divisors without building a quotient exponent (the
-# "short exponent vector" test, one bit per variable).
-_Entry = tuple  # (Exponent, int, _Terms)
+_Terms = dict  # Exponent or packed int -> Fraction, zero values never stored
 
 _ZERO = Fraction(0)
 
@@ -144,30 +137,91 @@ def _poly(nvars: int, terms: _Terms) -> Polynomial:
     return Polynomial._raw(nvars, Domain.RAT, terms)
 
 
-def _mask(u: Exponent) -> int:
-    m = 0
-    for i, e in enumerate(u):
-        if e:
-            m |= 1 << i
-    return m
+class _Packing:
+    """Exponent vectors of one (order, nvars) as ints, laid out as in :func:`buchberger`."""
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        every = tuple(range(nvars))
+        head, tail = every[: order.split], every[order.split :]  # split is None unless elim
+        fields = {"lex": [*every], "grlex": [every, *every], "elim": [head, *head, tail, *tail]}
+        units, shifts, self.guards = [0] * nvars, [0] * nvars, 0
+        for pos, field in enumerate(reversed([*fields[order.kind], every])):
+            shift = pos * (width + 1)
+            self.guards |= 1 << (shift + width)
+            if isinstance(field, int):
+                shifts[field], field = shift, (field,)
+            for i in field:
+                units[i] += 1 << shift
+        self.order, self.nvars, self.width = order, nvars, width
+        self.units, self.shifts = tuple(units), tuple(shifts)
+        self.limit = (1 << width) - 1  # largest degree with every guard bit clear
+        self.low = (1 << (width + 1)) - 1  # the bottom field: total degree
+
+    def pack(self, u: Iterable[int]) -> int:
+        return sum(map(mul, u, self.units))
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple(m >> s & self.limit for s in self.shifts)
+
+    def pack_terms(self, terms: _Terms) -> _Terms:
+        return {sum(map(mul, u, self.units)): c for u, c in terms.items()}
+
+    def unpack_terms(self, terms: _Terms) -> _Terms:
+        return {self.unpack(m): c for m, c in terms.items()}
+
+
+_packing = lru_cache(maxsize=256)(_Packing)  # one per (order, nvars, width)
+
+
+class _Entry:
+    """Divisor-table entry of a monic polynomial: leading monomial, terms, their
+    largest total degree, and its packed ``(lm, terms)`` per width, made once."""
+
+    def __init__(self, lm: Exponent, terms: _Terms, degree: int):
+        self.lm, self.terms, self.degree, self.packed = lm, terms, degree, {}
+
+    def at(self, pk: _Packing) -> tuple[int, _Terms]:
+        if pk.width not in self.packed:
+            self.packed[pk.width] = pk.pack(self.lm), pk.pack_terms(self.terms)
+        return self.packed[pk.width]
 
 
 def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
     """Divisor-table entry of a nonzero monic polynomial, sharing its dict."""
-    lm, _ = p.leading_term(order)
-    return lm, _mask(lm), p._terms
+    return _Entry(p.leading_term(order)[0], p._terms, p.total_degree())
 
 
-def _monic_entry(terms: _Terms, order: MonomialOrder) -> tuple[_Entry, Fraction]:
-    """Divisor-table entry of ``terms`` divided by its leading coefficient,
-    and the factor 1/lc that was applied."""
-    lm = max(terms, key=order.key)
-    inv = 1 / terms[lm]
-    return (lm, _mask(lm), {u: c * inv for u, c in terms.items()}), inv
-
-
-def _divides(lm: Exponent, lm_mask: int, u: Exponent, u_mask: int) -> bool:
-    return not lm_mask & ~u_mask and mono_div(u, lm) is not None
+def _reduce(work: _Terms, table: list, pk: _Packing, degree_cap: int | None) -> tuple[list[_Terms], _Terms]:
+    """The division loop on packed monomials; consumes ``work``.  A leading term of
+    degree above ``degree_cap`` (at most ``pk.limit``) or, uncapped, ``pk.limit`` raises _DegreeCapHit."""
+    guards, low = pk.guards, pk.low
+    limit = pk.limit if degree_cap is None else degree_cap
+    lms = [entry[0] for entry in table]
+    quotients: list[_Terms] = [{} for _ in table]
+    remainder: _Terms = {}
+    while work:
+        u = max(work)
+        c = work[u]
+        if u & low > limit:
+            raise _DegreeCapHit
+        ug = u | guards
+        for k, lm in enumerate(lms):
+            if (ug - lm) & guards == guards:
+                shift = u - lm
+                # the leading term strictly decreases, so no shift repeats
+                quotients[k][shift] = c
+                for v, cv in table[k][1].items():
+                    w = shift + v
+                    s = work.get(w, _ZERO) - c * cv
+                    if s == 0:
+                        work.pop(w, None)
+                    else:
+                        work[w] = s
+                break
+        else:
+            remainder[u] = c
+            del work[u]
+    return quotients, remainder
 
 
 def _divide(
@@ -182,37 +236,22 @@ def _divide(
     divisor, in table order, whose leading monomial divides the current
     leading term.  No remainder term is divisible by any divisor's leading
     monomial.  With a degree cap, intermediate blowup past the cap raises
-    _DegreeCapHit.
+    _DegreeCapHit.  Packs as wide as the degrees or the divisors' packed forms
+    need; with no cap, a leading term at a guard bit redoes it twice as wide.
     """
-    work = dict(target)
-    quotients: list[_Terms] = [{} for _ in divisors]
-    remainder: _Terms = {}
-    key = order.key
-    while work:
-        u = max(work, key=key)
-        c = work[u]
-        if degree_cap is not None and mono_deg(u) > degree_cap:
-            raise _DegreeCapHit
-        u_mask = _mask(u)
-        for qi, (lm, lm_mask, terms) in zip(quotients, divisors):
-            if lm_mask & ~u_mask:
-                continue
-            shift = mono_div(u, lm)
-            if shift is not None:
-                # the leading term strictly decreases, so no shift repeats
-                qi[shift] = c
-                for v, cv in terms.items():
-                    w = mono_mul(shift, v)
-                    s = work.get(w, _ZERO) - c * cv
-                    if s == 0:
-                        work.pop(w, None)
-                    else:
-                        work[w] = s
-                break
-        else:
-            remainder[u] = c
-            del work[u]
-    return quotients, remainder
+    if not target:
+        return [{} for _ in divisors], {}
+    degree = max(max(map(mono_deg, target)), degree_cap or 0, *(e.degree for e in divisors))
+    width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+    while True:
+        pk = _packing(order, len(next(iter(target))), width)
+        try:
+            quotients, remainder = _reduce(pk.pack_terms(target), [e.at(pk) for e in divisors], pk, degree_cap)
+            return [pk.unpack_terms(q) for q in quotients], pk.unpack_terms(remainder)
+        except _DegreeCapHit:
+            if degree_cap is not None:
+                raise
+            width *= 2
 
 
 def _combo_update(
@@ -239,10 +278,10 @@ class GroebnerBasis:
     ``order``).  ``source`` keeps the original input generators (coerced to
     Q); when certificate tracking was on, ``cofactors[i]`` expresses
     ``generators[i]`` as a combination of ``source``.  The divisor table
-    that reductions scan (leading monomial, its support mask and the terms
-    of each generator) is built on the first reduction and kept; its term
-    dicts are the generators' own, shared and never copied, which is safe
-    because polynomials are immutable and division only reads its divisors.
+    shares the generators' term dicts and their packed form (layout and guard
+    bits as in :func:`buchberger`), made once per field width.  A normal form
+    runs at that width or the one its degrees need; a leading term at a guard
+    bit redoes the division at twice the width, so no answer is truncated.
     """
 
     generators: tuple[Polynomial, ...]
@@ -286,9 +325,11 @@ class GroebnerBasis:
         return self.normal_form(p).is_zero
 
 
-def _spair_key(order: MonomialOrder, lm_i: Exponent, lm_j: Exponent, i: int, j: int):
-    lcm = mono_lcm(lm_i, lm_j)
-    return (mono_deg(lcm), order.key(lcm), i, j)
+def _monic(terms: _Terms) -> tuple[int, _Terms, Fraction]:
+    """Packed ``terms``' leading monomial, the terms made monic, and 1/lc."""
+    lm = max(terms)
+    inv = 1 / terms[lm]
+    return lm, {u: c * inv for u, c in terms.items()}, inv
 
 
 def buchberger(
@@ -305,18 +346,25 @@ def buchberger(
     is interreduced and monic -- the canonical reduced basis, independent of
     generator input order.
 
-    While it runs, the basis is its divisor table and nothing else: one
-    entry per monic element, added once, holding its leading monomial, that
-    monomial's support mask and the element's term dict.  Every S-polynomial
-    reduction scans this table, and the support masks reject most
-    non-divisors in the chain criterion, the reductions and the final
-    minimalisation before any exponent is compared.  The term dicts become
-    ``Polynomial`` generators once, in the finalisation.
+    While it runs, the basis is its divisor table: one entry per monic
+    element, each exponent vector packed into one int whose order is the
+    monomial order.  Fields, high bits first: lex ``[x1..xn | deg]``, grlex
+    ``[deg | x1..xn | deg]``, elim ``[deg(head) | head | deg(tail) | tail |
+    deg]``, each ``w`` value bits under a guard bit; a variable's unit also
+    bumps its degree fields.  So a product is ``+``, v divides u iff ``((u |
+    guards) - v) & guards == guards``, a pair is coprime iff ``lcm == lm_i +
+    lm_j``, the leading term is ``max``, and monomials of degree below
+    ``2**w`` add without carry.  ``w`` is the bit length of twice
+    ``max(max_degree, input degrees)``: lcms pack clean and the degree cap
+    fires before a field overflows.  The finalisation unpacks the generators;
+    its interreduction can raise degrees, so a division that reaches a guard
+    bit is redone at twice the width.
 
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
-    ideal_membership).  Budgets are enforced; exceeding one raises
-    :class:`BudgetExceededError` with the partial basis attached.
+    ideal_membership).  Budgets are enforced, the coefficient cap once per
+    new element; exceeding one raises :class:`BudgetExceededError` with the
+    partial basis attached.
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -325,20 +373,34 @@ def buchberger(
     for g in source:
         if g.nvars != nvars:
             raise ArityError("generators live in different rings")
+    degree = max(budget.max_degree, *(g.total_degree() for g in source))
+    pk = _packing(order, nvars, (2 * degree).bit_length())
+    guards = pk.guards
 
-    table: list[_Entry] = []
+    table: list[tuple[int, _Terms, Exponent]] = []  # packed lm, packed terms, lm unpacked
     combos: list[tuple[Polynomial, ...]] = []
     zero = Polynomial.zero(nvars, Domain.RAT)
     steps = 0
 
     def partial_basis() -> GroebnerBasis:
-        return _finalize(table, combos, order, source, steps, track, reduced=False)
+        return _finalize(table, combos, pk, source, steps, track, reduced=False)
 
+    def add(lm: int, terms: _Terms) -> None:
+        # push each new pair once; ``pending`` (not yet popped) feeds the chain criterion
+        j = len(table)
+        table.append((lm, terms, pk.unpack(lm)))
+        for i in range(j):
+            lcm = pk.pack(map(max, table[i][2], table[j][2]))
+            heapq.heappush(heap, (lcm & pk.low, lcm, i, j))
+            pending.add((i, j))
+
+    heap: list[tuple[int, int, int, int]] = []
+    pending: set[tuple[int, int]] = set()
     for idx, g in enumerate(source):
         if g.is_zero:
             continue
-        entry, inv = _monic_entry(g._terms, order)
-        table.append(entry)
+        lm, terms, inv = _monic(pk.pack_terms(g._terms))
+        add(lm, terms)
         if track:
             combos.append(tuple(
                 Polynomial.constant(nvars, inv, Domain.RAT) if j == idx else zero
@@ -348,28 +410,18 @@ def buchberger(
     if not table:
         return GroebnerBasis((), order, True, source, () if track else None, 0)
 
-    # every pair is pushed exactly once; ``pending`` holds those not yet
-    # popped, which the chain criterion reads
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-    for j in range(len(table)):
-        for i in range(j):
-            heapq.heappush(heap, _spair_key(order, table[i][0], table[j][0], i, j))
-            pending.add((i, j))
-
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        (lm_i, mask_i, terms_i), (lm_j, mask_j, terms_j) = table[i], table[j]
-        lcm = mono_lcm(lm_i, lm_j)
+        (lm_i, terms_i, _), (lm_j, terms_j, _) = table[i], table[j]
         # coprimality criterion: coprime leading monomials reduce to zero
-        if not mask_i & mask_j:
+        if lcm == lm_i + lm_j:
             continue
         # chain criterion: a third element dividing the lcm, both side pairs done
-        lcm_mask = mask_i | mask_j
+        lcm_g = lcm | guards
         skip = False
-        for k, (lm_k, mask_k, _) in enumerate(table):
-            if k in (i, j) or not _divides(lm_k, mask_k, lcm, lcm_mask):
+        for k, (lm_k, _, _) in enumerate(table):
+            if (lcm_g - lm_k) & guards != guards or k in (i, j):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 skip = True
@@ -383,11 +435,10 @@ def buchberger(
                 f"step budget {budget.max_steps} exceeded", partial_basis()
             )
 
-        shift_i = mono_div(lcm, lm_i)
-        shift_j = mono_div(lcm, lm_j)
-        spoly: _Terms = {mono_mul(shift_i, v): c for v, c in terms_i.items()}
+        shift_i, shift_j = lcm - lm_i, lcm - lm_j
+        spoly: _Terms = {shift_i + v: c for v, c in terms_i.items()}
         for v, c in terms_j.items():
-            w = mono_mul(shift_j, v)
+            w = shift_j + v
             s = spoly.get(w, _ZERO) - c
             if s == 0:
                 spoly.pop(w, None)
@@ -397,7 +448,7 @@ def buchberger(
         # every remainder term was once the leading term of the work and
         # passed the degree cap there, so the remainder needs no check
         try:
-            quotients, remainder = _divide(spoly, table, order, budget.max_degree)
+            quotients, remainder = _reduce(spoly, table, pk, budget.max_degree)
         except _DegreeCapHit:
             raise BudgetExceededError(
                 f"degree budget {budget.max_degree} exceeded", partial_basis()
@@ -405,28 +456,28 @@ def buchberger(
         if not remainder:
             continue
 
-        entry, inv = _monic_entry(remainder, order)
+        lm, terms, inv = _monic(remainder)
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values())
+        if bits > budget.max_coeff_bits:
+            message = f"coefficient budget {budget.max_coeff_bits} bits exceeded ({bits} bits)"
+            raise BudgetExceededError(message, partial_basis())
         if track:
-            mono_i = Polynomial.monomial(shift_i, 1, Domain.RAT)
-            mono_j = Polynomial.monomial(shift_j, 1, Domain.RAT)
+            mono_i = Polynomial.monomial(pk.unpack(shift_i), 1, Domain.RAT)
+            mono_j = Polynomial.monomial(pk.unpack(shift_j), 1, Domain.RAT)
             base = tuple(
                 mono_i * a - mono_j * b for a, b in zip(combos[i], combos[j])
             )
-            combo = _combo_update(base, quotients, combos, nvars)
-            combos.append(tuple(c * inv for c in combo))
-        new_index = len(table)
-        table.append(entry)
-        for t in range(new_index):
-            heapq.heappush(heap, _spair_key(order, table[t][0], entry[0], t, new_index))
-            pending.add((t, new_index))
+            quotients = [pk.unpack_terms(q) for q in quotients]
+            combos.append(tuple(c * inv for c in _combo_update(base, quotients, combos, nvars)))
+        add(lm, terms)
 
-    return _finalize(table, combos, order, source, steps, track, reduced=True)
+    return _finalize(table, combos, pk, source, steps, track, reduced=True)
 
 
 def _finalize(
-    table: list[_Entry],
+    table: list[tuple[int, _Terms, Exponent]],
     combos: list[tuple[Polynomial, ...]],
-    order: MonomialOrder,
+    pk: _Packing,
     source: tuple[Polynomial, ...],
     steps: int,
     track: bool,
@@ -441,29 +492,27 @@ def _finalize(
     below it, therefore yields the interreduced basis: no remainder is zero,
     none needs rescaling, and the order stays sorted.
     """
-    nvars = source[0].nvars
+    order, nvars, guards = pk.order, pk.nvars, pk.guards
     kept: list[int] = []
-    for t in sorted(range(len(table)), key=lambda t: order.key(table[t][0])):
-        lm, mask, _ = table[t]
-        if not any(_divides(table[s][0], table[s][1], lm, mask) for s in kept):
+    for t in sorted(range(len(table)), key=lambda t: table[t][0]):
+        lm_g = table[t][0] | guards
+        if not any((lm_g - table[s][0]) & guards == guards for s in kept):
             kept.append(t)
 
     entries: list[_Entry] = []
     kept_combos: list[tuple[Polynomial, ...]] = []
     for t in kept:
-        lm, mask, terms = table[t]
-        quotients, remainder = _divide(terms, entries, order)
-        entries.append((lm, mask, remainder))
+        _, terms, lm = table[t]
+        quotients, remainder = _divide(pk.unpack_terms(terms), entries, order)
+        entries.append(_Entry(lm, remainder, max(map(mono_deg, remainder))))
+        if entries[-1].degree <= pk.limit:  # hand the table out packed where it fits
+            entries[-1].at(pk)
         if track:
             kept_combos.append(_combo_update(combos[t], quotients, kept_combos, nvars))
-    return GroebnerBasis(
-        generators=tuple(_poly(nvars, terms) for _, _, terms in entries),
-        order=order,
-        reduced=reduced,
-        source=source,
-        cofactors=tuple(kept_combos) if track else None,
-        steps_used=steps,
-    )
+    generators = tuple(_poly(nvars, e.terms) for e in entries)
+    basis = GroebnerBasis(generators, order, reduced, source, tuple(kept_combos) if track else None, steps)
+    basis.__dict__["_divisors"] = tuple(entries)  # seed the cached table, packed
+    return basis
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

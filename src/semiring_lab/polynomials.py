@@ -87,10 +87,6 @@ def mono_div(u: Exponent, v: Exponent) -> Exponent | None:
     return tuple(out)
 
 
-def mono_lcm(u: Exponent, v: Exponent) -> Exponent:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
 def mono_deg(u: Exponent) -> int:
     return sum(u)
 

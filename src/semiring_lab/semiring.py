@@ -221,6 +221,10 @@ class Component:
 _SEED_SATURATION_EFFORT = 4000
 # above the largest exponent list any default builds (12,870 at n = 8, D = 8)
 _MAX_EXPONENTS = 10**6
+# find_L tries each candidate with a full equivalence search (about 1 ms each
+# at two variables, far more on harder presentations); two variables at the
+# default search box make 729 candidates, three make 59,049
+_MAX_FIND_L_CANDIDATES = 10**4
 
 
 @dataclass(frozen=True)
@@ -667,14 +671,22 @@ def find_L(
     rational solution.  On a presentation, a word l is returned exactly when
     l + 1 ~ l is derivable within the budget; the sum of any two returned
     members stays in L (and more generally L + A+ lies in L), which the test
-    suite spot-checks.
+    suite spot-checks.  Raises BudgetError, before trying any, when the box
+    holds more than ``_MAX_FIND_L_CANDIDATES`` candidates.
     """
     if isinstance(structure, EvalHom):
         return ()
     pres = structure
+    monomials = _bounded_exponents(pres.nvars, search_degree)
+    count = (search_coeff + 1) ** len(monomials)
+    if count > _MAX_FIND_L_CANDIDATES:
+        raise BudgetError(
+            f"{search_coeff + 1}^{len(monomials)} find-l candidates (coefficients <= {search_coeff} on "
+            f"{len(monomials)} monomials of degree <= {search_degree} in {pres.nvars} "
+            f"variables) exceed the limit of {_MAX_FIND_L_CANDIDATES:,} (lower --nvars)"
+        )
     cc = congruence_close(pres, budget)
     one = pres.one
-    monomials = _bounded_exponents(pres.nvars, search_degree)
     found: list[Polynomial] = []
     for coeffs in product(range(search_coeff + 1), repeat=len(monomials)):
         candidate = Polynomial(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -115,6 +116,15 @@ def test_poly_bad_point_and_exponent(capsys):
     assert run_cli(capsys, "poly", "eval", "T1", "2")[0] == 2
     assert run_cli(capsys, "poly", "pow", "T1", "-1")[0] == 2
     assert run_cli(capsys, "poly", "pow", "T1", "x")[0] == 2
+
+
+def test_poly_pow_size_limits(capsys):
+    code, _, err = run_cli(capsys, "poly", "pow", "T1+T2+T3+T4+1", "21", "--nvars", "4")
+    assert code == 2 and "12,650 terms" in err and "limit of 10,000 terms" in err
+    code, _, err = run_cli(capsys, "poly", "pow", "3", "10000")
+    assert code == 2 and "10,000 bits" in err
+    code, out, _ = run_cli(capsys, "poly", "pow", "T1+T2", "200")
+    assert code == 0 and out.startswith("T1^200 + 200*T1^199*T2 + ")
 
 
 def test_poly_json_envelope(capsys):
@@ -312,6 +322,23 @@ def test_presentation_find_l(capsys, absorbing_file):
     code, envelope = run_json(capsys, "presentation", "find-l", "--nvars", "1")
     assert code == 0
     assert envelope["result"]["members"] == []
+
+
+def test_presentation_find_l_candidate_limit(capsys, absorbing_file):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "presentation", "find-l", "--relations", absorbing_file, "--nvars", "3"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "3^10 find-l candidates" in err and "limit of 10,000" in err
+    assert "--nvars" in err
+    code, envelope = run_json(
+        capsys, "presentation", "find-l", "--relations", absorbing_file, "--nvars", "2"
+    )
+    members = envelope["result"]["members"]
+    assert code == 0 and len(members) == 648
+    assert members[:4] == ["T1", "2*T1", "T1 + 1", "T1 + 2"]
+    assert members[-1] == "2*T1^2 + 2*T1*T2 + 2*T2^2 + 2*T1 + 2*T2 + 2"
 
 
 def test_presentation_preorder(capsys):

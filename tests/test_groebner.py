@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from semiring_lab.polynomials import (
     Polynomial,
     elimination,
     format_poly,
+    mono_div,
+    mono_mul,
     parse_poly,
     t_names,
     x_names,
@@ -327,6 +330,103 @@ def test_divide_matches_reference_division(kind):
     assert raised  # the degree cap was exercised too
 
 
+def _bounded_vectors(rng, nvars, limit, count):
+    """Exponent vectors of total degree at most ``limit``: zero, each variable
+    alone at ``limit``, and ``count`` random ones, half of degree ``limit``."""
+    out = {(0,) * nvars} | {tuple(limit * (j == i) for j in range(nvars)) for i in range(nvars)}
+    for n in range(count):
+        total = limit if n % 2 else rng.randint(0, limit)
+        cuts = sorted(rng.randint(0, total) for _ in range(nvars - 1))
+        out.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, total])))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grlex", "elim"])
+def test_packing_keeps_order_identity_and_divisibility(kind):
+    rng = random.Random(f"packing:{kind}")
+    for nvars in range(1, 18):
+        order = elimination(rng.randint(1, nvars)) if kind == "elim" else MonomialOrder(kind)
+        width = rng.randint(1, 8)
+        pk = groebner._packing(order, nvars, width)
+        vectors = _bounded_vectors(rng, nvars, 2**width - 1, 30)
+        packed = [pk.pack(u) for u in vectors]
+        for u, pu in zip(vectors, packed):
+            assert pk.unpack(pu) == u
+            w = rng.choice(vectors)
+            for v, pv in zip(vectors, packed):
+                assert (pu < pv) == (order.key(u) < order.key(v))
+                divides = ((pu | pk.guards) - pv) & pk.guards == pk.guards
+                assert divides == (mono_div(u, v) is not None)
+                # products of two such monomials compare without carries
+                uw, vw = mono_mul(u, w), mono_mul(v, w)
+                assert (pu + pk.pack(w) < pv + pk.pack(w)) == (order.key(uw) < order.key(vw))
+
+
+@pytest.fixture
+def redone(monkeypatch):
+    """Widths at which an uncapped packed division overflowed and was redone."""
+    widths = []
+    real = groebner._reduce
+
+    def spy(work, table, pk, degree_cap):
+        try:
+            return real(work, table, pk, degree_cap)
+        except groebner._DegreeCapHit:
+            if degree_cap is None:
+                widths.append(pk.width)
+            raise
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    return widths
+
+
+_WIDE_GENS = [p2("T1 - T2^5")]  # outside grlex, T1 -> T2^5 raises degrees fivefold
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, elimination(1)], ids=["lex", "grlex", "elim"])
+def test_wide_normal_forms_match_reference_division(order, redone):
+    gb = buchberger(_WIDE_GENS, order, track=True)
+    for query in (p2("T1^40*T2"), p2("T1 + T2") ** 33, p2("T1^1000")):
+        quotients, remainder = _reference_divide(query, gb.generators, order)
+        expected = Polynomial(2, Domain.RAT, remainder)
+        assert gb.normal_form_with_quotients(query) == (
+            expected, tuple(Polynomial(2, Domain.RAT, q) for q in quotients)
+        )
+        assert ideal_membership(query, _WIDE_GENS, order).member is expected.is_zero
+        member = query - expected
+        quotients, remainder = _reference_divide(member, gb.generators, order)
+        assert not remainder
+        cofactor = sum(
+            (Polynomial(2, Domain.RAT, q) * combo[0] for q, combo in zip(quotients, gb.cofactors)),
+            Polynomial.zero(2, Domain.RAT),
+        )
+        assert ideal_membership(member, _WIDE_GENS, order).cofactors == (cofactor,)
+    # the widen-and-redo path ran wherever degrees rise
+    assert bool(redone) is (order != GRLEX)
+
+
+def test_interreduction_past_the_completion_width(redone):
+    # lex interreduction turns T1 - T2^5 into T1 - T4^125, past the 6-bit
+    # fields that completion at the default degree budget packs in
+    t4 = t_names(4)
+    gens_list = [parse_poly(t, t4, Domain.INT) for t in ("T1 - T2^5", "T2 - T3^5", "T3 - T4^5")]
+    gb = buchberger(gens_list, LEX)
+    assert [format_poly(g, t4) for g in gb.generators] == ["-T4^5 + T3", "-T4^25 + T2", "-T4^125 + T1"]
+    assert redone and max(e.degree for e in gb._divisors) > 63
+    assert gb.normal_form(parse_poly("T1*T4", t4, Domain.RAT)) == parse_poly("T4^126", t4, Domain.RAT)
+
+
+def test_wide_subalgebra_representations_match_reference_division(redone):
+    gens_list = (p2("T1 + T2^3"), p2("T2"))  # T1 -> X2 - X3^3 triples degrees
+    _, gb, complete = groebner._tag_elimination_basis(gens_list, GroebnerBudget())
+    for h in (p2("T1^40*T2"), p2("T1 + T2") ** 33, p2("T1^12*T2^988")):
+        _, remainder = _reference_divide(h.embed(4, 0), gb.generators, gb.order)
+        cert = subalgebra_membership(h, gens_list)
+        assert cert.status is MembershipStatus.MEMBER
+        assert cert.representation == Polynomial(4, Domain.RAT, remainder).project(2, 4)
+    assert complete and redone
+
+
 # -- ideal membership ------------------------------------------------------
 
 
@@ -512,6 +612,26 @@ def test_step_budget_raises_with_partial_basis():
     full = buchberger(gens_list, GRLEX)
     for g in partial.generators:
         assert full.normal_form(g).is_zero
+
+
+def test_coefficient_budget_stops_runaway_ideal():
+    # with no cap on coefficients this ideal passes 38,000 bits by step 34
+    # and then runs for minutes
+    t3 = t_names(3)
+    gens_list = [
+        parse_poly(text, t3, Domain.INT)
+        for text in (
+            "-2*T1^3*T2^3*T3^3 + 2*T1*T3^3",
+            "T1^2*T2*T3^2 - 4*T2^3*T3^2 - 7*T2*T3^2",
+            "-8*T2^3*T3^2 - 9*T1*T2^2*T3 + 3*T1^2",
+        )
+    ]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="coefficient budget 2048 bits") as exc_info:
+        buchberger(gens_list, elimination(2))
+    assert time.perf_counter() - start < 1.0
+    partial = exc_info.value.partial
+    assert partial.generators and not partial.reduced and partial.steps_used < 50
 
 
 def test_degree_budget_raises():

@@ -18,7 +18,6 @@ from semiring_lab.polynomials import (
     elimination,
     format_poly,
     mono_div,
-    mono_lcm,
     mono_mul,
     parse_poly,
     t_names,
@@ -281,7 +280,6 @@ def test_mono_helpers():
     assert mono_mul((1, 2), (0, 3)) == (1, 5)
     assert mono_div((1, 5), (0, 3)) == (1, 2)
     assert mono_div((1, 2), (2, 0)) is None
-    assert mono_lcm((1, 2), (2, 0)) == (2, 2)
 
 
 def test_lex_versus_grlex_leading_terms():
