@@ -38,19 +38,20 @@ from .polynomials import (
 )
 
 
+_MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
+
+
 @dataclass(frozen=True)
 class GroebnerBudget:
-    """Degree, step and coefficient caps for basis completion.
+    """Degree and step caps for basis completion.
 
-    ``max_degree`` bounds the total degree of any intermediate polynomial,
-    ``max_steps`` the S-pair reductions and ``max_coeff_bits`` the bit length
-    of each numerator and denominator of a new monic basis element.
-    Exceeding any raises :class:`BudgetExceededError` carrying the partial basis.
+    ``max_degree`` bounds the total degree of any intermediate polynomial;
+    ``max_steps`` bounds the number of S-pair reductions.  Exceeding either, or
+    ``_MAX_COEFF_BITS``, raises :class:`BudgetExceededError` with the partial basis.
     """
 
     max_degree: int = 30
     max_steps: int = 50_000
-    max_coeff_bits: int = 2048
 
 
 class BudgetExceededError(RuntimeError):
@@ -458,8 +459,8 @@ def buchberger(
 
         lm, terms, inv = _monic(remainder)
         bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values())
-        if bits > budget.max_coeff_bits:
-            message = f"coefficient budget {budget.max_coeff_bits} bits exceeded ({bits} bits)"
+        if bits > _MAX_COEFF_BITS:
+            message = f"coefficient budget {_MAX_COEFF_BITS} bits exceeded ({bits} bits)"
             raise BudgetExceededError(message, partial_basis())
         if track:
             mono_i = Polynomial.monomial(pk.unpack(shift_i), 1, Domain.RAT)
