@@ -28,6 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -61,7 +63,6 @@ from .groebner import (
 from .polynomials import (
     Domain,
     DomainError,
-    ParseError,
     Polynomial,
     format_poly,
     parse_poly,
@@ -124,45 +125,41 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated budgets and modes for one run."""
+    """Validated budgets and modes for one run, named after their flags."""
 
-    subcommand: str
-    degree: int
+    deg: int
     coeff: int
     steps: int
     box: int
-    truncation: int
+    k: int
     json_mode: bool
     strict: bool
 
     def __post_init__(self):
-        for name, value in (
-            ("deg", self.degree),
-            ("coeff", self.coeff),
-            ("steps", self.steps),
-            ("k", self.truncation),
-        ):
+        for name in ("deg", "coeff", "steps", "k"):
+            value = getattr(self, name)
             if value <= 0:
                 raise UsageError(f"budget --{name} must be positive, got {value}")
         if self.box < 0:
             raise UsageError(f"--box must be nonnegative, got {self.box}")
-        if self.truncation < 2:
-            raise UsageError(f"--k must be at least 2, got {self.truncation}")
+        if self.k < 2:
+            raise UsageError(f"--k must be at least 2, got {self.k}")
 
     @property
     def groebner_budget(self) -> GroebnerBudget:
-        return GroebnerBudget(max_degree=self.degree, max_steps=self.steps)
+        return GroebnerBudget(max_degree=self.deg, max_steps=self.steps)
 
     @property
     def semiring_budget(self) -> Budget:
-        return Budget(
-            max_degree=self.degree, max_coeff=self.coeff, max_steps=self.steps
-        )
+        return Budget(max_degree=self.deg, max_coeff=self.coeff, max_steps=self.steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HandlerResult:
-    """What one subcommand produced, before the envelope is attached."""
+    """What one subcommand reports; ``main`` wraps it in the envelope.
+
+    Every verdict but ``unknown`` needs a certificate, and ``unknown`` needs
+    a reason or the budget flag."""
 
     verdicts: dict
     certificates: list
@@ -170,18 +167,6 @@ class HandlerResult:
     display: list
     budget_exhausted: bool = False
     expected: dict | None = None
-
-
-@dataclass
-class Report:
-    """The run report: identical content in text and JSON modes."""
-
-    command: list
-    verdicts: dict
-    certificates: list
-    result: dict
-    budget_exhausted: bool
-    timing_seconds: float
 
     def __post_init__(self):
         for name, verdict in self.verdicts.items():
@@ -193,42 +178,44 @@ class Report:
             elif not self.certificates:
                 raise RuntimeError(f"verdict {name} lacks a certificate")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_ID,
-            "command": list(self.command),
-            "verdicts": dict(self.verdicts),
-            "certificates": list(self.certificates),
-            "timing_seconds": self.timing_seconds,
-            "budget_exhausted": self.budget_exhausted,
-            "result": self.result,
-        }
+
+def _computed(certificate: str, text: str) -> HandlerResult:
+    """A computation whose one result is the printed ``text``."""
+    return HandlerResult({"computation": "ok"}, [certificate], {"value": text}, [text])
+
+
+def _unknown(name: str, reason: str, display: str) -> HandlerResult:
+    """An undecided verdict ``name`` because a budget ran out."""
+    return HandlerResult({name: "unknown"}, [reason], {}, [display], budget_exhausted=True)
 
 
 # -- input parsing helpers --------------------------------------------------
 
 
-def _parse_word(text: str, nvars: int, domain: Domain) -> Polynomial:
+def _parse_word(text: str, names, domain: Domain) -> Polynomial:
     try:
-        return parse_poly(text, t_names(nvars), domain)
-    except (ParseError, DomainError, ValueError) as exc:
+        return parse_poly(text, names, domain)
+    except ValueError as exc:
         raise UsageError(f"cannot parse {text!r}: {exc}") from exc
 
 
-def _read_poly_file(path: str, nvars: int, domain: Domain) -> list:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_poly_file(path: str, nvars: int, domain: Domain) -> list:
     polys = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
             polys.append(parse_poly(stripped, t_names(nvars), domain))
-        except (ParseError, DomainError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"{path}:{number}: {exc}") from exc
     if not polys:
         raise UsageError(f"{path} contains no polynomials")
@@ -238,14 +225,10 @@ def _read_poly_file(path: str, nvars: int, domain: Domain) -> list:
 def _read_presentation(path: str | None, nvars: int) -> Presentation:
     if path is None:
         return Presentation.free(nvars)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     try:
         return Presentation.from_text(nvars, text)
-    except (ParseError, DomainError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -272,15 +255,21 @@ def _parse_assignment(text: str) -> EvalHom:
         raise UsageError(f"cannot parse assignment {text!r}: {exc}") from exc
 
 
-def _structure_from_args(args, config: RunConfig):
-    if getattr(args, "assign", None):
-        return _parse_assignment(args.assign)
-    if getattr(args, "relations", None):
-        return _read_presentation(args.relations, args.nvars)
-    raise UsageError("supply --assign for an evaluation target or --relations for a presentation")
+def _cone_from_args(args, config: RunConfig):
+    """The cone of the --assign evaluation or the --relations presentation."""
+    if args.assign:
+        structure = _parse_assignment(args.assign)
+    elif args.relations:
+        structure = _read_presentation(args.relations, args.nvars)
+    else:
+        raise UsageError(
+            "supply --assign for an evaluation target or --relations for a presentation"
+        )
+    return cone_enumerate(structure, config.box, config.semiring_budget)
 
 
 _DOMAINS = {"nat": Domain.NAT, "int": Domain.INT, "rat": Domain.RAT}
+_OPERATIONS = {"add": ("+", operator.add), "sub": ("-", operator.sub), "mul": ("*", operator.mul)}
 
 # the largest power `poly pow` builds, predicted before it starts: a 10,000-term
 # result takes about a second, and 10,000-bit coefficients still print
@@ -319,21 +308,17 @@ def _check_pow_size(a: Polynomial, exponent: int) -> None:
 
 def _handle_poly(args, config: RunConfig) -> HandlerResult:
     domain = _DOMAINS[args.domain]
-    nvars = args.nvars
-    a = _parse_word(args.a, nvars, domain)
+    names = t_names(args.nvars)
+    a = _parse_word(args.a, names, domain)
     if args.op == "eval":
         try:
             point = [Fraction(part.strip()) for part in args.b.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"cannot parse point {args.b!r}: {exc}") from exc
-        if len(point) != nvars:
-            raise UsageError(f"point has {len(point)} coordinates, need {nvars}")
-        value = a.evaluate(point)
-        text = str(value)
-        cert = [f"({format_poly(a)}) at ({args.b}) = {text}"]
-        return HandlerResult(
-            {"computation": "ok"}, cert, {"value": text}, [text]
-        )
+        if len(point) != args.nvars:
+            raise UsageError(f"point has {len(point)} coordinates, need {args.nvars}")
+        text = str(a.evaluate(point))
+        return _computed(f"({format_poly(a)}) at ({args.b}) = {text}", text)
     if args.op == "pow":
         try:
             exponent = int(args.b)
@@ -343,41 +328,23 @@ def _handle_poly(args, config: RunConfig) -> HandlerResult:
             raise UsageError("exponent must be nonnegative")
         _check_pow_size(a, exponent)
         try:
-            out = a**exponent
+            text = format_poly(a**exponent)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
-        text = format_poly(out)
-        return HandlerResult(
-            {"computation": "ok"},
-            [f"({format_poly(a)})^{exponent} = {text}"],
-            {"value": text},
-            [text],
-        )
-    b = _parse_word(args.b, nvars, domain)
+        return _computed(f"({format_poly(a)})^{exponent} = {text}", text)
+    b = _parse_word(args.b, names, domain)
+    symbol, operation = _OPERATIONS[args.op]
     try:
-        if args.op == "add":
-            out = a + b
-        elif args.op == "sub":
-            out = a - b
-        else:
-            out = a * b
+        text = format_poly(operation(a, b))
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    text = format_poly(out)
-    symbol = {"add": "+", "sub": "-", "mul": "*"}[args.op]
-    cert = [f"({format_poly(a)}) {symbol} ({format_poly(b)}) = {text}"]
-    return HandlerResult({"computation": "ok"}, cert, {"value": text}, [text])
-
-
-def _order_from_args(args) -> MonomialOrder:
-    return MonomialOrder("lex" if args.order == "lex" else "grlex")
+    return _computed(f"({format_poly(a)}) {symbol} ({format_poly(b)}) = {text}", text)
 
 
 def _handle_groebner_basis(args, config: RunConfig) -> HandlerResult:
     gens = _read_poly_file(args.ideal, args.nvars, Domain.RAT)
-    order = _order_from_args(args)
     try:
-        gb = buchberger(gens, order, config.groebner_budget)
+        gb = buchberger(gens, MonomialOrder(args.order), config.groebner_budget)
         complete = True
     except BudgetExceededError as exc:
         gb = exc.partial
@@ -400,7 +367,7 @@ def _handle_groebner_basis(args, config: RunConfig) -> HandlerResult:
 
 def _handle_groebner_member(args, config: RunConfig) -> HandlerResult:
     gens = _read_poly_file(args.ideal, args.nvars, Domain.RAT)
-    target = _parse_word(args.poly, args.nvars, Domain.RAT)
+    target = _parse_word(args.poly, t_names(args.nvars), Domain.RAT)
     cert = ideal_membership(target, gens, budget=config.groebner_budget)
     if cert.status is MembershipStatus.MEMBER:
         combo = " + ".join(
@@ -419,12 +386,10 @@ def _handle_groebner_member(args, config: RunConfig) -> HandlerResult:
         return HandlerResult(
             {"membership": "non-member"}, lines, {}, ["non-member"]
         )
-    return HandlerResult(
-        {"membership": "unknown"},
-        ["budget exhausted before the basis was complete"],
-        {},
-        ["unknown (budget exhausted)"],
-        budget_exhausted=True,
+    return _unknown(
+        "membership",
+        "budget exhausted before the basis was complete",
+        "unknown (budget exhausted)",
     )
 
 
@@ -449,7 +414,7 @@ def _handle_groebner_relations(args, config: RunConfig) -> HandlerResult:
 
 def _handle_groebner_submember(args, config: RunConfig) -> HandlerResult:
     gens = _read_poly_file(args.gens, args.nvars, Domain.INT)
-    target = _parse_word(args.poly, args.nvars, Domain.RAT)
+    target = _parse_word(args.poly, t_names(args.nvars), Domain.RAT)
     cert = subalgebra_membership(target, gens, config.groebner_budget)
     names = x_names(len(gens) + 1)
     if cert.status is MembershipStatus.MEMBER:
@@ -467,12 +432,10 @@ def _handle_groebner_submember(args, config: RunConfig) -> HandlerResult:
     if cert.status is MembershipStatus.NON_MEMBER:
         lines = ["tag-elimination normal form keeps ambient variables"]
         return HandlerResult({"membership": "non-member"}, lines, {}, ["non-member"])
-    return HandlerResult(
-        {"membership": "unknown"},
-        ["budget exhausted before the elimination basis was complete"],
-        {},
-        ["unknown (budget exhausted)"],
-        budget_exhausted=True,
+    return _unknown(
+        "membership",
+        "budget exhausted before the elimination basis was complete",
+        "unknown (budget exhausted)",
     )
 
 
@@ -490,7 +453,9 @@ def _render_trace(trace, pres: Presentation) -> list:
     return lines
 
 
-def _tri_handler(answer, pres, lhs=None) -> HandlerResult:
+def _tri_handler(name: str, answer, pres, lhs=None) -> HandlerResult:
+    """Verdict ``name`` of an equivalence answer: a replayed derivation, a
+    separator, or unknown."""
     verdict = answer.verdict.value
     if answer.verdict is Tri.YES and answer.trace is not None:
         cert = _render_trace(answer.trace, pres)
@@ -499,7 +464,7 @@ def _tri_handler(answer, pres, lhs=None) -> HandlerResult:
         if not cert:
             cert = ["words are identical; empty derivation"]
         return HandlerResult(
-            {"equivalent": verdict}, cert, {"trace_length": len(answer.trace)}, [f"yes ({len(answer.trace)} steps)"]
+            {name: verdict}, cert, {"trace_length": len(answer.trace)}, [f"yes ({len(answer.trace)} steps)"]
         )
     if answer.verdict is Tri.NO and answer.separator is not None:
         sep = answer.separator
@@ -513,30 +478,22 @@ def _tri_handler(answer, pres, lhs=None) -> HandlerResult:
                 f"separating evaluation at {tuple(str(v) for v in sep.assignment)} "
                 f"gives values {tuple(str(v) for v in sep.values)}"
             ]
-        return HandlerResult({"equivalent": verdict}, cert, {"separator": sep.kind}, ["no"])
-    return HandlerResult(
-        {"equivalent": verdict},
-        ["budget exhausted before a derivation or separator appeared"],
-        {},
-        ["unknown"],
-        budget_exhausted=True,
-    )
+        return HandlerResult({name: verdict}, cert, {"separator": sep.kind}, ["no"])
+    return _unknown(name, "budget exhausted before a derivation or separator appeared", "unknown")
 
 
 def _handle_presentation_equal(args, config: RunConfig) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
-    lhs = _parse_word(args.a, args.nvars, Domain.NAT)
-    rhs = _parse_word(args.b, args.nvars, Domain.NAT)
+    lhs = _parse_word(args.a, t_names(args.nvars), Domain.NAT)
+    rhs = _parse_word(args.b, t_names(args.nvars), Domain.NAT)
     cc = congruence_close(pres, config.semiring_budget)
-    return _tri_handler(words_equivalent(lhs, rhs, cc), pres, lhs)
+    return _tri_handler("equivalent", words_equivalent(lhs, rhs, cc), pres, lhs)
 
 
 def _handle_presentation_idempotent(args, config: RunConfig) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
     answer = is_add_idempotent(pres, config.semiring_budget)
-    out = _tri_handler(answer, pres, pres.one + pres.one)
-    out.verdicts = {"idempotent": answer.verdict.value}
-    return out
+    return _tri_handler("idempotent", answer, pres, pres.one + pres.one)
 
 
 def _handle_presentation_cancellative(args, config: RunConfig) -> HandlerResult:
@@ -583,8 +540,8 @@ def _handle_presentation_find_l(args, config: RunConfig) -> HandlerResult:
 
 def _handle_presentation_preorder(args, config: RunConfig) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
-    a = _parse_word(args.a, args.nvars, Domain.NAT)
-    b = _parse_word(args.b, args.nvars, Domain.NAT)
+    a = _parse_word(args.a, t_names(args.nvars), Domain.NAT)
+    b = _parse_word(args.b, t_names(args.nvars), Domain.NAT)
     answer = preorder_leq(a, b, pres, config.semiring_budget)
     verdict = answer.verdict.value
     if answer.verdict is Tri.YES:
@@ -595,15 +552,13 @@ def _handle_presentation_preorder(args, config: RunConfig) -> HandlerResult:
     if answer.verdict is Tri.NO:
         cert = ["the bound's component is fully explored and never dominates"]
         return HandlerResult({"leq": verdict}, cert, {}, ["no"])
-    return HandlerResult(
-        {"leq": verdict}, ["budget exhausted"], {}, ["unknown"], budget_exhausted=True
-    )
+    return _unknown("leq", "budget exhausted", "unknown")
 
 
 def _handle_abhyankar_verify(args, config: RunConfig) -> HandlerResult:
-    ctx = AbhyankarContext.build(config.truncation, config.groebner_budget)
+    ctx = AbhyankarContext.build(config.k, config.groebner_budget)
     bases = tuple(
-        _parse_word(text, 2, Domain.NAT)
+        _parse_word(text, t_names(2), Domain.NAT)
         for text in (args.bases.split(";") if args.bases else ["T1*T2"])
         if text.strip()
     )
@@ -656,33 +611,23 @@ def _handle_abhyankar_generator(args, config: RunConfig) -> HandlerResult:
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
     text = format_poly(generator(args.n))
-    return HandlerResult(
-        {"computation": "ok"},
-        [f"generator {args.n} = {text}"],
-        {"value": text},
-        [text],
-    )
+    return _computed(f"generator {args.n} = {text}", text)
 
 
 def _handle_abhyankar_image(args, config: RunConfig) -> HandlerResult:
-    ctx = AbhyankarContext.build(config.truncation, config.groebner_budget)
-    names = x_names(config.truncation)
-    try:
-        rep = parse_poly(args.rep, names, Domain.INT)
-    except (ParseError, DomainError, ValueError) as exc:
-        raise UsageError(f"cannot parse {args.rep!r}: {exc}") from exc
+    ctx = AbhyankarContext.build(config.k, config.groebner_budget)
+    names = x_names(config.k)
+    rep = _parse_word(args.rep, names, Domain.INT)
     try:
         element = ctx.element(rep)
         value = element.rational_image
     except UnverifiedContextError as exc:
-        return HandlerResult(
-            {"image": "unknown"}, [str(exc)], {}, [f"unknown: {exc}"], budget_exhausted=True
-        )
+        return _unknown("image", str(exc), f"unknown: {exc}")
     text = str(value)
     cert = [
         f"representation {format_poly(rep, names)} expands to "
         f"{format_poly(element.ambient)}",
-        f"image at (1/2..1/{config.truncation}) = {text}",
+        f"image at (1/2..1/{config.k}) = {text}",
     ]
     return HandlerResult(
         {"image": "ok"}, cert, {"value": text, "kernel": value == 0}, [text]
@@ -690,8 +635,7 @@ def _handle_abhyankar_image(args, config: RunConfig) -> HandlerResult:
 
 
 def _handle_cone_enumerate(args, config: RunConfig) -> HandlerResult:
-    structure = _structure_from_args(args, config)
-    cone = cone_enumerate(structure, config.box, config.semiring_budget)
+    cone = _cone_from_args(args, config)
     members = [list(u) for u in cone.sorted_members()]
     verdict = "complete" if not cone.unknown else "partial"
     cert = [
@@ -731,8 +675,7 @@ def _handle_cone_purity(args, config: RunConfig) -> HandlerResult:
 
 
 def _handle_cone_interior(args, config: RunConfig) -> HandlerResult:
-    structure = _structure_from_args(args, config)
-    cone = cone_enumerate(structure, config.box, config.semiring_budget)
+    cone = _cone_from_args(args, config)
     u = find_interior_u(cone)
     if u is None:
         return HandlerResult(
@@ -747,8 +690,7 @@ def _handle_cone_interior(args, config: RunConfig) -> HandlerResult:
 
 
 def _handle_cone_qf(args, config: RunConfig) -> HandlerResult:
-    structure = _structure_from_args(args, config)
-    cone = cone_enumerate(structure, config.box, config.semiring_budget)
+    cone = _cone_from_args(args, config)
     witnesses = qf_from_cone(cone)
     if witnesses is None:
         return HandlerResult(
@@ -794,11 +736,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_overrides(env) -> dict:
-    raw = env.get(ENV_VAR, "") if env is not None else ""
     overrides = {}
-    if not raw:
-        return overrides
-    for chunk in raw.split(","):
+    for chunk in env.get(ENV_VAR, "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -920,23 +859,12 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args, env) -> RunConfig:
-    overrides = _env_overrides(env)
-    resolved = dict(_DEFAULTS)
-    resolved.update(overrides)
+    resolved = {**_DEFAULTS, **_env_overrides(env)}
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    return RunConfig(
-        subcommand=args.subcommand,
-        degree=resolved["deg"],
-        coeff=resolved["coeff"],
-        steps=resolved["steps"],
-        box=resolved["box"],
-        truncation=resolved["k"],
-        json_mode=bool(getattr(args, "json", False)),
-        strict=bool(getattr(args, "strict", False)),
-    )
+    return RunConfig(**resolved, json_mode=args.json, strict=args.strict)
 
 
 def _exit_code(verdicts: dict, expected: dict | None, strict: bool) -> int:
@@ -950,41 +878,35 @@ def _exit_code(verdicts: dict, expected: dict | None, strict: bool) -> int:
 
 
 def main(argv=None, env=None) -> int:
-    import os
-
-    if env is None:
-        env = os.environ
+    env = os.environ if env is None else env
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         config = _config_from_args(args, env)
         start = time.perf_counter()
         outcome: HandlerResult = args.handler(args, config)
-        elapsed = time.perf_counter() - start
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
+        elapsed = round(time.perf_counter() - start, 6)
+    except (UsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotInSubringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = Report(
-        command=argv,
-        verdicts=outcome.verdicts,
-        certificates=outcome.certificates,
-        result=outcome.result,
-        budget_exhausted=outcome.budget_exhausted,
-        timing_seconds=round(elapsed, 6),
-    )
     if config.json_mode:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        envelope = {
+            "schema": SCHEMA_ID,
+            "command": argv,
+            "verdicts": outcome.verdicts,
+            "certificates": outcome.certificates,
+            "timing_seconds": elapsed,
+            "budget_exhausted": outcome.budget_exhausted,
+            "result": outcome.result,
+        }
+        print(json.dumps(envelope, indent=2, sort_keys=True))
     else:
         for line in outcome.display:
             print(line)
-        print(f"timing: {report.timing_seconds}s", file=sys.stderr)
+        print(f"timing: {elapsed}s", file=sys.stderr)
     return _exit_code(outcome.verdicts, outcome.expected, config.strict)
 
 

@@ -20,7 +20,7 @@ from semiring_lab.cli import (
     ENV_VAR,
     REPORT_SCHEMA,
     SCHEMA_ID,
-    Report,
+    HandlerResult,
     RunConfig,
     UsageError,
     main,
@@ -506,31 +506,17 @@ def test_report_schema_subcommand_prints_schema(capsys):
 
 def test_report_rejects_bare_verdict_without_certificate():
     with pytest.raises(RuntimeError, match="lacks a certificate"):
-        Report(
-            command=["x"],
-            verdicts={"thing": "holds"},
-            certificates=[],
-            result={},
-            budget_exhausted=False,
-            timing_seconds=0.0,
-        )
+        HandlerResult(verdicts={"thing": "holds"}, certificates=[], result={}, display=[])
     with pytest.raises(RuntimeError, match="without a reason"):
-        Report(
-            command=["x"],
-            verdicts={"thing": "unknown"},
-            certificates=[],
-            result={},
-            budget_exhausted=False,
-            timing_seconds=0.0,
-        )
+        HandlerResult(verdicts={"thing": "unknown"}, certificates=[], result={}, display=[])
 
 
 def test_runconfig_validation():
     with pytest.raises(UsageError):
-        RunConfig("poly", 0, 64, 100, 6, 6, False, False)
+        RunConfig(0, 64, 100, 6, 6, False, False)
     with pytest.raises(UsageError):
-        RunConfig("poly", 8, 64, 100, -1, 6, False, False)
-    cfg = RunConfig("poly", 8, 64, 100, 6, 6, False, False)
+        RunConfig(8, 64, 100, -1, 6, False, False)
+    cfg = RunConfig(8, 64, 100, 6, 6, False, False)
     assert cfg.groebner_budget.max_degree == 8
     assert cfg.semiring_budget.max_coeff == 64
 
