@@ -6,16 +6,18 @@ subalgebra queries (``groebner``), presented-semiring word problems
 (``abhyankar``), exponent-cone checks (``cone``), and the published JSON
 schema (``report-schema``).
 
-Every run produces one report: text mode prints the human-readable lines,
-``--json`` prints a schema-valid envelope (version ``semiring-lab/report-v1``)
-carrying the same verdicts.  Timing goes to stderr in text mode so stdout
-stays deterministic.
+Each handler returns one ``HandlerResult`` (verdicts, certificates, JSON
+result, text lines), and ``main`` alone turns it into output: text mode
+prints the lines, ``--json`` prints a schema-valid envelope (version
+``semiring-lab/report-v1``) carrying the same verdicts.  Timing goes to
+stderr in text mode so stdout stays deterministic.
 
 Exit codes are a function of the verdicts alone: 0 when every verdict matches
 the subcommand's expectation (query subcommands expect nothing and always
 exit 0), 1 when a verification subcommand's verdict deviates or, under
-``--strict``, when any verdict is unknown, and 2 for usage errors, including
-malformed polynomial input (reported with its position).
+``--strict``, when any verdict is unknown, and 2 for usage errors (malformed
+input is reported with its position), for inputs over a size limit checked
+before any work starts, and for coefficients too long to print.
 
 Budgets come from flags (``--deg``, ``--coeff``, ``--steps``, ``--box``,
 ``--k``), with defaults deg 8, coeff 64, steps 50000, box 6, k 6.  The
@@ -64,6 +66,7 @@ from .polynomials import (
     Domain,
     DomainError,
     Polynomial,
+    format_coeff,
     format_poly,
     parse_poly,
     t_names,
@@ -271,6 +274,11 @@ def _cone_from_args(args, config: RunConfig):
 _DOMAINS = {"nat": Domain.NAT, "int": Domain.INT, "rat": Domain.RAT}
 _OPERATIONS = {"add": ("+", operator.add), "sub": ("-", operator.sub), "mul": ("*", operator.mul)}
 
+# `abhyankar generator --n 1000` takes about 0.7 s, and its coefficients (up
+# to 2,568 digits) still print; `abhyankar nonext --nmax 100000` about 1 s
+_MAX_GENERATOR_INDEX = 1000
+_MAX_NONEXT_LEVEL = 10**5
+
 # the largest power `poly pow` builds, predicted before it starts: a 10,000-term
 # result takes about a second, and 10,000-bit coefficients still print
 _MAX_POW_TERMS = 10**4
@@ -317,7 +325,7 @@ def _handle_poly(args, config: RunConfig) -> HandlerResult:
             raise UsageError(f"cannot parse point {args.b!r}: {exc}") from exc
         if len(point) != args.nvars:
             raise UsageError(f"point has {len(point)} coordinates, need {args.nvars}")
-        text = str(a.evaluate(point))
+        text = format_coeff(a.evaluate(point))
         return _computed(f"({format_poly(a)}) at ({args.b}) = {text}", text)
     if args.op == "pow":
         try:
@@ -587,6 +595,10 @@ def _handle_abhyankar_verify(args, config: RunConfig) -> HandlerResult:
 def _handle_abhyankar_nonext(args, config: RunConfig) -> HandlerResult:
     if args.nmax < 2:
         raise UsageError(f"--nmax must be at least 2, got {args.nmax}")
+    if args.nmax > _MAX_NONEXT_LEVEL:
+        raise BudgetError(
+            f"--nmax {args.nmax:,} levels exceed the limit of {_MAX_NONEXT_LEVEL:,} (lower --nmax)"
+        )
     cert = non_extendability_certificate(args.nmax)
     verdict = "holds" if cert.holds else "fails"
     lines = list(cert.derivation)
@@ -610,6 +622,10 @@ def _handle_abhyankar_nonext(args, config: RunConfig) -> HandlerResult:
 def _handle_abhyankar_generator(args, config: RunConfig) -> HandlerResult:
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
+    if args.n > _MAX_GENERATOR_INDEX:
+        raise BudgetError(
+            f"generator {args.n:,} is over the limit of {_MAX_GENERATOR_INDEX:,} (lower --n)"
+        )
     text = format_poly(generator(args.n))
     return _computed(f"generator {args.n} = {text}", text)
 
@@ -623,7 +639,7 @@ def _handle_abhyankar_image(args, config: RunConfig) -> HandlerResult:
         value = element.rational_image
     except UnverifiedContextError as exc:
         return _unknown("image", str(exc), f"unknown: {exc}")
-    text = str(value)
+    text = format_coeff(value)
     cert = [
         f"representation {format_poly(rep, names)} expands to "
         f"{format_poly(element.ambient)}",
@@ -735,6 +751,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _nvars(text: str) -> int:
+    """The type of every --nvars flag: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _env_overrides(env) -> dict:
     overrides = {}
     for chunk in env.get(ENV_VAR, "").split(","):
@@ -774,7 +801,7 @@ def _build_parser() -> _Parser:
     poly.add_argument("op", choices=["add", "sub", "mul", "pow", "eval"])
     poly.add_argument("a")
     poly.add_argument("b")
-    poly.add_argument("--nvars", type=int, default=2)
+    poly.add_argument("--nvars", type=_nvars, default=2)
     poly.add_argument("--domain", choices=sorted(_DOMAINS), default="int")
     poly.set_defaults(handler=_handle_poly)
 
@@ -782,22 +809,22 @@ def _build_parser() -> _Parser:
     gsub = groebner.add_subparsers(dest="gop", required=True)
     basis = gsub.add_parser("basis", parents=[common])
     basis.add_argument("--ideal", required=True, help="file with one polynomial per line")
-    basis.add_argument("--nvars", type=int, default=2)
+    basis.add_argument("--nvars", type=_nvars, default=2)
     basis.add_argument("--order", choices=["grlex", "lex"], default="grlex")
     basis.set_defaults(handler=_handle_groebner_basis)
     member = gsub.add_parser("member", parents=[common])
     member.add_argument("--ideal", required=True)
     member.add_argument("--poly", required=True)
-    member.add_argument("--nvars", type=int, default=2)
+    member.add_argument("--nvars", type=_nvars, default=2)
     member.set_defaults(handler=_handle_groebner_member)
     relations = gsub.add_parser("relations", parents=[common])
     relations.add_argument("--gens", required=True)
-    relations.add_argument("--nvars", type=int, default=2)
+    relations.add_argument("--nvars", type=_nvars, default=2)
     relations.set_defaults(handler=_handle_groebner_relations)
     submember = gsub.add_parser("submember", parents=[common])
     submember.add_argument("--gens", required=True)
     submember.add_argument("--poly", required=True)
-    submember.add_argument("--nvars", type=int, default=2)
+    submember.add_argument("--nvars", type=_nvars, default=2)
     submember.set_defaults(handler=_handle_groebner_submember)
 
     presentation = sub.add_parser("presentation", help="presented-semiring queries")
@@ -810,13 +837,13 @@ def _build_parser() -> _Parser:
     ):
         p = psub.add_parser(name, parents=[common])
         p.add_argument("--relations", default=None, help="file of lhs = rhs lines (omit for the free semiring)")
-        p.add_argument("--nvars", type=int, default=1)
+        p.add_argument("--nvars", type=_nvars, default=1)
         for positional in extra:
             p.add_argument(positional)
         p.set_defaults(handler=handler)
     preorder = psub.add_parser("preorder", parents=[common])
     preorder.add_argument("--relations", default=None)
-    preorder.add_argument("--nvars", type=int, default=1)
+    preorder.add_argument("--nvars", type=_nvars, default=1)
     preorder.add_argument("--a", required=True)
     preorder.add_argument("--b", required=True)
     preorder.set_defaults(handler=_handle_presentation_preorder)
@@ -847,7 +874,7 @@ def _build_parser() -> _Parser:
         p = csub.add_parser(name, parents=[common])
         p.add_argument("--assign", default=None, help="comma-separated positive rationals")
         p.add_argument("--relations", default=None)
-        p.add_argument("--nvars", type=int, default=1)
+        p.add_argument("--nvars", type=_nvars, default=1)
         p.set_defaults(handler=handler)
     purity = csub.add_parser("purity", parents=[common])
     purity.add_argument("--gens", required=True, help='vectors like "(2,0);(0,1)"')
@@ -886,7 +913,7 @@ def main(argv=None, env=None) -> int:
         start = time.perf_counter()
         outcome: HandlerResult = args.handler(args, config)
         elapsed = round(time.perf_counter() - start, 6)
-    except (UsageError, BudgetError) as exc:
+    except (UsageError, BudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotInSubringError as exc:

@@ -54,6 +54,7 @@ from .polynomials import (
 )
 from .semiring import (
     Budget,
+    BudgetError,
     CongruenceClosure,
     EvalHom,
     Presentation,
@@ -230,6 +231,21 @@ class Cone:
         return tuple(defects)
 
 
+# a scan classifies every vector of the box [0, box]^n: 10^5 evaluation cells
+# take about 3 s in cone_enumerate and 13 s in purity_check
+_MAX_BOX_CELLS = 10**5
+
+
+def _check_box_cells(nvars: int, box: int) -> None:
+    """Raise BudgetError, before any scan, when the box has more than
+    ``_MAX_BOX_CELLS`` vectors."""
+    if box >= 0 and (box + 1) ** nvars > _MAX_BOX_CELLS:
+        raise BudgetError(
+            f"the box [0, {box}]^{nvars} holds {box + 1}^{nvars} exponent vectors, over the "
+            f"limit of {_MAX_BOX_CELLS:,} (lower --box or the number of variables)"
+        )
+
+
 def cone_enumerate(
     structure,
     box: int,
@@ -239,11 +255,13 @@ def cone_enumerate(
     """All exponent vectors in [0, box]^n whose monomial is bounded above.
 
     Vectors with undecided membership are excluded and reported in
-    ``unknown``.  Deterministic for fixed inputs.
+    ``unknown``.  Deterministic for fixed inputs.  Raises BudgetError when
+    the box holds more than ``_MAX_BOX_CELLS`` vectors.
     """
     if box < 0:
         raise ValueError(f"box bound must be nonnegative, got {box}")
     n = structure_nvars(structure)
+    _check_box_cells(n, box)
     predicate = BoundedSubsetPredicate(BoundClass.ABOVE, structure, budget, max_bound)
     members = []
     unknown = []
@@ -299,7 +317,8 @@ class PurityResult:
 
 
 def purity_check(generators, box: int, nvars: int | None = None) -> PurityResult:
-    """Brute-force purity of the subsemigroup generated within [0, box]^n."""
+    """Brute-force purity of the subsemigroup generated within [0, box]^n.
+    Raises BudgetError when the box holds more than ``_MAX_BOX_CELLS`` vectors."""
     gens = [tuple(g) for g in generators]
     if nvars is None:
         nvars = len(gens[0]) if gens else 0
@@ -308,6 +327,7 @@ def purity_check(generators, box: int, nvars: int | None = None) -> PurityResult
             raise ValueError(f"generator {g} does not have {nvars} coordinates")
         if any(x < 0 for x in g):
             raise ValueError(f"generator {g} has a negative coordinate")
+    _check_box_cells(nvars, box)
     zero = (0,) * nvars
     members = {zero}
     frontier = [zero]

@@ -21,6 +21,7 @@ returns ``p`` for every polynomial.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -449,9 +450,17 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>
 
 
 def format_coeff(c: int | Fraction) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+    """Decimal text ``n`` or ``n/d``.  Raises OverflowError, naming the limit,
+    when a part has more digits than Python converts to text."""
+    try:
+        if isinstance(c, Fraction) and c.denominator != 1:
+            return f"{c.numerator}/{c.denominator}"
+        return str(int(c))
+    except ValueError:  # only raised past sys.get_int_max_str_digits()
+        raise OverflowError(
+            f"a coefficient has more than {sys.get_int_max_str_digits():,} digits, Python's "
+            f"limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)"
+        ) from None
 
 
 def format_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:

@@ -9,6 +9,7 @@ schema, and exit codes are checked to be a function of the verdicts alone.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -453,6 +454,78 @@ def test_cone_requires_target(capsys):
 
 def test_cone_bad_vector_syntax(capsys):
     assert run_cli(capsys, "cone", "purity", "--gens", "(a,b)", "--box", "2")[0] == 2
+
+
+# -- input limits -----------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python prints integers of any length"
+)
+def test_coefficient_too_long_to_print_is_usage_error(capsys):
+    nines = "9" * 2500
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "poly", "mul", f"{nines}*T1", nines)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a coefficient has more than 4,300 digits, Python's limit for printing "
+        "an integer (PYTHONINTMAXSTRDIGITS raises it)\n"
+    )
+
+
+_NVARS_COMMANDS = [
+    ("poly", "add", "1", "1"),
+    ("groebner", "basis", "--ideal", "x"),
+    ("groebner", "member", "--ideal", "x", "--poly", "1"),
+    ("groebner", "relations", "--gens", "x"),
+    ("groebner", "submember", "--gens", "x", "--poly", "1"),
+    ("presentation", "equal", "1", "1"),
+    ("presentation", "idempotent"),
+    ("presentation", "cancellative"),
+    ("presentation", "find-l"),
+    ("presentation", "preorder", "--a", "1", "--b", "1"),
+    ("cone", "enumerate", "--relations", "x"),
+    ("cone", "interior", "--relations", "x"),
+    ("cone", "qf", "--relations", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", _NVARS_COMMANDS, ids=" ".join)
+def test_negative_nvars_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--nvars", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: argument --nvars: must be nonnegative, got -1\n"
+
+
+def test_zero_nvars_keeps_its_answers(capsys):
+    assert run_cli(capsys, "poly", "add", "1", "2", "--nvars", "0")[:2] == (0, "3\n")
+    assert run_cli(capsys, "presentation", "idempotent", "--nvars", "0")[:2] == (0, "no\n")
+    assert run_cli(capsys, "cone", "enumerate", "--relations", os.devnull, "--nvars", "0")[:2] == (0, "()\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cone", "enumerate", "--assign", "2,3", "--box", "3000"), "[0, 3000]^2 holds 3001^2 exponent vectors"),
+        (("cone", "enumerate", "--assign", "2,3,5,7,11,13,17,19"), "[0, 6]^8 holds 7^8 exponent vectors"),
+        (("cone", "purity", "--gens", "(1,0);(0,1)", "--box", "2000"), "[0, 2000]^2 holds 2001^2 exponent vectors"),
+        (("abhyankar", "generator", "--n", "100000"), "generator 100,000 is over the limit of 1,000 (lower --n)"),
+        (("abhyankar", "generator", "--n", "1001"), "generator 1,001 is over the limit of 1,000 (lower --n)"),
+        (("abhyankar", "nonext", "--nmax", "100000000"), "--nmax 100,000,000 levels exceed the limit of 100,000 (lower --nmax)"),
+        (("abhyankar", "nonext", "--nmax", "100001"), "--nmax 100,001 levels exceed the limit of 100,000"),
+    ],
+)
+def test_oversized_input_fails_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and message in err
+    if argv[0] == "cone":
+        assert "over the limit of 100,000 (lower --box" in err
 
 
 # -- config, env, report ----------------------------------------------------

@@ -261,6 +261,18 @@ def test_purity_rejects_bad_generators():
         purity_check([(-1, 0)], 3)
 
 
+def test_box_over_the_cell_limit_fails_before_any_scan():
+    primes = EvalHom(tuple(Fraction(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)))
+    with pytest.raises(semiring.BudgetError, match=r"\[0, 6\]\^8 holds 7\^8 exponent vectors"):
+        cone_enumerate(primes, 6)
+    with pytest.raises(semiring.BudgetError, match=r"2001\^2 .* limit of 100,000 \(lower --box"):
+        purity_check([(1, 0), (0, 1)], 2000)
+    # [0, 9]^5 holds exactly 10^5 vectors, the most a scan may cover
+    assert purity_check([(1, 0, 0, 0, 0)], 9).pure
+    with pytest.raises(semiring.BudgetError, match=r"11\^5"):
+        purity_check([(1, 0, 0, 0, 0)], 10)
+
+
 # -- interior points --------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Polynomial core: exactness, domain rules, orders, text format."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from semiring_lab.polynomials import (
     Polynomial,
     ZeroPolynomialError,
     elimination,
+    format_coeff,
     format_poly,
     mono_div,
     mono_mul,
@@ -445,3 +447,18 @@ def test_natural_domain_is_closed_under_sum_and_product(triple):
         assert (p * q).domain is Domain.NAT
         assert all(c >= 0 for _, c in (p + q).terms())
         assert all(c >= 0 for _, c in (p * q).terms())
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python prints integers of any length"
+)
+def test_format_coeff_past_the_digit_limit_raises_overflow():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert format_coeff(10**4299) == "1" + "0" * 4299
+        for c in (10**4300, -(10**4300), Fraction(1, 10**4300)):
+            with pytest.raises(OverflowError, match="more than 4,300 digits"):
+                format_coeff(c)
+    finally:
+        sys.set_int_max_str_digits(saved)
