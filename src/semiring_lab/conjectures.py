@@ -231,8 +231,8 @@ class Cone:
         return tuple(defects)
 
 
-# a scan classifies every vector of the box [0, box]^n: 10^5 evaluation cells
-# take about 3 s in cone_enumerate and 13 s in purity_check
+# a scan classifies every vector of the box [0, box]^n: 10^5 cells take about
+# 1.6 s in an evaluation cone_enumerate and 8 s in purity_check
 _MAX_BOX_CELLS = 10**5
 
 
