@@ -208,6 +208,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def _read_poly_file(path: str, nvars: int, domain: Domain) -> list:

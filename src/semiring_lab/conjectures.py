@@ -316,6 +316,13 @@ class PurityResult:
     members: frozenset
 
 
+def _divisors_above_one(g: int) -> list[int]:
+    """The divisors k >= 2 of ``g`` in increasing order; none for g < 2."""
+    low = [k for k in range(2, math.isqrt(g) + 1) if g % k == 0]
+    high = [g // k for k in reversed(low) if k * k != g]
+    return low + high + [g] if g > 1 else []
+
+
 def purity_check(generators, box: int, nvars: int | None = None) -> PurityResult:
     """Brute-force purity of the subsemigroup generated within [0, box]^n.
     Raises BudgetError when the box holds more than ``_MAX_BOX_CELLS`` vectors."""
@@ -339,12 +346,11 @@ def purity_check(generators, box: int, nvars: int | None = None) -> PurityResult
                 members.add(nxt)
                 frontier.append(nxt)
     for a in sorted(members, key=lambda u: (mono_deg(u), u)):
-        top = max(a, default=0)
-        for k in range(2, top + 1):
-            if all(x % k == 0 for x in a):
-                quotient = tuple(x // k for x in a)
-                if quotient not in members:
-                    return PurityResult(False, (a, k, quotient), frozenset(members))
+        # k divides every coordinate iff it divides their gcd
+        for k in _divisors_above_one(math.gcd(*a)):
+            quotient = tuple(x // k for x in a)
+            if quotient not in members:
+                return PurityResult(False, (a, k, quotient), frozenset(members))
     return PurityResult(True, None, frozenset(members))
 
 

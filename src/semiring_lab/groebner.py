@@ -10,11 +10,12 @@ The engine behind three questions asked elsewhere in the package:
   * subalgebra membership -- is h a polynomial in g_1, ..., g_m over Q, with
     the canonical representation and an integer-coefficient flag.
 
-Everything is exact (Fraction arithmetic), deterministic (reduced bases are
-unique for a fixed monomial order, and pair selection is a fixed normal
-strategy), and budgeted: degree/step caps are explicit, and running out of
-budget yields an explicit Unknown or an incomplete-flagged partial result,
-never a silently truncated answer.
+Everything is exact (a fraction-free integer division loop inside, Fraction
+coefficients in every result), deterministic (reduced bases are unique for a
+fixed monomial order, and pair selection is a fixed normal strategy), and
+budgeted: degree/step caps are explicit, and running out of budget yields an
+explicit Unknown or an incomplete-flagged partial result, never a silently
+truncated answer.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,6 +41,7 @@ from .polynomials import (
 
 
 _MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
+_CONTENT_BITS = 64  # a division's common denominator past this many bits sheds its content
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,7 @@ class RelationIdealResult:
 
 # -- internal sparse-dict plumbing ----------------------------------------
 
-_Terms = dict  # Exponent or packed int -> Fraction, zero values never stored
-
-_ZERO = Fraction(0)
+_Terms = dict  # Exponent or packed int -> Fraction (int in integer forms), zero values never stored
 
 
 class _DegreeCapHit(Exception):
@@ -174,16 +175,34 @@ class _Packing:
 _packing = lru_cache(maxsize=256)(_Packing)  # one per (order, nvars, width)
 
 
+def _integral(terms: _Terms) -> tuple[_Terms, int]:
+    """Fraction ``terms`` as integer terms over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {u: c.numerator * (den // c.denominator) for u, c in terms.items()}, den
+
+
+def _primitive(terms: _Terms) -> _Terms:
+    """The primitive integer form of packed Fraction ``terms``: the rational
+    multiple with coprime integer coefficients and a positive leading one."""
+    ints, _ = _integral(terms)
+    content = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        content = -content
+    return {u: c // content for u, c in ints.items()}
+
+
 class _Entry:
-    """Divisor-table entry of a monic polynomial: leading monomial, terms, their
-    largest total degree, and its packed ``(lm, terms)`` per width, made once."""
+    """Divisor-table entry of a monic polynomial g: leading monomial, terms (shared
+    with g), their largest total degree, and per width the packed ``(lm, G, a)``,
+    made once: G is g's primitive integer form and a = lc(G) > 0, so g = G/a."""
 
     def __init__(self, lm: Exponent, terms: _Terms, degree: int):
         self.lm, self.terms, self.degree, self.packed = lm, terms, degree, {}
 
-    def at(self, pk: _Packing) -> tuple[int, _Terms]:
+    def at(self, pk: _Packing) -> tuple[int, _Terms, int]:
         if pk.width not in self.packed:
-            self.packed[pk.width] = pk.pack(self.lm), pk.pack_terms(self.terms)
+            lm, form = pk.pack(self.lm), _primitive(pk.pack_terms(self.terms))
+            self.packed[pk.width] = lm, form, form[lm]
         return self.packed[pk.width]
 
 
@@ -192,14 +211,33 @@ def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
     return _Entry(p.leading_term(order)[0], p._terms, p.total_degree())
 
 
-def _reduce(work: _Terms, table: list, pk: _Packing, degree_cap: int | None) -> tuple[list[_Terms], _Terms]:
-    """The division loop on packed monomials; consumes ``work``.  A leading term of
-    degree above ``degree_cap`` (at most ``pk.limit``) or, uncapped, ``pk.limit`` raises _DegreeCapHit."""
+def _clear_content(work: _Terms, den: int) -> tuple[_Terms, int]:
+    """``work`` and ``den`` divided by their common content."""
+    g = gcd(den, *work.values())
+    if g == 1:
+        return work, den
+    return {u: c // g for u, c in work.items()}, den // g
+
+
+def _reduce(work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int | None) -> tuple[list, _Terms]:
+    """The division loop, fraction-free on packed monomials; consumes ``work``.
+
+    ``work`` is an integer term dict W over a positive denominator D, and each
+    table entry ``(lm, G, a, ...)`` is the monic divisor G/a.  A step with
+    leading coefficient c and g = gcd(a, c) multiplies W and D by a/g when that
+    is not 1 and subtracts (c/g)*shift*G, so W/D stays the exact work; once D
+    passes ``_CONTENT_BITS`` bits, a step that grew it removes the common
+    content of W and D.  Returns the steps ``(k, shift, c, D)``, each the
+    quotient term c/D of divisor k, and the remainder with Fraction
+    coefficients.  A leading term of degree above ``degree_cap`` (at most
+    ``pk.limit``) or, uncapped, ``pk.limit`` raises _DegreeCapHit.
+    """
     guards, low = pk.guards, pk.low
     limit = pk.limit if degree_cap is None else degree_cap
     lms = [entry[0] for entry in table]
-    quotients: list[_Terms] = [{} for _ in table]
+    steps: list[tuple[int, int, int, int]] = []
     remainder: _Terms = {}
+    work, den = work
     while work:
         u = max(work)
         c = work[u]
@@ -208,21 +246,38 @@ def _reduce(work: _Terms, table: list, pk: _Packing, degree_cap: int | None) -> 
         ug = u | guards
         for k, lm in enumerate(lms):
             if (ug - lm) & guards == guards:
-                shift = u - lm
+                entry = table[k]
+                shift, a = u - lm, entry[2]
                 # the leading term strictly decreases, so no shift repeats
-                quotients[k][shift] = c
-                for v, cv in table[k][1].items():
+                steps.append((k, shift, c, den))
+                g = gcd(a, c)
+                if g != a:
+                    f = a // g
+                    work = {v: cv * f for v, cv in work.items()}
+                    den *= f
+                m = c // g
+                for v, cv in entry[1].items():
                     w = shift + v
-                    s = work.get(w, _ZERO) - c * cv
-                    if s == 0:
-                        work.pop(w, None)
-                    else:
+                    s = work.get(w, 0) - m * cv
+                    if s:
                         work[w] = s
+                    else:
+                        del work[w]
+                if g != a and den.bit_length() > _CONTENT_BITS:
+                    work, den = _clear_content(work, den)
                 break
         else:
-            remainder[u] = c
+            remainder[u] = Fraction(c, den)
             del work[u]
-    return quotients, remainder
+    return steps, remainder
+
+
+def _quotients(steps: list, count: int, pk: _Packing) -> list[_Terms]:
+    """The unpacked quotient of each of ``count`` divisors from :func:`_reduce`'s steps."""
+    quotients: list[_Terms] = [{} for _ in range(count)]
+    for k, shift, c, den in steps:
+        quotients[k][pk.unpack(shift)] = Fraction(c, den)
+    return quotients
 
 
 def _divide(
@@ -230,25 +285,28 @@ def _divide(
     divisors: Sequence[_Entry],
     order: MonomialOrder,
     degree_cap: int | None = None,
-) -> tuple[list[_Terms], _Terms]:
+    track: bool = True,
+) -> tuple[list[_Terms] | None, _Terms]:
     """Multivariate division: target = sum(quotient_i * divisor_i) + remainder.
 
     Divisors are monic divisor-table entries; each step reduces by the first
     divisor, in table order, whose leading monomial divides the current
     leading term.  No remainder term is divisible by any divisor's leading
-    monomial.  With a degree cap, intermediate blowup past the cap raises
-    _DegreeCapHit.  Packs as wide as the degrees or the divisors' packed forms
-    need; with no cap, a leading term at a guard bit redoes it twice as wide.
+    monomial.  The quotients are built only with ``track`` (else None).  With
+    a degree cap, intermediate blowup past the cap raises _DegreeCapHit.
+    Packs as wide as the degrees or the divisors' packed forms need; with no
+    cap, a leading term at a guard bit redoes it twice as wide.
     """
     if not target:
-        return [{} for _ in divisors], {}
+        return [{} for _ in divisors] if track else None, {}
     degree = max(max(map(mono_deg, target)), degree_cap or 0, *(e.degree for e in divisors))
     width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
     while True:
         pk = _packing(order, len(next(iter(target))), width)
         try:
-            quotients, remainder = _reduce(pk.pack_terms(target), [e.at(pk) for e in divisors], pk, degree_cap)
-            return [pk.unpack_terms(q) for q in quotients], pk.unpack_terms(remainder)
+            work = _integral(pk.pack_terms(target))
+            steps, remainder = _reduce(work, [e.at(pk) for e in divisors], pk, degree_cap)
+            return _quotients(steps, len(divisors), pk) if track else None, pk.unpack_terms(remainder)
         except _DegreeCapHit:
             if degree_cap is not None:
                 raise
@@ -275,14 +333,16 @@ def _combo_update(
 class GroebnerBasis:
     """A Groebner basis; when ``reduced``, it is the canonical one.
 
-    ``generators`` are monic and sorted by leading monomial (ascending in
-    ``order``).  ``source`` keeps the original input generators (coerced to
-    Q); when certificate tracking was on, ``cofactors[i]`` expresses
-    ``generators[i]`` as a combination of ``source``.  The divisor table
-    shares the generators' term dicts and their packed form (layout and guard
-    bits as in :func:`buchberger`), made once per field width.  A normal form
-    runs at that width or the one its degrees need; a leading term at a guard
-    bit redoes the division at twice the width, so no answer is truncated.
+    ``generators`` are monic over Q, with Fraction coefficients, and sorted by
+    leading monomial (ascending in ``order``).  ``source`` keeps the original
+    input generators (coerced to Q); when certificate tracking was on,
+    ``cofactors[i]`` expresses ``generators[i]`` as a combination of
+    ``source``.  The divisor table shares the generators' term dicts and
+    holds, made once per field width, each generator's primitive integer form
+    on packed monomials (layout and guard bits as in :func:`buchberger`).  A
+    normal form runs at that width or the one its degrees need; a leading
+    term at a guard bit redoes the division at twice the width, so no answer
+    is truncated.
     """
 
     generators: tuple[Polynomial, ...]
@@ -302,20 +362,25 @@ class GroebnerBasis:
     def _divisors(self) -> tuple[_Entry, ...]:
         return tuple(_entry(g, self.order) for g in self.generators)
 
+    def _query(self, p: Polynomial) -> Polynomial:
+        p = _to_rat(p)
+        if p.nvars != self.nvars:
+            raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
+        return p
+
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
-        r, _ = self.normal_form_with_quotients(p)
-        return r
+        p = self._query(p)
+        _, remainder = _divide(p._terms, self._divisors, self.order, track=False)
+        return _poly(p.nvars, remainder)
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
         """Remainder plus the quotients: p = sum(q_i * generators[i]) + r.
 
         Every empty quotient is the same zero polynomial object.
         """
-        p = _to_rat(p)
-        if p.nvars != self.nvars:
-            raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
+        p = self._query(p)
         quotients, remainder = _divide(p._terms, self._divisors, self.order)
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
@@ -324,13 +389,6 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         """Ideal membership via normal form (sound and complete when reduced)."""
         return self.normal_form(p).is_zero
-
-
-def _monic(terms: _Terms) -> tuple[int, _Terms, Fraction]:
-    """Packed ``terms``' leading monomial, the terms made monic, and 1/lc."""
-    lm = max(terms)
-    inv = 1 / terms[lm]
-    return lm, {u: c * inv for u, c in terms.items()}, inv
 
 
 def buchberger(
@@ -347,19 +405,25 @@ def buchberger(
     is interreduced and monic -- the canonical reduced basis, independent of
     generator input order.
 
-    While it runs, the basis is its divisor table: one entry per monic
-    element, each exponent vector packed into one int whose order is the
-    monomial order.  Fields, high bits first: lex ``[x1..xn | deg]``, grlex
-    ``[deg | x1..xn | deg]``, elim ``[deg(head) | head | deg(tail) | tail |
-    deg]``, each ``w`` value bits under a guard bit; a variable's unit also
-    bumps its degree fields.  So a product is ``+``, v divides u iff ``((u |
-    guards) - v) & guards == guards``, a pair is coprime iff ``lcm == lm_i +
-    lm_j``, the leading term is ``max``, and monomials of degree below
-    ``2**w`` add without carry.  ``w`` is the bit length of twice
+    While it runs, the basis is its divisor table: one entry ``(lm, G, a,
+    lm unpacked)`` per monic element g = G/a, where G is g's primitive
+    integer form (coprime integer coefficients) and a = lc(G) > 0.  S-pairs
+    are formed from the integer forms over the lcm of the two a's, the
+    division loop :func:`_reduce` is fraction-free, and a new element is the
+    primitive part of its remainder; the coefficient cap still measures the
+    monic coefficients c/a.  Each exponent vector is packed into one int
+    whose order is the monomial order.  Fields, high bits first: lex
+    ``[x1..xn | deg]``, grlex ``[deg | x1..xn | deg]``, elim ``[deg(head) |
+    head | deg(tail) | tail | deg]``, each ``w`` value bits under a guard
+    bit; a variable's unit also bumps its degree fields.  So a product is
+    ``+``, v divides u iff ``((u | guards) - v) & guards == guards``, a pair
+    is coprime iff ``lcm == lm_i + lm_j``, the leading term is ``max``, and
+    monomials of degree below ``2**w`` add without carry.  ``w`` is the bit length of twice
     ``max(max_degree, input degrees)``: lcms pack clean and the degree cap
-    fires before a field overflows.  The finalisation unpacks the generators;
-    its interreduction can raise degrees, so a division that reaches a guard
-    bit is redone at twice the width.
+    fires before a field overflows.  The finalisation interreduces through
+    the same loop and returns the generators monic over Q; its
+    interreduction can raise degrees, so a division that reaches a guard bit
+    is redone at twice the width.
 
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
@@ -378,7 +442,7 @@ def buchberger(
     pk = _packing(order, nvars, (2 * degree).bit_length())
     guards = pk.guards
 
-    table: list[tuple[int, _Terms, Exponent]] = []  # packed lm, packed terms, lm unpacked
+    table: list[tuple[int, _Terms, int, Exponent]] = []  # packed lm, packed G, a, lm unpacked
     combos: list[tuple[Polynomial, ...]] = []
     zero = Polynomial.zero(nvars, Domain.RAT)
     steps = 0
@@ -386,12 +450,12 @@ def buchberger(
     def partial_basis() -> GroebnerBasis:
         return _finalize(table, combos, pk, source, steps, track, reduced=False)
 
-    def add(lm: int, terms: _Terms) -> None:
+    def add(form: _Terms) -> None:
         # push each new pair once; ``pending`` (not yet popped) feeds the chain criterion
-        j = len(table)
-        table.append((lm, terms, pk.unpack(lm)))
+        j, lm = len(table), max(form)
+        table.append((lm, form, form[lm], pk.unpack(lm)))
         for i in range(j):
-            lcm = pk.pack(map(max, table[i][2], table[j][2]))
+            lcm = pk.pack(map(max, table[i][3], table[j][3]))
             heapq.heappush(heap, (lcm & pk.low, lcm, i, j))
             pending.add((i, j))
 
@@ -400,9 +464,10 @@ def buchberger(
     for idx, g in enumerate(source):
         if g.is_zero:
             continue
-        lm, terms, inv = _monic(pk.pack_terms(g._terms))
-        add(lm, terms)
+        terms = pk.pack_terms(g._terms)
+        add(_primitive(terms))
         if track:
+            inv = 1 / terms[table[-1][0]]
             combos.append(tuple(
                 Polynomial.constant(nvars, inv, Domain.RAT) if j == idx else zero
                 for j in range(len(source))
@@ -414,14 +479,14 @@ def buchberger(
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        (lm_i, terms_i, _), (lm_j, terms_j, _) = table[i], table[j]
+        (lm_i, form_i, a_i, _), (lm_j, form_j, a_j, _) = table[i], table[j]
         # coprimality criterion: coprime leading monomials reduce to zero
         if lcm == lm_i + lm_j:
             continue
         # chain criterion: a third element dividing the lcm, both side pairs done
         lcm_g = lcm | guards
         skip = False
-        for k, (lm_k, _, _) in enumerate(table):
+        for k, (lm_k, _, _, _) in enumerate(table):
             if (lcm_g - lm_k) & guards != guards or k in (i, j):
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
@@ -436,20 +501,23 @@ def buchberger(
                 f"step budget {budget.max_steps} exceeded", partial_basis()
             )
 
+        # the monic S-polynomial over the lcm of a_i and a_j
         shift_i, shift_j = lcm - lm_i, lcm - lm_j
-        spoly: _Terms = {shift_i + v: c for v, c in terms_i.items()}
-        for v, c in terms_j.items():
+        g = gcd(a_i, a_j)
+        f_i, f_j = a_j // g, a_i // g
+        spoly: _Terms = {shift_i + v: f_i * c for v, c in form_i.items()}
+        for v, c in form_j.items():
             w = shift_j + v
-            s = spoly.get(w, _ZERO) - c
-            if s == 0:
-                spoly.pop(w, None)
-            else:
+            s = spoly.get(w, 0) - f_j * c
+            if s:
                 spoly[w] = s
+            else:
+                del spoly[w]
 
         # every remainder term was once the leading term of the work and
         # passed the degree cap there, so the remainder needs no check
         try:
-            quotients, remainder = _reduce(spoly, table, pk, budget.max_degree)
+            reduction, remainder = _reduce((spoly, f_i * a_i), table, pk, budget.max_degree)
         except _DegreeCapHit:
             raise BudgetExceededError(
                 f"degree budget {budget.max_degree} exceeded", partial_basis()
@@ -457,8 +525,10 @@ def buchberger(
         if not remainder:
             continue
 
-        lm, terms, inv = _monic(remainder)
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in terms.values())
+        form = _primitive(remainder)
+        lm = max(form)
+        monic = [Fraction(c, form[lm]) for c in form.values()]
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in monic)
         if bits > _MAX_COEFF_BITS:
             message = f"coefficient budget {_MAX_COEFF_BITS} bits exceeded ({bits} bits)"
             raise BudgetExceededError(message, partial_basis())
@@ -468,15 +538,16 @@ def buchberger(
             base = tuple(
                 mono_i * a - mono_j * b for a, b in zip(combos[i], combos[j])
             )
-            quotients = [pk.unpack_terms(q) for q in quotients]
+            quotients = _quotients(reduction, len(table), pk)
+            inv = 1 / remainder[lm]
             combos.append(tuple(c * inv for c in _combo_update(base, quotients, combos, nvars)))
-        add(lm, terms)
+        add(form)
 
     return _finalize(table, combos, pk, source, steps, track, reduced=True)
 
 
 def _finalize(
-    table: list[tuple[int, _Terms, Exponent]],
+    table: list[tuple[int, _Terms, int, Exponent]],
     combos: list[tuple[Polynomial, ...]],
     pk: _Packing,
     source: tuple[Polynomial, ...],
@@ -491,7 +562,8 @@ def _finalize(
     elements with a smaller leading monomial can divide its other terms.
     One ascending pass, each element reduced by the already reduced ones
     below it, therefore yields the interreduced basis: no remainder is zero,
-    none needs rescaling, and the order stays sorted.
+    none needs rescaling, and the order stays sorted.  The reductions run
+    through :func:`_divide`, and the generators come out monic over Q.
     """
     order, nvars, guards = pk.order, pk.nvars, pk.guards
     kept: list[int] = []
@@ -503,8 +575,9 @@ def _finalize(
     entries: list[_Entry] = []
     kept_combos: list[tuple[Polynomial, ...]] = []
     for t in kept:
-        _, terms, lm = table[t]
-        quotients, remainder = _divide(pk.unpack_terms(terms), entries, order)
+        _, form, a, lm = table[t]
+        monic = {pk.unpack(u): Fraction(c, a) for u, c in form.items()}
+        quotients, remainder = _divide(monic, entries, order, track=track)
         entries.append(_Entry(lm, remainder, max(map(mono_deg, remainder))))
         if entries[-1].degree <= pk.limit:  # hand the table out packed where it fits
             entries[-1].at(pk)
@@ -521,6 +594,22 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return gb.normal_form(p)
 
 
+@lru_cache(maxsize=64)
+def _tracked_basis(
+    gens: tuple[Polynomial, ...], order: MonomialOrder, budget: GroebnerBudget
+) -> tuple[GroebnerBasis, bool]:
+    """Cached basis of (gens) with cofactors, and whether it is complete.
+
+    Keyed by the caller's generators as given, like
+    :func:`_tag_elimination_basis`; a budget-truncated basis is cached with
+    ``complete=False`` like a complete one.
+    """
+    try:
+        return buchberger(gens, order, budget, track=True), True
+    except BudgetExceededError as exc:
+        return exc.partial, False
+
+
 def ideal_membership(
     p: Polynomial,
     gens: Sequence[Polynomial],
@@ -533,15 +622,12 @@ def ideal_membership(
     returned cofactors align with ``gens`` and are re-expanded here as a
     self-check.  A budget-truncated basis can still certify MEMBER (its
     elements are genuine ideal members); it cannot certify NON_MEMBER, so
-    that collapses to UNKNOWN with ``basis_complete=False``.
+    that collapses to UNKNOWN with ``basis_complete=False``.  The basis is
+    computed once per generators, order and budget; the cofactor check runs
+    on every call.
     """
     p = _to_rat(p)
-    complete = True
-    try:
-        gb = buchberger(gens, order, budget, track=True)
-    except BudgetExceededError as exc:
-        gb = exc.partial
-        complete = False
+    gb, complete = _tracked_basis(tuple(gens), order, budget)
     if not gb.generators:
         # zero ideal: only the zero polynomial belongs
         if p.is_zero:

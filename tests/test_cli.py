@@ -528,6 +528,22 @@ def test_oversized_input_fails_fast(capsys, argv, message):
         assert "over the limit of 100,000 (lower --box" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("groebner", "member", "--ideal", "{}", "--poly", "1"),
+        ("presentation", "equal", "--relations", "{}", "T1", "T1"),
+    ],
+    ids=["ideal", "relations"],
+)
+def test_input_file_that_is_not_utf8_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"T1\xff\n")
+    code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+
+
 # -- config, env, report ----------------------------------------------------
 
 

@@ -254,6 +254,23 @@ def test_purity_agrees_with_oracle():
     assert impure_seen >= 10
 
 
+def test_purity_witness_is_the_first_violation_in_graded_order():
+    # (3, 3) is the first member whose coordinates share a factor, and (1, 1)
+    # is no member
+    assert purity_check([(1, 2), (2, 1)], 4).witness == ((3, 3), 3, (1, 1))
+    rng = random.Random(SEED + 3)
+    impure_seen = 0
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        gens = [g for g in (tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(3)) if any(g)]
+        violations = purity_violations(gens, 8, nvars=n)
+        if violations:
+            impure_seen += 1
+            a, k = min(violations, key=lambda v: (sum(v[0]), v[0], v[1]))
+            assert purity_check(gens, 8, nvars=n).witness == (a, k, tuple(x // k for x in a))
+    assert impure_seen >= 10
+
+
 def test_purity_rejects_bad_generators():
     with pytest.raises(ValueError):
         purity_check([(1, 0), (1,)], 3)

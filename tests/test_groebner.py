@@ -299,18 +299,48 @@ def _reference_divide(target, divisors, order, degree_cap=None):
     return quotients, remainder
 
 
+def _is_rational(terms) -> bool:
+    """Every coefficient is a Fraction: the RAT invariant, which equality
+    would not check (``Fraction(2) == 2``)."""
+    return all(type(c) is Fraction for c in terms.values())
+
+
+_PRIMES = (65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423, 65419)
+
+
+@pytest.fixture
+def cleared(monkeypatch):
+    """(bit length of the denominator, content removed) per content removal."""
+    removals = []
+    real = groebner._clear_content
+
+    def spy(work, den):
+        out = real(work, den)
+        removals.append((den.bit_length(), den // out[1]))
+        return out
+
+    monkeypatch.setattr(groebner, "_clear_content", spy)
+    return removals
+
+
 @pytest.mark.parametrize("kind", ["lex", "grlex", "elim"])
-def test_divide_matches_reference_division(kind):
+def test_divide_matches_reference_division(kind, cleared):
     rng = random.Random(f"divide:{kind}")
     raised = 0
-    for _ in range(150):
+    # 150 divisions by random monic divisors, then 60 by monic divisors whose
+    # non-leading coefficients have denominators from distinct 16-bit primes,
+    # which drive the common denominator of the integer work past
+    # ``_CONTENT_BITS`` bits
+    for case in range(210):
         nvars = rng.randint(2, 4)
         order = elimination(rng.randint(1, nvars - 1)) if kind == "elim" else MonomialOrder(kind)
         divisors = []
-        for _ in range(rng.randint(1, 5)):
+        for prime in rng.sample(_PRIMES, rng.randint(1, 5)) if case >= 150 else [1] * rng.randint(1, 5):
             d = random_poly(rng, nvars, Domain.RAT, max_terms=3, max_exp=2)
             if not d.is_zero:
-                divisors.append(d.scale(Fraction(1) / d.leading_term(order)[1]))
+                lm, lc = d.leading_term(order)
+                terms = {u: c / lc / (1 if u == lm else prime) for u, c in d.terms()}
+                divisors.append(Polynomial(nvars, Domain.RAT, terms))
         if not divisors:
             continue
         # a combination of the divisors plus noise, so that reductions happen
@@ -326,8 +356,32 @@ def test_divide_matches_reference_division(kind):
                 groebner._divide(dict(target.terms()), table, order, cap)
             raised += 1
             continue
-        assert groebner._divide(dict(target.terms()), table, order, cap) == expected
+        quotients, remainder = groebner._divide(dict(target.terms()), table, order, cap)
+        assert (quotients, remainder) == expected
+        assert all(map(_is_rational, [*quotients, remainder]))
+        assert groebner._divide(dict(target.terms()), table, order, cap, track=False) == (None, remainder)
     assert raised  # the degree cap was exercised too
+    # the content removal ran past its size, and some removed a common factor
+    assert cleared and all(bits > groebner._CONTENT_BITS for bits, _ in cleared)
+    assert any(content > 1 for _, content in cleared)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, elimination(1)], ids=["lex", "grlex", "elim"])
+def test_results_keep_fraction_coefficients(order):
+    # integer inputs, where a leaked int would still compare equal
+    rng = random.Random(f"{SEED}:rational:{order.kind}")
+    for _ in range(20):
+        drawn = (random_poly(rng, 2, Domain.INT, max_terms=3, max_exp=2) for _ in range(3))
+        gens_list = [g for g in drawn if not g.is_zero]
+        if not gens_list:
+            continue
+        gb = buchberger(gens_list, order, track=True)
+        query = random_poly(rng, 2, Domain.INT, max_terms=4, max_exp=3)
+        remainder, quotients = gb.normal_form_with_quotients(query)
+        member = ideal_membership(query * gens_list[0], gens_list, order)
+        cofactors = [c for combo in gb.cofactors for c in combo]
+        results = [*gb.generators, *cofactors, gb.normal_form(query), remainder, *quotients, *member.cofactors]
+        assert all(_is_rational(dict(p.terms())) for p in results)
 
 
 def _bounded_vectors(rng, nvars, limit, count):
@@ -476,6 +530,31 @@ def test_membership_cofactors_expand_to_query_randomized():
             expansion = expansion + c * g.as_domain(Domain.RAT)
         assert expansion == member.as_domain(Domain.RAT)
         checked += 1
+
+
+def test_membership_basis_is_computed_once_per_generators(monkeypatch):
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    groebner._tracked_basis.cache_clear()
+    cases = ((GroebnerBudget(), MembershipStatus.NON_MEMBER), (GroebnerBudget(max_steps=1), MembershipStatus.UNKNOWN))
+    for budget, status in cases:
+        for _ in range(3):
+            # equal generators built afresh hit the same cached basis
+            gens_list = [p2("T1^2 - T2"), p2("T1*T2^3 - T1")]
+            assert ideal_membership(p2("T1"), gens_list, GRLEX, budget).status is status
+            cert = ideal_membership(p2("T1^2 - T2"), gens_list, GRLEX, budget)
+            assert cert.status is MembershipStatus.MEMBER
+            assert cert.basis_complete is (status is MembershipStatus.NON_MEMBER)
+            expansion = cert.cofactors[0] * gens_list[0] + cert.cofactors[1] * gens_list[1]
+            assert expansion == p2("T1^2 - T2")
+    # one complete basis and one truncated basis, each computed once
+    assert len(calls) == 2
 
 
 def test_membership_agrees_with_linear_algebra_oracle():
