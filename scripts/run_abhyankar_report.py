@@ -47,19 +47,29 @@ def main() -> None:
     print(f"context verified:    {ctx.verified}")
     print()
 
-    report = verify_conditions(RecurrenceCandidate(ctx, bases), budget)
+    report = verify_conditions(RecurrenceCandidate(ctx, bases))
     for line in report.summary_lines():
         print(line)
     print()
 
+    # the unit-ideal witnesses and the annihilator search evaluate f_n -> 1/n,
+    # which an unverified context refuses
+    skipped = (
+        f"  skipped: the context is not verified at degree budget {args.deg}, "
+        f"so f_n -> 1/n cannot be evaluated"
+    )
+
     print("unit-ideal witnesses")
-    for n in range(2, args.k):
-        w = unit_ideal_witness(ctx, n)
-        print(
-            f"  n = {n}: multiplier {format_poly(w.multiplier)}, "
-            f"identity holds: {w.identity_holds}, "
-            f"factors in kernel: {w.factors_in_kernel}"
-        )
+    if not ctx.verified:
+        print(skipped)
+    else:
+        for n in range(2, args.k):
+            w = unit_ideal_witness(ctx, n)
+            print(
+                f"  n = {n}: multiplier {format_poly(w.multiplier)}, "
+                f"identity holds: {w.identity_holds}, "
+                f"factors in kernel: {w.factors_in_kernel}"
+            )
     print()
 
     print("fraction-field witnesses")
@@ -84,6 +94,9 @@ def main() -> None:
     print()
 
     print("annihilator search")
+    if not ctx.verified:
+        print(skipped)
+        return
     for base in bases:
         result = non_kernel_annihilator(ctx, base)
         if result.found:

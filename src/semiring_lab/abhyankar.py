@@ -29,9 +29,9 @@ On top of the verified context:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 
 from .groebner import (
@@ -102,42 +102,41 @@ class WellDefinednessReport:
         return self.relations_complete and self.all_vanish
 
 
-@lru_cache(maxsize=16)
-def _context_data(k: int, budget: GroebnerBudget):
-    gens = tuple(generator(n) for n in range(2, k + 1))
-    point = tuple(Fraction(1, n) for n in range(2, k + 1))
-    result = relation_ideal(gens, budget)
-    values = tuple(r.evaluate(list(point)) for r in result.relations)
-    report = WellDefinednessReport(
-        truncation=k,
-        relations=result.relations,
-        values_at_point=values,
-        relations_complete=result.complete,
-    )
-    return gens, point, report
-
-
 @dataclass(frozen=True)
 class AbhyankarContext:
     """Immutable bundle: truncation k, generators f_2..f_k, the evaluation
-    point (1/2, ..., 1/k), and the verification report.
+    point (1/2, ..., 1/k), the verification report, and the Groebner budget
+    the report was computed under.
 
     Built via :meth:`build`, which computes the relation ideal of the
     generators and checks every relation vanishes at the point.  All
     evaluation-based operations refuse to run on an unverified context.
+    ``budget`` governs every Groebner computation run on the context
+    (:meth:`lift`, the annihilator search, ``verify_conditions``), so every
+    lift reduces against the elimination basis the build cached; it takes
+    no part in equality.
     """
 
     truncation: int
     generators: tuple[Polynomial, ...]
     point: tuple[Fraction, ...]
     report: WellDefinednessReport
+    budget: GroebnerBudget = field(compare=False)
 
     @staticmethod
     def build(k: int = 6, budget: GroebnerBudget = GroebnerBudget()) -> "AbhyankarContext":
         if k < 2:
             raise ValueError(f"truncation must be at least 2, got {k}")
-        gens, point, report = _context_data(k, budget)
-        return AbhyankarContext(k, gens, point, report)
+        gens = tuple(generator(n) for n in range(2, k + 1))
+        point = tuple(Fraction(1, n) for n in range(2, k + 1))
+        result = relation_ideal(gens, budget)
+        report = WellDefinednessReport(
+            truncation=k,
+            relations=result.relations,
+            values_at_point=tuple(r.evaluate(list(point)) for r in result.relations),
+            relations_complete=result.complete,
+        )
+        return AbhyankarContext(k, gens, point, report, budget)
 
     @property
     def verified(self) -> bool:
@@ -182,18 +181,20 @@ class AbhyankarContext:
             raise ValueError(f"generator index {n} outside 2..{self.truncation}")
         return self.element(Polynomial.variable(self.tag_count, n - 2, Domain.INT))
 
-    def lift(self, ambient: Polynomial, budget: GroebnerBudget = GroebnerBudget()) -> "SubringElement":
+    def lift(self, ambient: Polynomial) -> "SubringElement":
         """Certify an ambient polynomial as a subring element.
 
-        Uses canonical subalgebra membership and accepts only when the
-        canonical representation has integer coefficients; membership itself
-        checks that the representation substitutes back to ``ambient``.
+        Uses canonical subalgebra membership under the context's budget, so
+        it reduces against the elimination basis the build computed, and
+        accepts only when the canonical representation has integer
+        coefficients; membership itself checks that the representation
+        substitutes back to ``ambient``.
         This is a conservative certificate for the Z-subalgebra: the canonical coset
         representative can pick up rational coefficients from the relations
         even when an integer representation exists (f_3*f_5 is an example),
         and in that case lift refuses rather than guessing.
         """
-        cert = subalgebra_membership(ambient, self.generators, budget)
+        cert = subalgebra_membership(ambient, self.generators, self.budget)
         if cert.status is MembershipStatus.UNKNOWN:
             raise NotInSubringError(
                 f"membership of {format_poly(ambient)} undecided within budget"
@@ -550,19 +551,14 @@ def _denominator_pool(ctx: AbhyankarContext) -> list[SubringElement]:
     return pool
 
 
-def non_kernel_annihilator(
-    ctx: AbhyankarContext,
-    base: Polynomial,
-    shift_degree: int = 2,
-    shift_coeff: int = 2,
-    budget: GroebnerBudget = GroebnerBudget(),
-) -> AnnihilatorSearchResult:
+def non_kernel_annihilator(ctx: AbhyankarContext, base: Polynomial) -> AnnihilatorSearchResult:
     """Search for a shift a and a linear h(X) = c*X - d over the subring with
     h(base + a) = 0 and some coefficient of h outside the kernel.
 
-    Strategy: for each small shift a (0 first) and each denominator c from a
-    fixed pool of subring elements, test whether c*(base+a) is itself a
-    certified subring element d; then h = c*X - d annihilates base + a by
+    Strategy: for each small shift a (0 first, then degree and coefficient
+    at most 2) and each denominator c from a fixed pool of subring elements,
+    test whether c*(base+a) is itself a certified subring element d, lifted
+    under the context's budget; then h = c*X - d annihilates base + a by
     construction, and the witness stands whenever c or d has nonzero image.
     Exhausting the search space yields found=False (never a false claim).
     """
@@ -572,13 +568,13 @@ def non_kernel_annihilator(
         raise ValueError("search needs truncation at least 3")
     pool = _denominator_pool(ctx)
     attempts = 0
-    for shift in _shift_candidates(shift_degree, shift_coeff):
+    for shift in _shift_candidates(2, 2):
         ell = (base + shift).as_domain(Domain.INT)
         for c in pool:
             attempts += 1
             candidate = c.ambient * ell
             try:
-                d = ctx.lift(candidate, budget)
+                d = ctx.lift(candidate)
             except NotInSubringError:
                 continue
             h = UnivarOverSubring((-d, c))

@@ -567,11 +567,7 @@ def _handle_abhyankar_verify(args, config: RunConfig) -> HandlerResult:
         for text in (args.bases.split(";") if args.bases else ["T1*T2"])
         if text.strip()
     )
-    report = verify_conditions(
-        RecurrenceCandidate(ctx, bases),
-        config.groebner_budget,
-        evidence_bound=args.evidence,
-    )
+    report = verify_conditions(RecurrenceCandidate(ctx, bases), evidence_bound=args.evidence)
     verdicts = {
         letter: verdict.status.value for letter, verdict in report.as_mapping().items()
     }
@@ -667,7 +663,10 @@ def _handle_cone_enumerate(args, config: RunConfig) -> HandlerResult:
 
 def _handle_cone_purity(args, config: RunConfig) -> HandlerResult:
     gens = [_parse_vector(chunk) for chunk in args.gens.split(";") if chunk.strip()]
-    result = purity_check(gens, config.box)
+    try:
+        result = purity_check(gens, config.box)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if result.pure:
         cert = [
             f"all {len(result.members)} members divide down inside the "

@@ -43,7 +43,7 @@ from .abhyankar import (
     non_kernel_annihilator,
     unit_ideal_witness,
 )
-from .groebner import GroebnerBudget, MembershipStatus, ideal_membership
+from .groebner import MembershipStatus, ideal_membership
 from .polynomials import (
     Domain,
     DomainError,
@@ -550,9 +550,7 @@ def _condition_a_recurrence(ctx: AbhyankarContext) -> ConditionVerdict:
     return ConditionVerdict(status, STATEMENTS["a"], cert, witness=(t1w, t2w))
 
 
-def _condition_b_recurrence(
-    ctx: AbhyankarContext, budget: GroebnerBudget
-) -> ConditionVerdict:
+def _condition_b_recurrence(ctx: AbhyankarContext) -> ConditionVerdict:
     try:
         identity = unit_ideal_witness(ctx, 2)
     except (ValueError, UnverifiedContextError) as exc:
@@ -561,7 +559,7 @@ def _condition_b_recurrence(
     membership = ideal_membership(
         one,
         [identity.kernel_factor_low.ambient, identity.kernel_factor_high.ambient],
-        budget=budget,
+        budget=ctx.budget,
     )
     if membership.status is MembershipStatus.NON_MEMBER:
         raise RuntimeError(
@@ -593,13 +591,7 @@ def _condition_b_recurrence(
     return ConditionVerdict(status, STATEMENTS["b"], tuple(cert), witness=identity)
 
 
-def _condition_c_recurrence(
-    ctx: AbhyankarContext,
-    bases,
-    shift_degree: int,
-    shift_coeff: int,
-    budget: GroebnerBudget,
-) -> ConditionVerdict:
+def _condition_c_recurrence(ctx: AbhyankarContext, bases) -> ConditionVerdict:
     if not bases:
         return ConditionVerdict(
             Verdict.UNKNOWN,
@@ -611,8 +603,8 @@ def _condition_c_recurrence(
     unresolved = 0
     for base in bases:
         try:
-            result = non_kernel_annihilator(ctx, base, shift_degree, shift_coeff, budget)
-        except UnverifiedContextError as exc:
+            result = non_kernel_annihilator(ctx, base)
+        except (ValueError, UnverifiedContextError) as exc:
             return ConditionVerdict(Verdict.UNKNOWN, STATEMENTS["c"], (str(exc),))
         if result.found:
             w = result.witness
@@ -669,25 +661,17 @@ def _condition_d_recurrence(
     return ConditionVerdict(Verdict.HOLDS, STATEMENTS["d"], tuple(cert))
 
 
-def _verify_recurrence(
-    candidate: RecurrenceCandidate,
-    budget: GroebnerBudget,
-    shift_degree: int,
-    shift_coeff: int,
-    evidence_bound: int,
-) -> ConditionReport:
+def _verify_recurrence(candidate: RecurrenceCandidate, evidence_bound: int) -> ConditionReport:
     ctx = candidate.context
     return ConditionReport(
         candidate=f"recurrence subring at truncation {ctx.truncation}",
         truncation=ctx.truncation,
         a=_condition_a_recurrence(ctx),
-        b=_condition_b_recurrence(ctx, budget),
-        c=_condition_c_recurrence(
-            ctx, candidate.annihilator_bases, shift_degree, shift_coeff, budget
-        ),
+        b=_condition_b_recurrence(ctx),
+        c=_condition_c_recurrence(ctx, candidate.annihilator_bases),
         d=_condition_d_recurrence(ctx, evidence_bound),
         evidence_level=max(evidence_bound, ctx.truncation),
-        budget_note=f"groebner budget ({budget.max_degree}, {budget.max_steps})",
+        budget_note=f"groebner budget ({ctx.budget.max_degree}, {ctx.budget.max_steps})",
     )
 
 
@@ -735,26 +719,20 @@ def _verify_unit_ideal(candidate: UnitIdealCandidate) -> ConditionReport:
     )
 
 
-def verify_conditions(
-    candidate,
-    budget: GroebnerBudget = GroebnerBudget(),
-    shift_degree: int = 2,
-    shift_coeff: int = 2,
-    evidence_bound: int = 20,
-) -> ConditionReport:
+def verify_conditions(candidate, evidence_bound: int = 20) -> ConditionReport:
     """Aggregate verifier over a subring/ideal candidate.
 
     Runs the four condition checks, each certified or witnessed, and
-    merges them into a deterministic report.  Budget exhaustion in any
+    merges them into a deterministic report.  Every Groebner computation
+    on a recurrence candidate runs under its context's budget, which the
+    report's ``budget_note`` names.  Budget exhaustion in any
     check surfaces as Unknown for that condition only.  ``evidence_bound``
     sets how far the finite preimage evidence for condition d reaches;
     preimages beyond the context's relation-checked truncation are
     designated by the recurrence and marked as such.
     """
     if isinstance(candidate, RecurrenceCandidate):
-        return _verify_recurrence(
-            candidate, budget, shift_degree, shift_coeff, evidence_bound
-        )
+        return _verify_recurrence(candidate, evidence_bound)
     if isinstance(candidate, UnitIdealCandidate):
         return _verify_unit_ideal(candidate)
     raise TypeError(

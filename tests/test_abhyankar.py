@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from semiring_lab import groebner
 from semiring_lab.abhyankar import (
     AbhyankarContext,
     AnnihilatorWitness,
@@ -465,6 +466,24 @@ def test_falsifier_is_deterministic(ctx):
     if a.found:
         assert a.witness.h.describe() == b.witness.h.describe()
         assert a.witness.shift == b.witness.shift
+
+
+def test_falsifier_reads_the_context_elimination_basis(monkeypatch):
+    # the search lifts under the budget the context was built with, so it
+    # reduces against the basis the build cached instead of building another
+    calls = []
+    real = groebner.buchberger
+
+    def counting(gens, order, *args, **kwargs):
+        calls.append(order.kind)
+        return real(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    groebner._tag_elimination_basis.cache_clear()
+    ctx = AbhyankarContext.build(6, GroebnerBudget(max_degree=8))
+    assert ctx.verified and ctx.budget == GroebnerBudget(max_degree=8)
+    assert non_kernel_annihilator(ctx, tp("T1*T2", Domain.NAT)).found
+    assert calls.count("elim") == 1
 
 
 def test_falsifier_rejects_bad_input(ctx):

@@ -105,6 +105,7 @@ _CASES = [
     ("verify-k10", ["abhyankar", "verify", "--k", "10"], 0, 0, 1, "e5af27eab01971dc"),
     ("verify-low-degree", ["abhyankar", "verify", "--deg", "4"], 0, 0, 1, "ec40a2e657e1bb23"),
     ("verify-k1", ["abhyankar", "verify", "--k", "1"], 2, 2, 2, "9abdb80150477efb"),
+    ("verify-k2", ["abhyankar", "verify", "--k", "2"], 0, 0, 1, "70385c3ec4b0f56f"),
     ("nonext", ["abhyankar", "nonext", "--nmax", "10"], 0, 0, 0, "662068f7c3365c28"),
     ("nonext-small", ["abhyankar", "nonext", "--nmax", "1"], 2, 2, 2, "b1922e448470673f"),
     ("generator", ["abhyankar", "generator", "--n", "4"], 0, 0, 0, "34fcbf16c5ead6c3"),
@@ -128,6 +129,8 @@ _CASES = [
     ("purity-impure", ["cone", "purity", "--gens", "(2,0);(0,1)", "--box", "4"], 0, 0, 0, "34b1a1473b7dc046"),
     ("purity-pure", ["cone", "purity", "--gens", "(1,0);(0,1)", "--box", "3"], 0, 0, 0, "aae695c267aaa9fc"),
     ("purity-bad-vector", ["cone", "purity", "--gens", "(a,b)", "--box", "2"], 2, 2, 2, "d7d56d32bc49ab5d"),
+    ("purity-wrong-arity", ["cone", "purity", "--gens", "(1,0);(1)", "--box", "2"], 2, 2, 2, "ee7e0aed2c8494dc"),
+    ("purity-negative", ["cone", "purity", "--gens", "(-1,0)", "--box", "2"], 2, 2, 2, "cad4e76b499a2cbe"),
     # report schema and dispatch
     ("report-schema", ["report-schema"], 0, 0, 0, "2dfdb6876a9123ce"),
     ("unknown-subcommand", ["nosuchcommand"], 2, 2, 2, "0faf13d2b02ae954"),

@@ -487,6 +487,22 @@ def test_unverified_context_degrades_honestly():
     assert rep.d.status is Verdict.UNKNOWN
 
 
+def test_budget_note_names_the_context_budget():
+    ctx = AbhyankarContext.build(6, GroebnerBudget(max_degree=12))
+    rep = verify_conditions(RecurrenceCandidate(ctx, (word("T1*T2"),)))
+    assert rep.budget_note == "groebner budget (12, 50000)"
+
+
+def test_truncation_two_leaves_c_unknown():
+    # the annihilator search needs f_3; at k = 2 condition c reports why
+    ctx = AbhyankarContext.build(2)
+    rep = verify_conditions(RecurrenceCandidate(ctx, (word("T1*T2"),)))
+    assert rep.c.status is Verdict.UNKNOWN
+    assert rep.c.certificate == ("search needs truncation at least 3",)
+    assert rep.a.status is Verdict.UNKNOWN and rep.b.status is Verdict.UNKNOWN
+    assert rep.d.status is Verdict.HOLDS
+
+
 def test_report_determinism():
     ctx = AbhyankarContext.build(6)
     candidate = RecurrenceCandidate(ctx, (word("T1*T2"), word("T2")))

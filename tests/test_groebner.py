@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from semiring_lab import abhyankar, groebner
+from semiring_lab import groebner
 from semiring_lab.abhyankar import AbhyankarContext
 from semiring_lab.polynomials import (
     Domain,
@@ -753,7 +753,6 @@ def test_budget_exhausted_elimination_basis_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     groebner._tag_elimination_basis.cache_clear()
-    abhyankar._context_data.cache_clear()
     budget = GroebnerBudget(max_degree=8)
     ctx = AbhyankarContext.build(10, budget)
     assert not ctx.report.relations_complete

@@ -31,3 +31,18 @@ def test_script_runs(script, argv, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), *argv])
     runpy.run_path(str(path), run_name="__main__")
     assert expected in capsys.readouterr().out.splitlines()
+
+
+def test_abhyankar_report_skips_evaluation_on_unverified_context(monkeypatch, capsys):
+    # at k = 10 the default --deg 8 leaves the relation ideal incomplete
+    path = SCRIPTS / "run_abhyankar_report.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--k", "10"])
+    runpy.run_path(str(path), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert "context verified:    False" in lines
+    skipped = (
+        "  skipped: the context is not verified at degree budget 8, "
+        "so f_n -> 1/n cannot be evaluated"
+    )
+    assert lines.count(skipped) == 2
+    assert lines[lines.index("annihilator search") + 1] == skipped
