@@ -25,7 +25,7 @@ from semiring_lab import (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k", type=int, default=6, help="truncation level")
+    ap.add_argument("--k", type=int, default=6, help="truncation level, at least 3")
     ap.add_argument("--deg", type=int, default=8, help="degree budget")
     ap.add_argument(
         "--bases",
@@ -33,6 +33,9 @@ def main() -> None:
         help="semicolon-separated base elements for the annihilator search",
     )
     args = ap.parse_args()
+    if args.k < 3:
+        # the fraction-field witnesses need f_2 and f_3
+        ap.error(f"--k must be at least 3, got {args.k}")
 
     budget = GroebnerBudget(max_degree=args.deg)
     ctx = AbhyankarContext.build(args.k, budget)

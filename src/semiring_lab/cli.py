@@ -15,14 +15,19 @@ stderr in text mode so stdout stays deterministic.
 Exit codes are a function of the verdicts alone: 0 when every verdict matches
 the subcommand's expectation (query subcommands expect nothing and always
 exit 0), 1 when a verification subcommand's verdict deviates or, under
-``--strict``, when any verdict is unknown, and 2 for usage errors (malformed
-input is reported with its position), for inputs over a size limit checked
-before any work starts, and for coefficients too long to print.
+``--strict``, when any verdict is unknown, and 2 for usage errors (such as
+a budget flag the subcommand does not read; malformed input is reported with
+its position), for inputs over a size limit checked before any work starts,
+and for coefficients too long to print.
 
 Budgets come from flags (``--deg``, ``--coeff``, ``--steps``, ``--box``,
-``--k``), with defaults deg 8, coeff 64, steps 50000, box 6, k 6.  The
-environment variable ``SEMIRING_LAB_BUDGET`` overrides the defaults with a
-comma-separated list such as ``deg=10,steps=80000``; explicit flags win.
+``--k``), with defaults deg 8, coeff 64, steps 50000, box 6, k 6.  Each
+subcommand takes only the budget flags its handler reads: ``--deg --steps``
+for a Groebner budget, ``--deg --coeff --steps`` for a semiring budget,
+``--box`` for a cone scan and ``--k`` for a context; any other budget flag
+is a usage error.  The environment variable ``SEMIRING_LAB_BUDGET``
+overrides the defaults of every subcommand with a comma-separated list such
+as ``deg=10,steps=80000``, and is checked as a whole; explicit flags win.
 """
 
 from __future__ import annotations
@@ -120,6 +125,16 @@ REPORT_SCHEMA = {
 }
 
 _DEFAULTS = {"deg": 8, "coeff": 64, "steps": 50_000, "box": 6, "k": 6}
+_BUDGET_HELP = {
+    "deg": "degree budget",
+    "coeff": "coefficient budget",
+    "steps": "step budget",
+    "box": "cone box bound",
+    "k": "truncation level",
+}
+# the budget flags of each kind, as RunConfig's budget properties read them
+_GROEBNER = ("deg", "steps")
+_SEMIRING = ("deg", "coeff", "steps")
 
 
 class UsageError(Exception):
@@ -782,46 +797,45 @@ def _env_overrides(env) -> dict:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semiring-lab", description=__doc__.split("\n\n")[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--deg", type=int, default=None, help="degree budget")
-    common.add_argument("--coeff", type=int, default=None, help="coefficient budget")
-    common.add_argument("--steps", type=int, default=None, help="step budget")
-    common.add_argument("--box", type=int, default=None, help="cone box bound")
-    common.add_argument("--k", type=int, default=None, help="truncation level")
     common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument(
         "--strict", action="store_true", help="treat unknown verdicts as failures"
     )
+
+    def leaf(sub, name, handler, budgets=(), **kwargs):
+        """A subcommand taking the common flags and the budget flags it reads."""
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        for key in budgets:
+            p.add_argument(f"--{key}", type=int, default=None, help=_BUDGET_HELP[key])
+        p.set_defaults(handler=handler)
+        return p
+
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    poly = sub.add_parser("poly", parents=[common], help="polynomial arithmetic")
+    poly = leaf(sub, "poly", _handle_poly, help="polynomial arithmetic")
     poly.add_argument("op", choices=["add", "sub", "mul", "pow", "eval"])
     poly.add_argument("a")
     poly.add_argument("b")
     poly.add_argument("--nvars", type=_nvars, default=2)
     poly.add_argument("--domain", choices=sorted(_DOMAINS), default="int")
-    poly.set_defaults(handler=_handle_poly)
 
     groebner = sub.add_parser("groebner", help="ideal and subalgebra queries")
     gsub = groebner.add_subparsers(dest="gop", required=True)
-    basis = gsub.add_parser("basis", parents=[common])
+    basis = leaf(gsub, "basis", _handle_groebner_basis, _GROEBNER)
     basis.add_argument("--ideal", required=True, help="file with one polynomial per line")
     basis.add_argument("--nvars", type=_nvars, default=2)
     basis.add_argument("--order", choices=["grlex", "lex"], default="grlex")
-    basis.set_defaults(handler=_handle_groebner_basis)
-    member = gsub.add_parser("member", parents=[common])
+    member = leaf(gsub, "member", _handle_groebner_member, _GROEBNER)
     member.add_argument("--ideal", required=True)
     member.add_argument("--poly", required=True)
     member.add_argument("--nvars", type=_nvars, default=2)
-    member.set_defaults(handler=_handle_groebner_member)
-    relations = gsub.add_parser("relations", parents=[common])
+    relations = leaf(gsub, "relations", _handle_groebner_relations, _GROEBNER)
     relations.add_argument("--gens", required=True)
     relations.add_argument("--nvars", type=_nvars, default=2)
-    relations.set_defaults(handler=_handle_groebner_relations)
-    submember = gsub.add_parser("submember", parents=[common])
+    submember = leaf(gsub, "submember", _handle_groebner_submember, _GROEBNER)
     submember.add_argument("--gens", required=True)
     submember.add_argument("--poly", required=True)
     submember.add_argument("--nvars", type=_nvars, default=2)
-    submember.set_defaults(handler=_handle_groebner_submember)
 
     presentation = sub.add_parser("presentation", help="presented-semiring queries")
     psub = presentation.add_subparsers(dest="pop", required=True)
@@ -831,53 +845,46 @@ def _build_parser() -> _Parser:
         ("cancellative", _handle_presentation_cancellative, ()),
         ("find-l", _handle_presentation_find_l, ()),
     ):
-        p = psub.add_parser(name, parents=[common])
+        p = leaf(psub, name, handler, _SEMIRING)
         p.add_argument("--relations", default=None, help="file of lhs = rhs lines (omit for the free semiring)")
         p.add_argument("--nvars", type=_nvars, default=1)
         for positional in extra:
             p.add_argument(positional)
-        p.set_defaults(handler=handler)
-    preorder = psub.add_parser("preorder", parents=[common])
+    preorder = leaf(psub, "preorder", _handle_presentation_preorder, _SEMIRING)
     preorder.add_argument("--relations", default=None)
     preorder.add_argument("--nvars", type=_nvars, default=1)
     preorder.add_argument("--a", required=True)
     preorder.add_argument("--b", required=True)
-    preorder.set_defaults(handler=_handle_presentation_preorder)
 
     abhyankar = sub.add_parser("abhyankar", help="recurrence-subring pipeline")
     asub = abhyankar.add_subparsers(dest="aop", required=True)
-    verify = asub.add_parser("verify", parents=[common])
+    verify = leaf(asub, "verify", _handle_abhyankar_verify, ("k", *_GROEBNER))
     verify.add_argument("--bases", default=None, help="semicolon-separated base elements for condition c")
     verify.add_argument("--evidence", type=int, default=20, help="preimage evidence bound for condition d")
-    verify.set_defaults(handler=_handle_abhyankar_verify)
-    nonext = asub.add_parser("nonext", parents=[common])
+    nonext = leaf(asub, "nonext", _handle_abhyankar_nonext)
     nonext.add_argument("--nmax", type=int, default=2)
-    nonext.set_defaults(handler=_handle_abhyankar_nonext)
-    gen = asub.add_parser("generator", parents=[common])
+    gen = leaf(asub, "generator", _handle_abhyankar_generator)
     gen.add_argument("--n", type=int, required=True)
-    gen.set_defaults(handler=_handle_abhyankar_generator)
-    image = asub.add_parser("image", parents=[common])
+    image = leaf(asub, "image", _handle_abhyankar_image, ("k", *_GROEBNER))
     image.add_argument("--rep", required=True, help="integer polynomial in X2..Xk")
-    image.set_defaults(handler=_handle_abhyankar_image)
 
     cone = sub.add_parser("cone", help="exponent-cone checks")
     csub = cone.add_subparsers(dest="cop", required=True)
+    # a --relations target reads the semiring budget, and argparse cannot
+    # tell it from an --assign target, so every target scan takes it
     for name, handler in (
         ("enumerate", _handle_cone_enumerate),
         ("interior", _handle_cone_interior),
         ("qf", _handle_cone_qf),
     ):
-        p = csub.add_parser(name, parents=[common])
+        p = leaf(csub, name, handler, ("box", *_SEMIRING))
         p.add_argument("--assign", default=None, help="comma-separated positive rationals")
         p.add_argument("--relations", default=None)
         p.add_argument("--nvars", type=_nvars, default=1)
-        p.set_defaults(handler=handler)
-    purity = csub.add_parser("purity", parents=[common])
+    purity = leaf(csub, "purity", _handle_cone_purity, ("box",))
     purity.add_argument("--gens", required=True, help='vectors like "(2,0);(0,1)"')
-    purity.set_defaults(handler=_handle_cone_purity)
 
-    schema = sub.add_parser("report-schema", parents=[common], help="print the JSON report schema")
-    schema.set_defaults(handler=_handle_report_schema)
+    leaf(sub, "report-schema", _handle_report_schema, help="print the JSON report schema")
     return parser
 
 

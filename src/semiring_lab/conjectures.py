@@ -214,22 +214,6 @@ class Cone:
     def sorted_members(self) -> list:
         return sorted(self.members, key=lambda u: (mono_deg(u), u))
 
-    def closure_defects(self) -> tuple:
-        """Member pairs whose sum stays in the box but is not a member.
-
-        Empty for evaluation targets (membership is closed under products
-        of monomials); a presentation cone may show defects when the bound
-        for a sum lies beyond the scanned constants.
-        """
-        defects = []
-        members = self.sorted_members()
-        for i, u in enumerate(members):
-            for v in members[i:]:
-                w = tuple(a + b for a, b in zip(u, v))
-                if max(w, default=0) <= self.box and w not in self.members:
-                    defects.append((u, v, w))
-        return tuple(defects)
-
 
 # a scan classifies every vector of the box [0, box]^n: 10^5 cells take about
 # 1.6 s in an evaluation cone_enumerate and 8 s in purity_check

@@ -114,9 +114,6 @@ class MonomialOrder:
         head, tail = u[: self.split], u[self.split :]
         return (mono_deg(head), head, mono_deg(tail), tail)
 
-    def greater(self, u: Exponent, v: Exponent) -> bool:
-        return self.key(u) > self.key(v)
-
 
 LEX = MonomialOrder("lex")
 GRLEX = MonomialOrder("grlex")

@@ -8,6 +8,7 @@ schema, and exit codes are checked to be a function of the verdicts alone.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from semiring_lab.cli import (
     HandlerResult,
     RunConfig,
     UsageError,
+    _build_parser,
     main,
 )
 
@@ -494,7 +496,7 @@ _NVARS_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _NVARS_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", _NVARS_COMMANDS, ids="-".join)
 def test_negative_nvars_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--nvars", "-1")
     assert code == 2 and out == ""
@@ -552,9 +554,70 @@ def test_unknown_flag_rejected(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 2
 
 
-def test_nonpositive_budgets_rejected(capsys):
-    assert run_cli(capsys, "poly", "mul", "1", "1", "--deg", "0")[0] == 2
-    assert run_cli(capsys, "poly", "mul", "1", "1", "--steps", "-5")[0] == 2
+# every leaf subcommand, the arguments it requires, and the budget flags its
+# handler reads; any other budget flag is a usage error
+_BUDGET_FLAGS = ("deg", "coeff", "steps", "box", "k")
+_GROEBNER = {"deg", "steps"}
+_SEMIRING = {"deg", "coeff", "steps"}
+_LEAF_BUDGETS = {
+    ("poly",): (("mul", "1", "1"), set()),
+    ("groebner", "basis"): (("--ideal", "f"), _GROEBNER),
+    ("groebner", "member"): (("--ideal", "f", "--poly", "1"), _GROEBNER),
+    ("groebner", "relations"): (("--gens", "f"), _GROEBNER),
+    ("groebner", "submember"): (("--gens", "f", "--poly", "1"), _GROEBNER),
+    ("presentation", "equal"): (("1", "1"), _SEMIRING),
+    ("presentation", "idempotent"): ((), _SEMIRING),
+    ("presentation", "cancellative"): ((), _SEMIRING),
+    ("presentation", "find-l"): ((), _SEMIRING),
+    ("presentation", "preorder"): (("--a", "1", "--b", "1"), _SEMIRING),
+    ("abhyankar", "verify"): ((), {"k"} | _GROEBNER),
+    ("abhyankar", "nonext"): ((), set()),
+    ("abhyankar", "generator"): (("--n", "2"), set()),
+    ("abhyankar", "image"): (("--rep", "X2"), {"k"} | _GROEBNER),
+    ("cone", "enumerate"): (("--assign", "2"), {"box"} | _SEMIRING),
+    ("cone", "interior"): (("--assign", "2"), {"box"} | _SEMIRING),
+    ("cone", "qf"): (("--assign", "2"), {"box"} | _SEMIRING),
+    ("cone", "purity"): (("--gens", "(1)"), {"box"}),
+    ("report-schema",): ((), set()),
+}
+
+
+def _leaves(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def test_leaf_table_covers_the_parser_and_counts_its_budget_flags():
+    assert set(_leaves(_build_parser())) == set(_LEAF_BUDGETS)
+    assert len(_LEAF_BUDGETS) * len(_BUDGET_FLAGS) == 95
+    assert sum(len(flags) for _, flags in _LEAF_BUDGETS.values()) == 42
+
+
+@pytest.mark.parametrize("path", list(_LEAF_BUDGETS), ids="-".join)
+def test_leaf_takes_exactly_the_budget_flags_it_reads(capsys, path):
+    required, flags = _LEAF_BUDGETS[path]
+    for flag in _BUDGET_FLAGS:
+        argv = [*path, *required, f"--{flag}", "7"]
+        if flag in flags:
+            assert getattr(_build_parser().parse_args(argv), flag) == 7
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"--{flag}" in err
+
+
+def test_nonpositive_budgets_rejected(capsys, ideal_file, absorbing_file):
+    code, _, err = run_cli(capsys, "groebner", "basis", "--ideal", ideal_file, "--deg", "0")
+    assert code == 2 and "budget --deg must be positive, got 0" in err
+    code, _, err = run_cli(
+        capsys, "presentation", "equal", "--relations", absorbing_file, "T1", "T1 + 2",
+        "--steps", "-5",
+    )
+    assert code == 2 and "budget --steps must be positive, got -5" in err
     assert run_cli(capsys, "abhyankar", "image", "--rep", "X2", "--k", "1")[0] == 2
 
 
@@ -576,6 +639,8 @@ def test_env_budget_rejects_garbage(capsys):
     assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "bogus=3"})[0] == 2
     assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "deg=two"})[0] == 2
     assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "deg"})[0] == 2
+    # the variable is validated as a whole, also for budgets the command does not read
+    assert run_cli(capsys, "poly", "mul", "1", "1", env={ENV_VAR: "k=1"})[0] == 2
 
 
 def test_strict_flag_flips_unknown_to_failure(capsys):

@@ -40,7 +40,13 @@ _FILES = {
 
 # argparse words these errors itself, and its wording differs across Python
 # versions, so only their exit codes and stdout are pinned
-_ARGPARSE_ERRORS = {"unknown-subcommand", "no-subcommand", "unknown-flag", "bad-int-flag"}
+_ARGPARSE_ERRORS = {
+    "unknown-subcommand",
+    "no-subcommand",
+    "unknown-flag",
+    "bad-int-flag",
+    "poly-unread-budget-flag",
+}
 
 # (name, argv, exit codes in text / --json / --strict mode, digest prefix)
 _CASES = [
@@ -61,13 +67,13 @@ _CASES = [
     ("poly-eval-zero-denominator", ["poly", "eval", "T1", "1/0,2"], 2, 2, 2, "be7e0c59a92cf964"),
     ("poly-eval-wrong-arity", ["poly", "eval", "T1", "2"], 2, 2, 2, "99ca561841b9d017"),
     ("poly-parse-error", ["poly", "mul", "T1+", "T2"], 2, 2, 2, "fcd2d8841eee318d"),
-    ("poly-nonpositive-deg", ["poly", "mul", "1", "1", "--deg", "0"], 2, 2, 2, "595e478f629ef7b7"),
-    ("poly-negative-steps", ["poly", "mul", "1", "1", "--steps", "-5"], 2, 2, 2, "b71579580e743ce4"),
+    ("poly-unread-budget-flag", ["poly", "mul", "1", "1", "--k", "9"], 2, 2, 2, "0faf13d2b02ae954"),
     ("unknown-flag", ["poly", "mul", "1", "1", "--frobnicate"], 2, 2, 2, "0faf13d2b02ae954"),
     ("bad-int-flag", ["poly", "mul", "1", "1", "--nvars", "two"], 2, 2, 2, "0faf13d2b02ae954"),
     # groebner
     ("basis", ["groebner", "basis", "--ideal", "ideal.txt"], 0, 0, 0, "38d547d3661ec5f9"),
     ("basis-lex", ["groebner", "basis", "--ideal", "cyclic.txt", "--order", "lex"], 0, 0, 0, "e5d3e894f609caff"),
+    ("basis-nonpositive-deg", ["groebner", "basis", "--ideal", "ideal.txt", "--deg", "0"], 2, 2, 2, "595e478f629ef7b7"),
     ("basis-partial", ["groebner", "basis", "--ideal", "gens.txt", "--steps", "2"], 0, 0, 0, "e132346ae10f41a4"),
     ("member", ["groebner", "member", "--ideal", "ideal.txt", "--poly", "1"], 0, 0, 0, "a9a70873686ee010"),
     ("member-negative", ["groebner", "member", "--ideal", "squares.txt", "--poly", "T1"], 0, 0, 0, "c774b786fdd2a074"),
@@ -86,6 +92,7 @@ _CASES = [
     ("equal-evaluation-separator", ["presentation", "equal", "--relations", "unit.txt", "--nvars", "2", "T1", "T2", "--steps", "5"], 0, 0, 0, "a741e8b6705385e0"),
     ("equal-unknown", ["presentation", "equal", "--relations", "absorbing.txt", "T1", "T1 + 2", "--steps", "1", "--deg", "2", "--coeff", "2"], 0, 0, 1, "ae60b8d36929e0ba"),
     ("equal-outside-box", ["presentation", "equal", "--relations", "absorbing.txt", "T1", "T1^3", "--deg", "2"], 2, 2, 2, "85a27fc786e8b4cd"),
+    ("equal-negative-steps", ["presentation", "equal", "--relations", "absorbing.txt", "T1", "T1 + 2", "--steps", "-5"], 2, 2, 2, "b71579580e743ce4"),
     ("equal-shift-list-limit", ["presentation", "equal", "--relations", "zero.txt", "--nvars", "8", "--deg", "18", "T1", "T2"], 2, 2, 2, "fa42db2d4c7d64e6"),
     ("equal-relations-parse-error", ["presentation", "equal", "--relations", "badrel.txt", "T1", "T1"], 2, 2, 2, "ae3c1e1341dd3b53"),
     ("idempotent-yes", ["presentation", "idempotent", "--relations", "idempotent.txt"], 0, 0, 0, "f2f1a787dca31522"),

@@ -33,6 +33,16 @@ def test_script_runs(script, argv, expected, monkeypatch, capsys):
     assert expected in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("k", ["2", "0"])
+def test_abhyankar_report_rejects_truncation_below_3(k, monkeypatch, capsys):
+    path = SCRIPTS / "run_abhyankar_report.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--k", k])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    assert f"--k must be at least 3, got {k}" in capsys.readouterr().err
+
+
 def test_abhyankar_report_skips_evaluation_on_unverified_context(monkeypatch, capsys):
     # at k = 10 the default --deg 8 leaves the relation ideal incomplete
     path = SCRIPTS / "run_abhyankar_report.py"
