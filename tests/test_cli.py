@@ -496,7 +496,7 @@ _NVARS_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _NVARS_COMMANDS, ids="-".join)
+@pytest.mark.parametrize("argv", _NVARS_COMMANDS, ids=" ".join)
 def test_negative_nvars_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--nvars", "-1")
     assert code == 2 and out == ""
