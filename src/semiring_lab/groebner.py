@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -35,6 +35,7 @@ from .polynomials import (
     Exponent,
     MonomialOrder,
     Polynomial,
+    _integral,
     elimination,
     mono_deg,
 )
@@ -42,6 +43,7 @@ from .polynomials import (
 
 _MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
 _CONTENT_BITS = 64  # a division's common denominator past this many bits sheds its content
+_MEMO_SIZE = 1 << 13  # a first-divisor memo of _reduce past this many entries is cleared
 
 
 @dataclass(frozen=True)
@@ -175,12 +177,6 @@ class _Packing:
 _packing = lru_cache(maxsize=256)(_Packing)  # one per (order, nvars, width)
 
 
-def _integral(terms: _Terms) -> tuple[_Terms, int]:
-    """Fraction ``terms`` as integer terms over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {u: c.numerator * (den // c.denominator) for u, c in terms.items()}, den
-
-
 def _primitive(terms: _Terms) -> _Terms:
     """The primitive integer form of packed Fraction ``terms``: the rational
     multiple with coprime integer coefficients and a positive leading one."""
@@ -219,7 +215,9 @@ def _clear_content(work: _Terms, den: int) -> tuple[_Terms, int]:
     return {u: c // g for u, c in work.items()}, den // g
 
 
-def _reduce(work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int | None) -> tuple[list, _Terms]:
+def _reduce(
+    work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int | None, memo: dict[int, int]
+) -> tuple[list, _Terms]:
     """The division loop, fraction-free on packed monomials; consumes ``work``.
 
     ``work`` is an integer term dict W over a positive denominator D, and each
@@ -231,10 +229,18 @@ def _reduce(work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int
     quotient term c/D of divisor k, and the remainder with Fraction
     coefficients.  A leading term of degree above ``degree_cap`` (at most
     ``pk.limit``) or, uncapped, ``pk.limit`` raises _DegreeCapHit.
+
+    ``memo`` maps a packed monomial u to the first divisor of u in table
+    order: ``k >= 0`` is the index of that entry, ``~n`` says that none of
+    the first n entries divides u.  It is valid only for this table at this
+    packing, and only while the table grows by appending: then a hit never
+    changes and a miss resumes its scan at entry n.  A memo past
+    ``_MEMO_SIZE`` entries is cleared, which only costs rescans.
     """
     guards, low = pk.guards, pk.low
     limit = pk.limit if degree_cap is None else degree_cap
     lms = [entry[0] for entry in table]
+    n = len(lms)
     steps: list[tuple[int, int, int, int]] = []
     remainder: _Terms = {}
     work, den = work
@@ -243,29 +249,37 @@ def _reduce(work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int
         c = work[u]
         if u & low > limit:
             raise _DegreeCapHit
-        ug = u | guards
-        for k, lm in enumerate(lms):
-            if (ug - lm) & guards == guards:
-                entry = table[k]
-                shift, a = u - lm, entry[2]
-                # the leading term strictly decreases, so no shift repeats
-                steps.append((k, shift, c, den))
-                g = gcd(a, c)
-                if g != a:
-                    f = a // g
-                    work = {v: cv * f for v, cv in work.items()}
-                    den *= f
-                m = c // g
-                for v, cv in entry[1].items():
-                    w = shift + v
-                    s = work.get(w, 0) - m * cv
-                    if s:
-                        work[w] = s
-                    else:
-                        del work[w]
-                if g != a and den.bit_length() > _CONTENT_BITS:
-                    work, den = _clear_content(work, den)
-                break
+        k = memo.get(u, ~0)
+        if ~n < k < 0:  # unseen, or a miss over fewer entries than the table now has
+            ug = u | guards
+            for k in range(~k, n):
+                if (ug - lms[k]) & guards == guards:
+                    break
+            else:
+                k = ~n
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[u] = k
+        if k >= 0:
+            entry = table[k]
+            shift, a = u - entry[0], entry[2]
+            # the leading term strictly decreases, so no shift repeats
+            steps.append((k, shift, c, den))
+            g = gcd(a, c)
+            if g != a:
+                f = a // g
+                work = {v: cv * f for v, cv in work.items()}
+                den *= f
+            m = c // g
+            for v, cv in entry[1].items():
+                w = shift + v
+                s = work.get(w, 0) - m * cv
+                if s:
+                    work[w] = s
+                else:
+                    del work[w]
+            if g != a and den.bit_length() > _CONTENT_BITS:
+                work, den = _clear_content(work, den)
         else:
             remainder[u] = Fraction(c, den)
             del work[u]
@@ -286,6 +300,7 @@ def _divide(
     order: MonomialOrder,
     degree_cap: int | None = None,
     track: bool = True,
+    memos: dict[int, dict[int, int]] | None = None,
 ) -> tuple[list[_Terms] | None, _Terms]:
     """Multivariate division: target = sum(quotient_i * divisor_i) + remainder.
 
@@ -295,17 +310,22 @@ def _divide(
     monomial.  The quotients are built only with ``track`` (else None).  With
     a degree cap, intermediate blowup past the cap raises _DegreeCapHit.
     Packs as wide as the degrees or the divisors' packed forms need; with no
-    cap, a leading term at a guard bit redoes it twice as wide.
+    cap, a leading term at a guard bit redoes it twice as wide.  ``memos``
+    holds :func:`_reduce`'s first-divisor memo per width; a caller passes the
+    same one only for the same divisors, or for a list that has since only
+    grown by appending, and by default each call starts empty.
     """
     if not target:
         return [{} for _ in divisors] if track else None, {}
     degree = max(max(map(mono_deg, target)), degree_cap or 0, *(e.degree for e in divisors))
     width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+    memos = {} if memos is None else memos
     while True:
         pk = _packing(order, len(next(iter(target))), width)
         try:
             work = _integral(pk.pack_terms(target))
-            steps, remainder = _reduce(work, [e.at(pk) for e in divisors], pk, degree_cap)
+            memo = memos.setdefault(width, {})
+            steps, remainder = _reduce(work, [e.at(pk) for e in divisors], pk, degree_cap, memo)
             return _quotients(steps, len(divisors), pk) if track else None, pk.unpack_terms(remainder)
         except _DegreeCapHit:
             if degree_cap is not None:
@@ -342,7 +362,9 @@ class GroebnerBasis:
     on packed monomials (layout and guard bits as in :func:`buchberger`).  A
     normal form runs at that width or the one its degrees need; a leading
     term at a guard bit redoes the division at twice the width, so no answer
-    is truncated.
+    is truncated.  Per width, the basis also keeps :func:`_reduce`'s memo of
+    each leading monomial's first divisor across queries; the table never
+    changes, so a remembered divisor stays the one a fresh scan would find.
     """
 
     generators: tuple[Polynomial, ...]
@@ -362,6 +384,12 @@ class GroebnerBasis:
     def _divisors(self) -> tuple[_Entry, ...]:
         return tuple(_entry(g, self.order) for g in self.generators)
 
+    @cached_property
+    def _memos(self) -> dict[int, dict[int, int]]:
+        """:func:`_reduce`'s first-divisor memo per packing width, kept across
+        queries: the divisor table never changes, so no entry goes stale."""
+        return {}
+
     def _query(self, p: Polynomial) -> Polynomial:
         p = _to_rat(p)
         if p.nvars != self.nvars:
@@ -372,7 +400,7 @@ class GroebnerBasis:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
         p = self._query(p)
-        _, remainder = _divide(p._terms, self._divisors, self.order, track=False)
+        _, remainder = _divide(p._terms, self._divisors, self.order, track=False, memos=self._memos)
         return _poly(p.nvars, remainder)
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
@@ -381,7 +409,7 @@ class GroebnerBasis:
         Every empty quotient is the same zero polynomial object.
         """
         p = self._query(p)
-        quotients, remainder = _divide(p._terms, self._divisors, self.order)
+        quotients, remainder = _divide(p._terms, self._divisors, self.order, memos=self._memos)
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
         return _poly(n, remainder), tuple(_poly(n, q) if q else zero for q in quotients)
@@ -425,6 +453,11 @@ def buchberger(
     interreduction can raise degrees, so a division that reaches a guard bit
     is redone at twice the width.
 
+    The table only grows by appending, so one first-divisor memo (see
+    :func:`_reduce`) serves every reduction of the run: a remembered divisor
+    stays the first, and a monomial that no element divided resumes its scan
+    at the elements added since.
+
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
     ideal_membership).  Budgets are enforced, the coefficient cap once per
@@ -444,6 +477,7 @@ def buchberger(
 
     table: list[tuple[int, _Terms, int, Exponent]] = []  # packed lm, packed G, a, lm unpacked
     combos: list[tuple[Polynomial, ...]] = []
+    memo: dict[int, int] = {}  # first divisors in ``table``, kept for the whole run
     zero = Polynomial.zero(nvars, Domain.RAT)
     steps = 0
 
@@ -517,7 +551,7 @@ def buchberger(
         # every remainder term was once the leading term of the work and
         # passed the degree cap there, so the remainder needs no check
         try:
-            reduction, remainder = _reduce((spoly, f_i * a_i), table, pk, budget.max_degree)
+            reduction, remainder = _reduce((spoly, f_i * a_i), table, pk, budget.max_degree, memo)
         except _DegreeCapHit:
             raise BudgetExceededError(
                 f"degree budget {budget.max_degree} exceeded", partial_basis()

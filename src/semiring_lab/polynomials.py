@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -90,6 +92,12 @@ def mono_div(u: Exponent, v: Exponent) -> Exponent | None:
 
 def mono_deg(u: Exponent) -> int:
     return sum(u)
+
+
+def _integral(terms: dict) -> tuple[dict, int]:
+    """Rational ``terms`` as integer terms over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {u: c.numerator * (den // c.denominator) for u, c in terms.items()}, den
 
 
 @dataclass(frozen=True)
@@ -291,18 +299,34 @@ class Polynomial:
         return Polynomial._raw(self.nvars, self.domain, out)
 
     def __mul__(self, other: Polynomial | int | Fraction) -> Polynomial:
+        """Product; a scalar operand scales.
+
+        Over Q the loop multiplies integers: each operand is taken as its
+        integer numerators over the lcm of its denominators, dp and dq, and
+        each nonzero coefficient of the integer product becomes a
+        ``Fraction`` over dp*dq once, at the end.  A sum cancels exactly
+        when its ``Fraction`` counterpart does, so the terms, and their
+        order, are those of the same loop run on the ``Fraction``s.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        p, q = self._terms, other._terms
+        rat = self.domain is Domain.RAT
+        if rat:
+            (p, dp), (q, dq) = _integral(p), _integral(q)
         out: dict[Exponent, int | Fraction] = {}
-        for u, a in self._terms.items():
-            for v, b in other._terms.items():
-                w = mono_mul(u, v)
+        for u, a in p.items():
+            for v, b in q.items():
+                w = tuple(map(add, u, v))
                 s = out.get(w, 0) + a * b
                 if s == 0:
                     out.pop(w, None)
                 else:
                     out[w] = s
+        if rat:
+            d = dp * dq
+            out = {w: Fraction(c, d) for w, c in out.items()}
         return Polynomial._raw(self.nvars, self.domain, out)
 
     __rmul__ = __mul__

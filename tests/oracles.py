@@ -71,9 +71,17 @@ def solve_linear_system(
     Plain Gaussian elimination with Fraction arithmetic; free variables are
     set to zero.  Used as the independent route for ideal membership.
     """
+    return solve_linear_systems(rows, [rhs])[0]
+
+
+def solve_linear_systems(
+    rows: list[list[Fraction]], rhss: list[list[Fraction]]
+) -> list[list[Fraction] | None]:
+    """:func:`solve_linear_system` for each right-hand side in ``rhss``, all
+    carried through one elimination of ``rows``."""
     m = len(rows)
     n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [list(row) + [b[i] for b in rhss] for i, row in enumerate(rows)]
     pivot_cols: list[int] = []
     r = 0
     for c in range(n):
@@ -91,13 +99,16 @@ def solve_linear_system(
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][n]
-    return x
+    solutions: list[list[Fraction] | None] = []
+    for t in range(n, n + len(rhss)):
+        if any(aug[i][t] != 0 for i in range(r, m)):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for i, c in enumerate(pivot_cols):
+            x[c] = aug[i][t]
+        solutions.append(x)
+    return solutions
 
 
 def monomials_up_to_degree(nvars: int, degree: int) -> list[Exponent]:
@@ -115,9 +126,17 @@ def ideal_membership_by_linear_algebra(
     cofactors exist at this degree.  Completely independent of any Groebner
     machinery.
     """
-    nvars = target.nvars
+    return ideal_memberships_by_linear_algebra([target], generators, cofactor_degree)[0]
+
+
+def ideal_memberships_by_linear_algebra(
+    targets: list[Polynomial], generators: list[Polynomial], cofactor_degree: int
+) -> list[list[Polynomial] | None]:
+    """:func:`ideal_membership_by_linear_algebra` for each of ``targets``,
+    from one elimination."""
+    nvars = targets[0].nvars
     gens = [g.as_domain(Domain.RAT) for g in generators]
-    tgt = target.as_domain(Domain.RAT)
+    tgts = [t.as_domain(Domain.RAT) for t in targets]
     basis = monomials_up_to_degree(nvars, cofactor_degree)
     # unknowns: one coefficient per (generator, basis monomial)
     columns: list[dict[Exponent, Fraction]] = []
@@ -128,25 +147,28 @@ def ideal_membership_by_linear_algebra(
                 w = mono_mul(u, v)
                 col[w] = col.get(w, Fraction(0)) + Fraction(c)
             columns.append(col)
-    support = tgt.support()
+    support = set().union(*(t.support() for t in tgts))
     for col in columns:
         support |= set(col)
     support_list = sorted(support)
     rows = [[col.get(w, Fraction(0)) for col in columns] for w in support_list]
-    rhs = [Fraction(tgt.coefficient(w)) for w in support_list]
-    solution = solve_linear_system(rows, rhs)
-    if solution is None:
-        return None
-    cofactors = []
-    idx = 0
-    for _ in gens:
-        terms = {}
-        for u in basis:
-            if solution[idx] != 0:
-                terms[u] = solution[idx]
-            idx += 1
-        cofactors.append(Polynomial(nvars, Domain.RAT, terms))
-    return cofactors
+    rhss = [[Fraction(t.coefficient(w)) for w in support_list] for t in tgts]
+    out: list[list[Polynomial] | None] = []
+    for solution in solve_linear_systems(rows, rhss):
+        if solution is None:
+            out.append(None)
+            continue
+        cofactors = []
+        idx = 0
+        for _ in gens:
+            terms = {}
+            for u in basis:
+                if solution[idx] != 0:
+                    terms[u] = solution[idx]
+                idx += 1
+            cofactors.append(Polynomial(nvars, Domain.RAT, terms))
+        out.append(cofactors)
+    return out
 
 
 def jacobian_determinant(p: Polynomial, q: Polynomial) -> Polynomial:

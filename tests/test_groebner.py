@@ -1,6 +1,7 @@
 """Groebner engine: canonical bases, certificates, elimination, budgets."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from semiring_lab.polynomials import (
 )
 from semiring_lab.groebner import (
     BudgetExceededError,
+    GroebnerBasis,
     GroebnerBudget,
     MembershipStatus,
     buchberger,
@@ -38,6 +40,7 @@ from semiring_lab.groebner import (
 from tests.oracles import (
     closed_form_generator,
     ideal_membership_by_linear_algebra,
+    ideal_memberships_by_linear_algebra,
     jacobian_determinant,
     random_poly,
 )
@@ -422,9 +425,9 @@ def redone(monkeypatch):
     widths = []
     real = groebner._reduce
 
-    def spy(work, table, pk, degree_cap):
+    def spy(work, table, pk, degree_cap, *rest):
         try:
-            return real(work, table, pk, degree_cap)
+            return real(work, table, pk, degree_cap, *rest)
         except groebner._DegreeCapHit:
             if degree_cap is None:
                 widths.append(pk.width)
@@ -479,6 +482,82 @@ def test_wide_subalgebra_representations_match_reference_division(redone):
         assert cert.status is MembershipStatus.MEMBER
         assert cert.representation == Polynomial(4, Domain.RAT, remainder).project(2, 4)
     assert complete and redone
+
+
+# -- the first-divisor memo ------------------------------------------------
+
+T4 = t_names(4)
+# a lex basis of five elements of degree up to 7, packed in 6-bit fields;
+# T2^40 reduces through degrees past 63, so its division is redone at 12 bits
+_MEMO_GENS = [parse_poly(t, T4, Domain.INT) for t in ("T1*T2 - T3^4", "T2^2 - T4^5 + T3", "T3*T4 - 1")]
+_MEMO_WIDE = parse_poly("T2^40", T4, Domain.RAT)
+
+
+def _memo_queries(label: str, count: int) -> list[Polynomial]:
+    rng = random.Random(f"{SEED}:memo:{label}")
+    return [random_poly(rng, 4, Domain.RAT, max_terms=4, max_exp=3) for _ in range(count)]
+
+
+def _assert_reference_answers(gb: GroebnerBasis, queries: list[Polynomial]) -> None:
+    for query in queries:
+        quotients, remainder = _reference_divide(query, gb.generators, gb.order)
+        expected = Polynomial(gb.nvars, Domain.RAT, remainder)
+        assert gb.normal_form_with_quotients(query) == (
+            expected, tuple(Polynomial(gb.nvars, Domain.RAT, q) for q in quotients)
+        )
+        assert gb.normal_form(query) == expected  # the same query on a warm memo
+
+
+def test_warm_memo_answers_match_reference_division(redone):
+    gb = buchberger(_MEMO_GENS, LEX)
+    assert len(gb.generators) == 5
+    queries = _memo_queries("warm", 30) + [_MEMO_WIDE] + _memo_queries("wide", 30)
+    _assert_reference_answers(gb, queries)
+    _assert_reference_answers(gb, queries[::-1])
+    # one memo per packing width, both in use
+    assert 6 in redone and sorted(gb._memos) == [6, 12] and all(gb._memos.values())
+
+
+def test_partial_basis_memo_answers_match_reference_division():
+    with pytest.raises(BudgetExceededError) as exc_info:
+        buchberger(_MEMO_GENS, LEX, GroebnerBudget(max_steps=2))
+    partial = exc_info.value.partial
+    assert not partial.reduced and len(partial.generators) >= 3
+    _assert_reference_answers(partial, _memo_queries("partial", 40) + [_MEMO_WIDE])
+    assert partial._memos
+
+
+def test_memo_resumes_its_scan_after_the_table_grows():
+    divisors = [p2("T1^2 - T2"), p2("T1*T2 - 1"), p2("T2^3 - 1/2*T1")]
+    table = [groebner._entry(d, GRLEX) for d in divisors]
+    rng = random.Random(f"{SEED}:resume")
+    targets = [random_poly(rng, 2, Domain.RAT, max_terms=5, max_exp=3) for _ in range(40)]
+    memos = {}
+    for n in (1, 2, 3):  # the table grows by appending; the memo is kept
+        for target in targets:
+            answer = groebner._divide(dict(target.terms()), table[:n], GRLEX, memos=memos)
+            assert answer == _reference_divide(target, divisors[:n], GRLEX)
+            assert answer == groebner._divide(dict(target.terms()), table[:n], GRLEX)  # a fresh memo
+        found = [k for memo in memos.values() for k in memo.values()]
+        if n < 3:  # misses over the short table, which the next pass resumes
+            assert ~n in found
+    assert {1, 2} <= set(found)  # some resumed misses found an appended divisor
+
+
+def test_memo_past_its_size_cap_is_cleared(monkeypatch):
+    queries = _memo_queries("cap", 40) + [_MEMO_WIDE]
+    uncapped = buchberger(_MEMO_GENS, LEX)
+    _assert_reference_answers(uncapped, queries)
+    monkeypatch.setattr(groebner, "_MEMO_SIZE", 16)
+    capped = buchberger(_MEMO_GENS, LEX)
+    assert capped.generators == uncapped.generators
+    sizes = []
+    for query in queries:
+        _assert_reference_answers(capped, [query])
+        sizes.append(max(map(len, capped._memos.values())))
+    # the uncapped memos outgrew the cap many times over, the capped ones never did
+    assert min(map(len, uncapped._memos.values())) > 4 * 16
+    assert max(sizes) <= 16 and any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 # -- ideal membership ------------------------------------------------------
@@ -775,6 +854,10 @@ _RELATION_PINS = {
     10: (270, 28, "07a1b4130a9cddfb"),
     11: (373, 36, "0531244252500a4a"),
     12: (500, 45, "f2528751dce53f73"),
+    13: (653, 55, "9e8f29a3bb210c89"),
+    14: (835, 66, "6af48b1f9f991a9f"),
+    15: (1048, 78, "d3229a398b251996"),
+    16: (1295, 91, "89f08ad60f11d67b"),
 }
 
 
@@ -785,3 +868,32 @@ def test_relation_ideal_is_pinned(k):
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert result.complete
     assert (result.steps_used, len(result.relations), digest) == _RELATION_PINS[k]
+
+
+def _closed_form_quadratics(k: int) -> list[Polynomial]:
+    """X_{n+1}(m X_m - 1) - X_{m+1}(n X_n - 1) for 2 <= n < m <= k - 1, in
+    X2..Xk: each vanishes at X_i = f_i, since f_{n+1} = (n f_n - 1) T2."""
+    x = {i: Polynomial.variable(k - 1, i - 2, Domain.RAT) for i in range(2, k + 1)}
+    one = Polynomial.one(k - 1, Domain.RAT)
+    return [
+        x[n + 1] * (m * x[m] - one) - x[m + 1] * (n * x[n] - one)
+        for n in range(2, k)
+        for m in range(n + 1, k)
+    ]
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_relation_ideal_is_generated_by_the_closed_form_quadratics(k):
+    result = relation_ideal(tuple(closed_form_generator(n) for n in range(2, k + 1)))
+    quadratics = _closed_form_quadratics(k)
+    assert result.complete and len(quadratics) == math.comb(k - 2, 2)
+    # the relations are a Groebner basis in the tag block's order, graded lex
+    for q in quadratics:
+        _, remainder = _reference_divide(q, result.relations, GRLEX)
+        assert not remainder
+    # and each relation is a Q-combination of the quadratics, found without Groebner bases
+    zero = Polynomial.zero(k - 1, Domain.RAT)
+    solved = ideal_memberships_by_linear_algebra(list(result.relations), quadratics, 0)
+    for r, cofactors in zip(result.relations, solved, strict=True):
+        assert cofactors is not None
+        assert sum((c * q for c, q in zip(cofactors, quadratics)), zero) == r

@@ -209,6 +209,56 @@ def test_arithmetic_results_stay_valid_randomized():
                 _assert_valid(r)
 
 
+def _termwise_product(p: Polynomial, q: Polynomial) -> dict:
+    """p * q term by term in the coefficients' own arithmetic (``Fraction``
+    over Q), dropping each sum that cancels to zero."""
+    out = {}
+    for u, a in p._terms.items():
+        for v, b in q._terms.items():
+            w = mono_mul(u, v)
+            s = out.get(w, 0) + a * b
+            if s == 0:
+                out.pop(w, None)
+            else:
+                out[w] = s
+    return out
+
+
+def test_product_matches_termwise_reference_randomized():
+    rng = random.Random(SEMIRING_SEED + 3)
+    fixed = [  # cross terms cancel; denominators 2, 3, 4 and 9 meet
+        (parse_poly("1/2*T1 + 2/3*T2", T, Domain.RAT), parse_poly("1/2*T1 - 2/3*T2", T, Domain.RAT)),
+        (parse_poly("T1^2 - 1/3*T1*T2 + 1/9*T2^2", T, Domain.RAT), parse_poly("T1 + 1/3*T2", T, Domain.RAT)),
+        (parse_poly("3/4*T1*T2 - 5", T, Domain.RAT), Polynomial.zero(2, Domain.RAT)),
+    ]
+    cancelled = mixed = 0
+    for domain in (Domain.NAT, Domain.INT, Domain.RAT):
+        drawn = [
+            tuple(random_poly(rng, 2, domain, max_terms=6, max_exp=2, max_coeff=3) for _ in range(2))
+            for _ in range(200)
+        ]
+        # (p + q) * (p - q) = p^2 - q^2: the cross terms cancel
+        pairs = drawn + ([(p + q, p - q) for p, q in drawn] if domain is not Domain.NAT else [])
+        for p, q in (fixed if domain is Domain.RAT else []) + pairs:
+            product = p * q
+            expected = _termwise_product(p, q)
+            # equal as term maps, in the same term order, with nothing stored as zero
+            assert list(product._terms.items()) == list(expected.items())
+            _assert_valid(product)
+            assert q * p == product
+            cancelled += len(expected) < len({mono_mul(u, v) for u in p._terms for v in q._terms})
+            dens = [{c.denominator for c in f._terms.values()} for f in (p, q) if domain is Domain.RAT]
+            mixed += len(dens) == 2 and len(dens[0] | dens[1]) > 2
+        # a zero operand, and the scalar path from either side
+        p = next(a for a, _ in drawn if a)
+        zero = Polynomial.zero(2, domain)
+        assert (p * zero).is_zero and (zero * p).is_zero
+        for c in (0, 2, Fraction(3) if domain is not Domain.RAT else Fraction(-3, 4)):
+            assert c * p == p * c == p.scale(c)
+            _assert_valid(c * p)
+    assert cancelled >= 100 and mixed >= 100
+
+
 # -- evaluation and substitution ------------------------------------------
 
 
