@@ -90,7 +90,6 @@ class BoundVerdict:
     answer: Tri
     lower: Fraction | None = None
     upper: Fraction | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -141,56 +140,38 @@ class BoundedSubsetPredicate:
     def _classify_evaluation(self, s: Polynomial) -> BoundVerdict:
         v = self.structure.apply(s)
         if self.kind is BoundClass.ABSORBING:
-            return BoundVerdict(Tri.NO, detail=f"value {v}: v + 1 > v in the rationals")
+            return BoundVerdict(Tri.NO)  # v + 1 > v in the rationals
         if self.kind is BoundClass.ABOVE:
-            return BoundVerdict(Tri.YES, upper=v + 1, detail=f"value {v} < {v + 1}")
+            return BoundVerdict(Tri.YES, upper=v + 1)
         if v == 0:
-            return BoundVerdict(
-                Tri.NO, detail="value 0 admits no positive rational lower bound"
-            )
-        return BoundVerdict(
-            Tri.YES,
-            lower=v / 2,
-            upper=v + 1,
-            detail=f"{v / 2} < value {v} < {v + 1}",
-        )
+            return BoundVerdict(Tri.NO)  # value 0 admits no positive rational lower bound
+        return BoundVerdict(Tri.YES, lower=v / 2, upper=v + 1)
 
     def _classify_presentation(self, s: Polynomial) -> BoundVerdict:
         if self.kind is BoundClass.ABSORBING:
             answer = words_equivalent(s + self.structure.one, s, self.closure)
-            return BoundVerdict(
-                answer.verdict,
-                detail="word + 1 ~ word "
-                + {"yes": "derived", "no": "refuted", "unknown": "undecided"}[
-                    answer.verdict.value
-                ],
-            )
+            return BoundVerdict(answer.verdict)
         if self.kind is BoundClass.ABOVE:
-            upper, detail = self._upper_bound(s)
-            answer = Tri.YES if upper is not None else Tri.UNKNOWN
-            return BoundVerdict(answer, upper=upper, detail=detail)
+            upper = self._upper_bound(s)
+            return BoundVerdict(Tri.YES if upper is not None else Tri.UNKNOWN, upper=upper)
         lower_answer = preorder_leq(self.structure.one, s, self.closure)
         if lower_answer.verdict is Tri.NO:
-            return BoundVerdict(
-                Tri.NO,
-                detail="no positive lower bound: the word's component is fully "
-                "explored and no member has a constant term",
-            )
-        upper, upper_detail = self._upper_bound(s)
+            # the word's component is fully explored and no member has a constant term
+            return BoundVerdict(Tri.NO)
+        upper = self._upper_bound(s)
         if lower_answer.verdict is Tri.YES and upper is not None:
-            return BoundVerdict(
-                Tri.YES, lower=Fraction(1), upper=upper, detail=upper_detail
-            )
-        return BoundVerdict(Tri.UNKNOWN, upper=upper, detail=upper_detail)
+            return BoundVerdict(Tri.YES, lower=Fraction(1), upper=upper)
+        return BoundVerdict(Tri.UNKNOWN, upper=upper)
 
-    def _upper_bound(self, s: Polynomial) -> tuple[Fraction | None, str]:
-        cap = min(self.max_bound, self.budget.max_coeff)
-        for q in range(1, cap + 1):
+    def _upper_bound(self, s: Polynomial) -> Fraction | None:
+        """The least constant q <= min(max_bound, max_coeff) with s <= q
+        derived, or None."""
+        for q in range(1, min(self.max_bound, self.budget.max_coeff) + 1):
             bound = Polynomial.constant(self.nvars, q, Domain.NAT)
             if preorder_leq(s, bound, self.closure).verdict is Tri.YES:
-                return Fraction(q), f"word <= {q} derived"
+                return Fraction(q)
             # No and Unknown both leave larger constants untested
-        return None, f"no constant bound found up to {cap}"
+        return None
 
 
 # -- cones ------------------------------------------------------------------
@@ -206,7 +187,6 @@ class Cone:
     box: int
     members: frozenset
     unknown: tuple
-    provenance: str
 
     def contains(self, u: Exponent) -> bool:
         return tuple(u) in self.members
@@ -256,15 +236,7 @@ def cone_enumerate(
             members.append(u)
         elif verdict.answer is Tri.UNKNOWN:
             unknown.append(u)
-    if isinstance(structure, EvalHom):
-        provenance = f"evaluation at {tuple(str(v) for v in structure.assignment)}"
-    else:
-        provenance = (
-            f"presentation with {len(structure.relations)} relations, "
-            f"bounds scanned to {min(max_bound, budget.max_coeff)}, "
-            f"budget ({budget.max_degree}, {budget.max_coeff}, {budget.max_steps})"
-        )
-    return Cone(n, box, frozenset(members), tuple(unknown), provenance)
+    return Cone(n, box, frozenset(members), tuple(unknown))
 
 
 def cone_dim(c: Cone) -> int:

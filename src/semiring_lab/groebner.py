@@ -631,17 +631,17 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 @lru_cache(maxsize=64)
 def _tracked_basis(
     gens: tuple[Polynomial, ...], order: MonomialOrder, budget: GroebnerBudget
-) -> tuple[GroebnerBasis, bool]:
-    """Cached basis of (gens) with cofactors, and whether it is complete.
+) -> GroebnerBasis:
+    """Cached basis of (gens) with cofactors.
 
     Keyed by the caller's generators as given, like
-    :func:`_tag_elimination_basis`; a budget-truncated basis is cached with
-    ``complete=False`` like a complete one.
+    :func:`_tag_elimination_basis`; a budget-truncated basis is cached like a
+    complete one, with ``reduced=False``.
     """
     try:
-        return buchberger(gens, order, budget, track=True), True
+        return buchberger(gens, order, budget, track=True)
     except BudgetExceededError as exc:
-        return exc.partial, False
+        return exc.partial
 
 
 def ideal_membership(
@@ -661,16 +661,16 @@ def ideal_membership(
     on every call.
     """
     p = _to_rat(p)
-    gb, complete = _tracked_basis(tuple(gens), order, budget)
+    gb = _tracked_basis(tuple(gens), order, budget)
     if not gb.generators:
         # zero ideal: only the zero polynomial belongs
         if p.is_zero:
             return MembershipCertificate(
                 MembershipStatus.MEMBER,
                 cofactors=tuple(Polynomial.zero(p.nvars, Domain.RAT) for _ in gens),
-                basis_complete=complete,
+                basis_complete=gb.reduced,
             )
-        return MembershipCertificate(MembershipStatus.NON_MEMBER, basis_complete=complete)
+        return MembershipCertificate(MembershipStatus.NON_MEMBER, basis_complete=gb.reduced)
     remainder, quotients = gb.normal_form_with_quotients(p)
     if remainder.is_zero:
         cof = [Polynomial.zero(p.nvars, Domain.RAT) for _ in gens]
@@ -684,9 +684,9 @@ def ideal_membership(
         if check != p:
             raise RuntimeError("internal certificate check failed: cofactor expansion mismatch")
         return MembershipCertificate(
-            MembershipStatus.MEMBER, cofactors=tuple(cof), basis_complete=complete
+            MembershipStatus.MEMBER, cofactors=tuple(cof), basis_complete=gb.reduced
         )
-    if complete:
+    if gb.reduced:
         return MembershipCertificate(MembershipStatus.NON_MEMBER)
     return MembershipCertificate(MembershipStatus.UNKNOWN, basis_complete=False)
 
@@ -708,20 +708,20 @@ def tag_ring_generators(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 @lru_cache(maxsize=64)
 def _tag_elimination_basis(
     gens: tuple[Polynomial, ...], budget: GroebnerBudget
-) -> tuple[tuple[Polynomial, ...], GroebnerBasis, bool]:
+) -> tuple[tuple[Polynomial, ...], GroebnerBasis]:
     """Cached elimination basis of {X_i - g_i} with the T-block dominant.
 
     Keyed by the caller's generators as given, whose hashes the polynomials
     keep, so a repeated query converts nothing.  Returns the generators over
-    Q, the basis and whether it is complete; a budget-truncated basis is
-    cached with ``complete=False`` like a complete one.
+    Q and the basis; a budget-truncated basis is cached like a complete one,
+    with ``reduced=False``.
     """
     source = tuple(_to_rat(g) for g in gens)
     order = elimination(source[0].nvars)
     try:
-        return source, buchberger(tag_ring_generators(source), order, budget), True
+        return source, buchberger(tag_ring_generators(source), order, budget)
     except BudgetExceededError as exc:
-        return source, exc.partial, False
+        return source, exc.partial
 
 
 def _tag_free_part(gb: GroebnerBasis, nvars: int, tag_count: int) -> tuple[Polynomial, ...]:
@@ -749,11 +749,11 @@ def relation_ideal(
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
-    source, gb, complete = _tag_elimination_basis(tuple(gens), budget)
+    source, gb = _tag_elimination_basis(tuple(gens), budget)
     relations = _tag_free_part(gb, source[0].nvars, len(source))
     return RelationIdealResult(
         relations=relations,
-        complete=complete,
+        complete=gb.reduced,
         tag_count=len(source),
         steps_used=gb.steps_used,
     )
@@ -781,7 +781,7 @@ def subalgebra_membership(
     nvars = gens[0].nvars
     if h.nvars != nvars:
         raise ArityError(f"query has {h.nvars} variables, generators have {nvars}")
-    source, gb, complete = _tag_elimination_basis(tuple(gens), budget)
+    source, gb = _tag_elimination_basis(tuple(gens), budget)
     tag_count = len(source)
     truncation = tag_count + 1  # generators are numbered 2..k
     total = nvars + tag_count
@@ -797,9 +797,9 @@ def subalgebra_membership(
             representation=representation,
             integral=integral,
             truncation_level=truncation,
-            basis_complete=complete,
+            basis_complete=gb.reduced,
         )
-    if complete:
+    if gb.reduced:
         return MembershipCertificate(
             MembershipStatus.NON_MEMBER, truncation_level=truncation
         )

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
@@ -78,11 +78,6 @@ class Tri(Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
-
-
-class SaturationStatus(Enum):
-    COMPLETE = "complete-within-budget"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -206,19 +201,7 @@ class EquivalenceAnswer:
     steps_used: int = 0
 
 
-@dataclass(frozen=True)
-class Component:
-    """One congruence component, as far as it was explored.
-
-    ``complete`` means every rewrite of every member stays inside the member
-    set -- the component is finite and fully known, so membership in it is a
-    congruence invariant."""
-
-    members: tuple[Polynomial, ...]
-    complete: bool
-
-
-_SEED_SATURATION_EFFORT = 4000
+_CANCELLATIVE_SIDE_STEPS = 4000
 # above the largest exponent list any default builds (12,870 at n = 8, D = 8)
 _MAX_EXPONENTS = 10**6
 # find_L tries each candidate with a full equivalence search (about 1 ms each
@@ -235,9 +218,8 @@ class CongruenceClosure:
     word.  ``preorder_leq`` and the bound predicates advance it through
     ``explore`` only as far as each query needs, so no start word is searched
     twice per closure; answers, witnesses and member order do not depend on
-    what was asked before.  ``words_equivalent`` does not use the memo.  The
-    relation sides' components (``components``, ``status``) are computed on
-    first read.  Equality compares presentation and budget."""
+    what was asked before.  ``words_equivalent`` does not use the memo.
+    Equality compares presentation and budget."""
 
     presentation: Presentation
     budget: Budget
@@ -250,32 +232,6 @@ class CongruenceClosure:
         if start not in self._explored:
             self._explored[start] = _Exploration(start, self.presentation, self.budget)
         return self._explored[start]
-
-    @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """The components of every relation side, each explored with at most
-        a fixed saturation effort (never more than the budget allows)."""
-        cap = min(self.budget.max_steps, _SEED_SATURATION_EFFORT)
-        components: list[Component] = []
-        seen: set[Polynomial] = set()
-        for lhs, rhs in self.presentation.relations:
-            for side in (lhs, rhs):
-                if side in seen:
-                    continue
-                exploration = _Exploration(side, self.presentation, self.budget)
-                exploration.find(lambda _: False, cap)
-                members = tuple(exploration.members)
-                components.append(Component(members, exploration.complete))
-                seen.update(members)
-        return tuple(components)
-
-    @property
-    def status(self) -> SaturationStatus:
-        """COMPLETE when every relation side's component was explored in
-        full, EXHAUSTED when any exploration was cut off."""
-        if all(c.complete for c in self.components):
-            return SaturationStatus.COMPLETE
-        return SaturationStatus.EXHAUSTED
 
 
 # -- the rewrite engine ----------------------------------------------------
@@ -491,11 +447,7 @@ def congruence_close(pres: Presentation, budget: Budget = Budget()) -> Congruenc
     Construction explores nothing.  Queries against the closure search with
     the full budget; ``preorder_leq`` and the bound predicates resume its
     memoised searches, while ``words_equivalent`` runs fresh searches that
-    end with the call.  The relation sides are saturated, within a fixed
-    effort per side, when ``components`` or ``status`` is first read; status
-    is COMPLETE when every such component was explored in full, EXHAUSTED
-    when any exploration was cut off (queries may then answer Unknown).
-    Deterministic for a fixed budget.
+    end with the call.  Deterministic for a fixed budget.
     """
     return CongruenceClosure(pres, budget)
 
@@ -574,7 +526,9 @@ def is_add_cancellative(
     presentation is cancellative (polynomial addition over N cancels).  For
     presented semirings the answer is No exactly when a witness triple
     (a, b, c) is found -- a + c ~ b + c derivable, a ~ b refuted by a
-    separating certificate -- and Unknown otherwise.
+    separating certificate -- and Unknown otherwise.  Candidates pair the
+    first 50 members of each relation side's component, searched through
+    the closure's memo for at most ``_CANCELLATIVE_SIDE_STEPS`` rewrites.
     """
     if isinstance(structure, EvalHom):
         return CancellativityReport(Tri.YES, reason="rational addition cancels")
@@ -584,9 +538,16 @@ def is_add_cancellative(
             Tri.YES, reason="free semiring: polynomial addition over N cancels"
         )
     cc = congruence_close(pres, budget)
+    cap = min(budget.max_steps, _CANCELLATIVE_SIDE_STEPS)
     attempts = 0
-    for component in cc.components:
-        for x, y in combinations(component.members[:50], 2):
+    seen: set[Polynomial] = set()
+    for side in (side for relation in pres.relations for side in relation):
+        if side in seen:
+            continue
+        exploration = cc.explore(side)
+        exploration.find(lambda _: False, cap)
+        seen.update(exploration.members)
+        for x, y in combinations(islice(exploration.members, 50), 2):
             if attempts >= 40:
                 return CancellativityReport(
                     Tri.UNKNOWN, reason="witness search attempt cap reached"

@@ -197,8 +197,8 @@ def test_cone_explores_each_start_once(monkeypatch):
 def test_dim_examples(ev):
     full = cone_enumerate(ev, 4)
     assert cone_dim(full) == 2
-    assert cone_dim(Cone(2, 0, frozenset({(0, 0)}), (), "origin")) == 0
-    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), (), "diagonal")
+    assert cone_dim(Cone(2, 0, frozenset({(0, 0)}), ())) == 0
+    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), ())
     assert cone_dim(diagonal) == 1
 
 
@@ -210,12 +210,12 @@ def test_dim_bounded_by_nvars_and_full_with_units():
             tuple(rng.randint(0, 4) for _ in range(n))
             for _ in range(rng.randint(1, 8))
         }
-        c = Cone(n, 4, frozenset(members), (), "random")
+        c = Cone(n, 4, frozenset(members), ())
         assert 0 <= cone_dim(c) <= n
         with_units = frozenset(members) | {
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         }
-        assert cone_dim(Cone(n, 4, with_units, (), "random+units")) == n
+        assert cone_dim(Cone(n, 4, with_units, ())) == n
 
 
 # -- purity -----------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_interior_of_full_box(ev):
 
 
 def test_interior_of_diagonal_not_found():
-    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), (), "diagonal")
+    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), ())
     assert find_interior_u(diagonal) is None
 
 
@@ -318,7 +318,7 @@ def test_interior_result_satisfies_definition():
             tuple(rng.randint(0, 3) for _ in range(n))
             for _ in range(rng.randint(1, 12))
         )
-        c = Cone(n, 3, members, (), "random")
+        c = Cone(n, 3, members, ())
         u = find_interior_u(c)
         if u is not None:
             found += 1
@@ -369,12 +369,12 @@ def test_qf_from_full_box(ev):
 
 
 def test_qf_from_diagonal_not_found():
-    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), (), "diagonal")
+    diagonal = Cone(2, 4, frozenset({(k, k) for k in range(5)}), ())
     assert qf_from_cone(diagonal) is None
 
 
 def test_qf_off_origin_interior():
-    c = Cone(2, 3, frozenset({(1, 1), (2, 1), (1, 2)}), (), "synthetic")
+    c = Cone(2, 3, frozenset({(1, 1), (2, 1), (1, 2)}), ())
     witnesses = qf_from_cone(c)
     assert witnesses is not None
     assert witnesses[0].denominator_exp == (1, 1)
@@ -390,7 +390,7 @@ def test_qf_off_origin_interior():
 
 
 def test_qf_custom_oracle_flags_failures():
-    c = Cone(2, 3, frozenset({(1, 1), (2, 1), (1, 2)}), (), "synthetic")
+    c = Cone(2, 3, frozenset({(1, 1), (2, 1), (1, 2)}), ())
     witnesses = qf_from_cone(c, member_oracle=lambda v: v == (1, 1))
     assert witnesses is not None
     assert not witnesses[0].numerator_in_subring

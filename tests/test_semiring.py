@@ -29,7 +29,6 @@ from semiring_lab.semiring import (
     EvalHom,
     NotCancellativeError,
     Presentation,
-    SaturationStatus,
     Separator,
     Step,
     TraceError,
@@ -117,8 +116,6 @@ def test_closure_of_absorbing_one_derives_doubling(absorbing_one):
 
 def test_closure_of_free_presentation_has_no_components(free1):
     cc = congruence_close(free1)
-    assert cc.components == ()
-    assert cc.status is SaturationStatus.COMPLETE
     # only reflexive pairs hold
     assert words_equivalent(P1("T1"), P1("T1"), cc).verdict is Tri.YES
     assert words_equivalent(P1("T1"), P1("T1 + 1"), cc).verdict is Tri.NO
@@ -132,19 +129,9 @@ def test_closure_iterates_unit_absorption(successor_absorbed):
         assert len(answer.trace) == k
 
 
-def test_closure_status_reports_clipping(absorbing_one, successor_absorbed):
-    # the unit component under 1+1 ~ 1 climbs to the coefficient cap: clipped
-    assert congruence_close(absorbing_one).status is SaturationStatus.EXHAUSTED
-    assert congruence_close(successor_absorbed).status is SaturationStatus.EXHAUSTED
-    tiny = congruence_close(absorbing_one, Budget(max_degree=2, max_coeff=3))
-    members = {m for c in tiny.components for m in c.members}
-    assert P1("1") in members and P1("2") in members
-
-
 def test_closure_is_deterministic(successor_absorbed):
     a, b = congruence_close(successor_absorbed), congruence_close(successor_absorbed)
     assert a == b
-    assert a.components == b.components and a.status is b.status
 
 
 # -- the word problem ------------------------------------------------------
@@ -368,6 +355,39 @@ def test_closure_preorder_matches_presentation_preorder():
         assert [preorder_leq(a, b, fresh) for a, b in reversed(pairs)] == expected[::-1]
 
 
+_CAP = "witness search attempt cap reached"
+_NONE_FOUND = "no witness found within budget"
+_SEPARATED = "a + c ~ b + c derivable yet a and b separated"
+# is_add_cancellative over CATALOG: verdict, witness (a, b, c) and reason,
+# the same at each budget of the test below
+CANCELLATIVITY = {
+    None: ("yes", None, "free semiring: polynomial addition over N cancels"),
+    "1 = 0": ("unknown", None, _CAP),
+    "1 + 1 = 1": ("no", ("1", "0", "1"), _SEPARATED),
+    "T1 + 1 = T1": ("no", ("1", "0", "T1"), _SEPARATED),
+    "T1 = 1": ("unknown", None, _NONE_FOUND),
+    "T1^2 = T1": ("unknown", None, _NONE_FOUND),
+    "T1 + T1 = T1": ("no", ("T1", "0", "T1"), _SEPARATED),
+    "T1 + T1 = 1": ("unknown", None, _CAP),
+    "T1*T2 = 1": ("unknown", None, _NONE_FOUND),
+    "T1 + T2 = T2": ("no", ("T1", "0", "T2"), _SEPARATED),
+    "T1^2 = T2": ("unknown", None, _NONE_FOUND),
+    "T1 = 0": ("unknown", None, _CAP),
+}
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [Budget(), Budget(8, 64, 50000), Budget(4, 8, 300)],
+    ids=["library-default", "cli-default", "small"],
+)
+def test_cancellativity_over_the_catalog(budget):
+    for nvars, text in CATALOG:
+        report = is_add_cancellative(_catalog_presentation(nvars, text), budget)
+        witness = report.witness and tuple(format_poly(p, t_names(nvars)) for p in report.witness)
+        assert (report.verdict.value, witness, report.reason) == CANCELLATIVITY[text], text
+
+
 def test_rewrite_kernel_matches_step_replay():
     # _iter_rewrites computes results on term dicts; Step.apply replays each
     # step through public arithmetic, independently of it
@@ -490,10 +510,13 @@ def test_queries_free_their_searches_on_return(monkeypatch):
     try:
         for nvars, text in CATALOG:
             pres = _catalog_presentation(nvars, text)
-            for query in (
+            queries = [
                 lambda: words_equivalent(pres.one + pres.one, pres.one, congruence_close(pres, budget)),
                 lambda: find_L(pres, budget, search_degree=1),
-            ):
+            ]
+            if pres.relations:  # the free presentation is cancellative without a search
+                queries.append(lambda: is_add_cancellative(pres, budget))
+            for query in queries:
                 refs.clear()
                 query()
                 assert refs, text
