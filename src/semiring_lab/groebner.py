@@ -35,7 +35,11 @@ from .polynomials import (
     Exponent,
     MonomialOrder,
     Polynomial,
+    _Form,
+    _form,
+    _from_form,
     _integral,
+    _sum_of_products,
     elimination,
     mono_deg,
 )
@@ -334,18 +338,28 @@ def _divide(
 
 
 def _combo_update(
-    base: tuple[Polynomial, ...],
+    base: Sequence[list[tuple[_Form, _Form]]],
     quotients: Sequence[_Terms],
-    combos: Sequence[tuple[Polynomial, ...]],
-    nvars: int,
-) -> tuple[Polynomial, ...]:
-    """combo of (poly - sum q_i * basis_i) given the basis elements' combos."""
-    out = list(base)
-    for q, combo in zip(quotients, combos):
-        if not q:
-            continue
-        q_poly = _poly(nvars, q)
-        out = [a - q_poly * b for a, b in zip(out, combo)]
+    combos: Sequence[tuple[_Form, ...]],
+    scale: int | Fraction = 1,
+) -> tuple[_Form, ...]:
+    """The combo of scale * (b - sum q_i * basis_i), given the basis elements' combos.
+
+    A combo holds one integer form per source generator, and ``base[j]``
+    lists the pairs whose products sum to b's j-th cofactor.  Each cofactor
+    of the result is one :func:`_sum_of_products` of those pairs and the
+    pairs (-q_i, combo_i[j]), scaled, with the content it shares with its
+    denominator divided out.
+    """
+    negated = [({u: -c for u, c in ints.items()}, den) for ints, den in map(_integral, quotients)]
+    out = []
+    for j, pairs in enumerate(base):
+        terms, den = _sum_of_products(
+            [*pairs, *((q, combo[j]) for q, combo in zip(negated, combos) if q[0] and combo[j][0])]
+        )
+        if scale != 1:
+            terms, den = {u: c * scale.numerator for u, c in terms.items()}, den * scale.denominator
+        out.append(_clear_content(terms, den))
     return tuple(out)
 
 
@@ -460,7 +474,12 @@ def buchberger(
 
     With ``track=True`` every basis element carries cofactors expressing it
     in terms of the input generators (certificate bookkeeping for
-    ideal_membership).  Budgets are enforced, the coefficient cap once per
+    ideal_membership).  The run keeps each cofactor as an integer form (see
+    :func:`~semiring_lab.polynomials._sum_of_products`) with its content
+    divided out.  Each cofactor of a new element is one integer sum of
+    products, over the S-pair's two monomial multiples and the reduction's
+    quotients (:func:`_combo_update`); the cofactors become ``Fraction``
+    polynomials once, in :func:`_finalize`.  Budgets are enforced, the coefficient cap once per
     new element; exceeding one raises :class:`BudgetExceededError` with the
     partial basis attached.
     """
@@ -476,9 +495,9 @@ def buchberger(
     guards = pk.guards
 
     table: list[tuple[int, _Terms, int, Exponent]] = []  # packed lm, packed G, a, lm unpacked
-    combos: list[tuple[Polynomial, ...]] = []
+    combos: list[tuple[_Form, ...]] = []
     memo: dict[int, int] = {}  # first divisors in ``table``, kept for the whole run
-    zero = Polynomial.zero(nvars, Domain.RAT)
+    const = (0,) * nvars
     steps = 0
 
     def partial_basis() -> GroebnerBasis:
@@ -503,7 +522,7 @@ def buchberger(
         if track:
             inv = 1 / terms[table[-1][0]]
             combos.append(tuple(
-                Polynomial.constant(nvars, inv, Domain.RAT) if j == idx else zero
+                ({const: inv.numerator}, inv.denominator) if j == idx else ({}, 1)
                 for j in range(len(source))
             ))
 
@@ -567,14 +586,10 @@ def buchberger(
             message = f"coefficient budget {_MAX_COEFF_BITS} bits exceeded ({bits} bits)"
             raise BudgetExceededError(message, partial_basis())
         if track:
-            mono_i = Polynomial.monomial(pk.unpack(shift_i), 1, Domain.RAT)
-            mono_j = Polynomial.monomial(pk.unpack(shift_j), 1, Domain.RAT)
-            base = tuple(
-                mono_i * a - mono_j * b for a, b in zip(combos[i], combos[j])
-            )
+            mono_i, mono_j = ({pk.unpack(shift_i): 1}, 1), ({pk.unpack(shift_j): -1}, 1)
+            base = [[(mono_i, a), (mono_j, b)] for a, b in zip(combos[i], combos[j])]
             quotients = _quotients(reduction, len(table), pk)
-            inv = 1 / remainder[lm]
-            combos.append(tuple(c * inv for c in _combo_update(base, quotients, combos, nvars)))
+            combos.append(_combo_update(base, quotients, combos, 1 / remainder[lm]))
         add(form)
 
     return _finalize(table, combos, pk, source, steps, track, reduced=True)
@@ -582,7 +597,7 @@ def buchberger(
 
 def _finalize(
     table: list[tuple[int, _Terms, int, Exponent]],
-    combos: list[tuple[Polynomial, ...]],
+    combos: list[tuple[_Form, ...]],
     pk: _Packing,
     source: tuple[Polynomial, ...],
     steps: int,
@@ -607,7 +622,8 @@ def _finalize(
             kept.append(t)
 
     entries: list[_Entry] = []
-    kept_combos: list[tuple[Polynomial, ...]] = []
+    kept_combos: list[tuple[_Form, ...]] = []
+    one = ({(0,) * nvars: 1}, 1)
     for t in kept:
         _, form, a, lm = table[t]
         monic = {pk.unpack(u): Fraction(c, a) for u, c in form.items()}
@@ -616,9 +632,10 @@ def _finalize(
         if entries[-1].degree <= pk.limit:  # hand the table out packed where it fits
             entries[-1].at(pk)
         if track:
-            kept_combos.append(_combo_update(combos[t], quotients, kept_combos, nvars))
+            kept_combos.append(_combo_update([[(c, one)] for c in combos[t]], quotients, kept_combos))
     generators = tuple(_poly(nvars, e.terms) for e in entries)
-    basis = GroebnerBasis(generators, order, reduced, source, tuple(kept_combos) if track else None, steps)
+    cofactors = tuple(tuple(_from_form(nvars, Domain.RAT, c) for c in combo) for combo in kept_combos)
+    basis = GroebnerBasis(generators, order, reduced, source, cofactors if track else None, steps)
     basis.__dict__["_divisors"] = tuple(entries)  # seed the cached table, packed
     return basis
 
@@ -658,10 +675,15 @@ def ideal_membership(
     elements are genuine ideal members); it cannot certify NON_MEMBER, so
     that collapses to UNKNOWN with ``basis_complete=False``.  The basis is
     computed once per generators, order and budget; the cofactor check runs
-    on every call.
+    on every call.  Both the cofactor assembly, sum q_i * combo_i over the
+    quotients and the basis elements' cofactors, and the re-expansion
+    against the generators are integer sums of products
+    (:func:`~semiring_lab.polynomials._sum_of_products`).  A query whose
+    variable count differs from the generators' raises ArityError, also
+    against the zero ideal.
     """
-    p = _to_rat(p)
     gb = _tracked_basis(tuple(gens), order, budget)
+    p = gb._query(p)
     if not gb.generators:
         # zero ideal: only the zero polynomial belongs
         if p.is_zero:
@@ -673,18 +695,15 @@ def ideal_membership(
         return MembershipCertificate(MembershipStatus.NON_MEMBER, basis_complete=gb.reduced)
     remainder, quotients = gb.normal_form_with_quotients(p)
     if remainder.is_zero:
-        cof = [Polynomial.zero(p.nvars, Domain.RAT) for _ in gens]
-        for q, combo in zip(quotients, gb.cofactors):
-            if q.is_zero:
-                continue
-            cof = [a + q * b for a, b in zip(cof, combo)]
-        check = Polynomial.zero(p.nvars, Domain.RAT)
-        for c, g in zip(cof, gb.source):
-            check = check + c * g
-        if check != p:
+        used = [(_form(q), combo) for q, combo in zip(quotients, gb.cofactors) if q]
+        cof = [_sum_of_products((q, _form(combo[j])) for q, combo in used) for j in range(len(gens))]
+        check = _sum_of_products(zip(cof, map(_form, gb.source)))
+        if _from_form(p.nvars, Domain.RAT, check) != p:
             raise RuntimeError("internal certificate check failed: cofactor expansion mismatch")
         return MembershipCertificate(
-            MembershipStatus.MEMBER, cofactors=tuple(cof), basis_complete=gb.reduced
+            MembershipStatus.MEMBER,
+            cofactors=tuple(_from_form(p.nvars, Domain.RAT, c) for c in cof),
+            basis_complete=gb.reduced,
         )
     if gb.reduced:
         return MembershipCertificate(MembershipStatus.NON_MEMBER)

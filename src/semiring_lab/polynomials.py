@@ -30,6 +30,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
+_Form = tuple[dict, int]  # integer form: integer terms over a positive denominator
 
 
 class DomainError(ValueError):
@@ -98,6 +99,48 @@ def _integral(terms: dict) -> tuple[dict, int]:
     """Rational ``terms`` as integer terms over the lcm of their denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {u: c.numerator * (den // c.denominator) for u, c in terms.items()}, den
+
+
+def _sum_of_products(pairs: Iterable[tuple[_Form, _Form]]) -> _Form:
+    """The sum of a_i * b_i over integer forms, as one integer form.
+
+    An integer form ``(terms, den)`` is the polynomial terms/den.  The
+    result's denominator D is the lcm of the products' denominators.  Each
+    a_i term, scaled by D / (den(a_i) * den(b_i)), is multiplied by each b_i
+    term into one dict, in place: no intermediate sum is built, and a
+    coefficient that cancels to zero is dropped.  This is the package's one
+    product loop.  The operands are only read.
+    """
+    pairs = list(pairs)
+    den = lcm(*(da * db for (_, da), (_, db) in pairs))
+    out: dict[Exponent, int] = {}
+    for (p, dp), (q, dq) in pairs:
+        f = den // (dp * dq)
+        for u, a in p.items():
+            if f != 1:
+                a *= f
+            for v, b in q.items():
+                w = tuple(map(add, u, v))
+                s = out.get(w, 0) + a * b
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+    return out, den
+
+
+def _form(p: Polynomial) -> _Form:
+    """``p`` as an integer form; off Q it shares p's dict over denominator 1."""
+    return _integral(p._terms) if p.domain is Domain.RAT else (p._terms, 1)
+
+
+def _from_form(nvars: int, domain: Domain, form: _Form) -> Polynomial:
+    """The polynomial of a fresh integer form whose value fits ``domain``;
+    takes the dict over, like :meth:`Polynomial._raw`."""
+    terms, den = form
+    if domain is Domain.RAT:
+        terms = {u: Fraction(c, den) for u, c in terms.items()}
+    return Polynomial._raw(nvars, domain, terms)
 
 
 @dataclass(frozen=True)
@@ -301,33 +344,18 @@ class Polynomial:
     def __mul__(self, other: Polynomial | int | Fraction) -> Polynomial:
         """Product; a scalar operand scales.
 
-        Over Q the loop multiplies integers: each operand is taken as its
-        integer numerators over the lcm of its denominators, dp and dq, and
-        each nonzero coefficient of the integer product becomes a
-        ``Fraction`` over dp*dq once, at the end.  A sum cancels exactly
-        when its ``Fraction`` counterpart does, so the terms, and their
-        order, are those of the same loop run on the ``Fraction``s.
+        The product is :func:`_sum_of_products` of the one pair of integer
+        forms: over Q each operand is taken as its integer numerators over
+        the lcm of its denominators, dp and dq, and each nonzero coefficient
+        of the integer product becomes a ``Fraction`` over dp*dq once, at the
+        end.  A sum cancels exactly when its ``Fraction`` counterpart does,
+        so the terms, and their order, are those of the same loop run on the
+        ``Fraction``s.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        p, q = self._terms, other._terms
-        rat = self.domain is Domain.RAT
-        if rat:
-            (p, dp), (q, dq) = _integral(p), _integral(q)
-        out: dict[Exponent, int | Fraction] = {}
-        for u, a in p.items():
-            for v, b in q.items():
-                w = tuple(map(add, u, v))
-                s = out.get(w, 0) + a * b
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        if rat:
-            d = dp * dq
-            out = {w: Fraction(c, d) for w, c in out.items()}
-        return Polynomial._raw(self.nvars, self.domain, out)
+        return _from_form(self.nvars, self.domain, _sum_of_products([(_form(self), _form(other))]))
 
     __rmul__ = __mul__
 
@@ -381,7 +409,11 @@ class Polynomial:
         """Replace variable i by images[i]; fully expanded and normalized.
 
         The images must share one ambient ring; the result lives there, and
-        the coefficients of self must fit the images' domain.
+        the coefficients of self must fit the images' domain.  The expansion
+        is one integer :func:`_sum_of_products`: each power of an image that
+        a term uses is made once per call, by squaring, as an integer form,
+        and each term c*X^e of self contributes the pair (c times all its
+        powers but the last, the last power).
         """
         if len(images) != self.nvars:
             raise ArityError(f"{len(images)} images supplied for {self.nvars} variables")
@@ -391,22 +423,29 @@ class Polynomial:
         for g in images:
             if g.nvars != ambient_nvars or g.domain is not ambient_domain:
                 raise DomainError("images do not share a common ambient ring")
-        result = Polynomial.zero(ambient_nvars, ambient_domain)
-        powers: list[dict[int, Polynomial]] = [{} for _ in images]
+        powers: list[dict[int, _Form]] = [{} for _ in images]
 
-        def power(i: int, e: int) -> Polynomial:
+        def power(i: int, e: int) -> _Form:
             cache = powers[i]
             if e not in cache:
-                cache[e] = images[i] ** e
+                if e == 1:
+                    cache[e] = _form(images[i])
+                else:
+                    half = power(i, e >> 1)
+                    square = _sum_of_products([(half, half)])
+                    cache[e] = _sum_of_products([(square, power(i, 1))]) if e & 1 else square
             return cache[e]
 
+        const = (0,) * ambient_nvars
+        pairs = []
         for exp, coeff in sorted(self._terms.items()):
-            term = Polynomial.constant(ambient_nvars, ambient_domain.coerce(coeff), ambient_domain)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
-        return result
+            c = ambient_domain.coerce(coeff)
+            *factors, last = [power(i, e) for i, e in enumerate(exp) if e] or [({const: 1}, 1)]
+            head = ({const: c.numerator}, c.denominator)
+            for f in factors:
+                head = _sum_of_products([(head, f)])
+            pairs.append((head, last))
+        return _from_form(ambient_nvars, ambient_domain, _sum_of_products(pairs))
 
     def differentiate(self, index: int) -> Polynomial:
         """Partial derivative with respect to variable ``index``."""
@@ -424,9 +463,17 @@ class Polynomial:
     # -- domain changes and ring embeddings --------------------------------
 
     def as_domain(self, domain: Domain) -> Polynomial:
-        """Re-tag the coefficients, checking they fit the target domain."""
+        """Re-tag the coefficients, checking they fit the target domain.
+
+        Widening (NAT to INT, NAT or INT to RAT) cannot fail and takes the
+        trusted constructor; narrowing validates every coefficient.
+        """
         if domain is self.domain:
             return self
+        if domain is Domain.RAT:
+            return Polynomial._raw(self.nvars, domain, {u: Fraction(c) for u, c in self._terms.items()})
+        if self.domain is Domain.NAT:
+            return Polynomial._raw(self.nvars, domain, dict(self._terms))
         return Polynomial(self.nvars, domain, self._terms)
 
     def embed(self, nvars: int, offset: int = 0) -> Polynomial:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from semiring_lab import semiring
-from semiring_lab.polynomials import Domain, Exponent, Polynomial, mono_mul
+from semiring_lab.polynomials import ArityError, Domain, DomainError, Exponent, Polynomial, mono_mul
 from semiring_lab.semiring import Budget, EquivalenceAnswer, Presentation, Separator, Step, Tri
 
 
@@ -177,6 +177,72 @@ def jacobian_determinant(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.nvars != 2 or q.nvars != 2:
         raise ValueError("jacobian oracle is for two variables")
     return p.differentiate(0) * q.differentiate(1) - p.differentiate(1) * q.differentiate(0)
+
+
+def add_product(out: dict, p: dict, q: dict, sign: int = 1) -> dict:
+    """out += sign * p * q on term dicts, term by term in the coefficients'
+    own arithmetic, dropping each sum that cancels to zero."""
+    for u, a in p.items():
+        for v, b in q.items():
+            w = mono_mul(u, v)
+            s = out.get(w, 0) + sign * a * b
+            if s == 0:
+                out.pop(w, None)
+            else:
+                out[w] = s
+    return out
+
+
+def reference_substitute(p: Polynomial, images: list[Polynomial]) -> Polynomial:
+    """``p.substitute(images)`` as a term-by-term loop: each term of p is
+    built as its coefficient times the image powers (each power by repeated
+    multiplication) and added to the running sum, all on ``Fraction`` term
+    dicts.  The argument checks, their order and their messages are those
+    of the library method."""
+    if len(images) != p.nvars:
+        raise ArityError(f"{len(images)} images supplied for {p.nvars} variables")
+    if not images:
+        raise ArityError("substitution needs at least one variable")
+    nvars, domain = images[0].nvars, images[0].domain
+    for g in images:
+        if g.nvars != nvars or g.domain is not domain:
+            raise DomainError("images do not share a common ambient ring")
+    one = {(0,) * nvars: Fraction(1)}
+    total: dict = {}
+    for exp, coeff in sorted(p._terms.items()):
+        term = {(0,) * nvars: Fraction(domain.coerce(coeff))}
+        for g, e in zip(images, exp):
+            power = one
+            for _ in range(e):
+                power = add_product({}, power, g._terms)
+            term = add_product({}, term, power)
+        add_product(total, term, one)
+    return Polynomial(nvars, domain, total)
+
+
+def reference_combo_update(
+    base: list[Polynomial], quotients: list[dict], combos: list[tuple[Polynomial, ...]]
+) -> tuple[Polynomial, ...]:
+    """The cofactors of b - sum q_i * basis_i, given b's cofactors ``base``
+    and the basis elements' ``combos``: each nonzero quotient q_i (a
+    ``Fraction`` term dict) subtracts q_i * combo_i from every cofactor, one
+    quotient after the other, on ``Fraction`` term dicts."""
+    out = [dict(b._terms) for b in base]
+    for q, combo in zip(quotients, combos):
+        if q:
+            out = [add_product(dict(a), q, b._terms, -1) for a, b in zip(out, combo)]
+    return tuple(Polynomial(b.nvars, Domain.RAT, a) for a, b in zip(out, base))
+
+
+def reference_cofactors(
+    quotients: tuple[Polynomial, ...], combos: tuple[tuple[Polynomial, ...], ...], nvars: int
+) -> tuple[Polynomial, ...]:
+    """The cofactors sum q_i * combo_i of an ideal member with basis quotients
+    q_i, on ``Fraction`` term dicts, one quotient after the other."""
+    zero = Polynomial.zero(nvars, Domain.RAT)
+    base = [zero for _ in (combos[0] if combos else ())]
+    negated = [{u: -c for u, c in q._terms.items()} for q in quotients]
+    return reference_combo_update(base, negated, combos)
 
 
 def semigroup_within_box(generators, box: int, nvars: int | None = None) -> set:

@@ -1,5 +1,6 @@
 """Groebner engine: canonical bases, certificates, elimination, budgets."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -12,6 +13,7 @@ import sympy
 from semiring_lab import groebner
 from semiring_lab.abhyankar import AbhyankarContext
 from semiring_lab.polynomials import (
+    ArityError,
     Domain,
     GRLEX,
     LEX,
@@ -38,11 +40,14 @@ from semiring_lab.groebner import (
     tag_ring_generators,
 )
 from tests.oracles import (
+    add_product,
     closed_form_generator,
     ideal_membership_by_linear_algebra,
     ideal_memberships_by_linear_algebra,
     jacobian_determinant,
     random_poly,
+    reference_cofactors,
+    reference_combo_update,
 )
 
 T = t_names(2)
@@ -609,6 +614,115 @@ def test_membership_cofactors_expand_to_query_randomized():
             expansion = expansion + c * g.as_domain(Domain.RAT)
         assert expansion == member.as_domain(Domain.RAT)
         checked += 1
+
+
+def _random_ideals(rng: random.Random, count: int) -> list[tuple[list[Polynomial], MonomialOrder]]:
+    out = []
+    while len(out) < count:
+        nvars = rng.randint(2, 3)
+        domain = rng.choice([Domain.INT, Domain.RAT])
+        gens_list = [
+            random_poly(rng, nvars, domain, max_terms=3, max_exp=3, max_coeff=6) for _ in range(rng.randint(1, 3))
+        ]
+        if any(gens_list):
+            out.append((gens_list, rng.choice([GRLEX, LEX, elimination(1)])))
+    return out
+
+
+def test_tracked_cofactors_match_reference_loop(gens, monkeypatch):
+    kernel = groebner._combo_update
+    seen = {"calls": 0, "quotients": 0, "scaled": 0, "nvars": 0}
+
+    def terms(form):
+        ints, den = form
+        return {u: Fraction(c, den) for u, c in ints.items()}
+
+    def sum_of(pairs):
+        out = {}
+        for a, b in pairs:
+            add_product(out, terms(a), terms(b))
+        return out
+
+    def checked(base, quotients, combos, scale=1):
+        result = kernel(base, quotients, combos, scale)
+        nvars = seen["nvars"]
+        poly = lambda form: Polynomial(nvars, Domain.RAT, terms(form))  # noqa: E731
+        sums = [Polynomial(nvars, Domain.RAT, sum_of(pairs)) for pairs in base]
+        expected = reference_combo_update(sums, quotients, [tuple(map(poly, combo)) for combo in combos])
+        assert tuple(map(poly, result)) == tuple(e.scale(scale) for e in expected)
+        assert all(math.gcd(den, *ints.values()) == 1 for ints, den in result)
+        seen["calls"] += 1
+        seen["quotients"] += any(quotients)
+        seen["scaled"] += scale != 1
+        return result
+
+    monkeypatch.setattr(groebner, "_combo_update", checked)
+    budget = GroebnerBudget(max_degree=12, max_steps=40)
+    tags = tag_ring_generators([gens[n].as_domain(Domain.RAT) for n in range(2, 6)])
+    ideals = [(list(tags), elimination(2)), *_random_ideals(random.Random(f"{SEED}:combos"), 150)]
+    for gens_list, order in ideals:
+        seen["nvars"] = gens_list[0].nvars
+        try:
+            gb = buchberger(gens_list, order, budget, track=True)
+        except BudgetExceededError as exc:
+            gb = exc.partial
+        source = [g.as_domain(Domain.RAT) for g in gens_list]
+        for g, combo in zip(gb.generators, gb.cofactors):
+            assert sum((c * s for c, s in zip(combo, source)), Polynomial.zero(g.nvars, Domain.RAT)) == g
+    assert seen["calls"] >= 300 and seen["quotients"] >= 60 and seen["scaled"] >= 100
+
+
+def test_membership_cofactors_match_reference_loop():
+    rng = random.Random(f"{SEED}:cofactors")
+    budget = GroebnerBudget(max_degree=12, max_steps=40)
+    members = 0
+    for gens_list, order in _random_ideals(rng, 40):
+        gb = groebner._tracked_basis(tuple(gens_list), order, budget)
+        nvars = gens_list[0].nvars
+        for _ in range(3):
+            target = Polynomial.zero(nvars, Domain.RAT)
+            for g in gens_list:
+                target = target + random_poly(rng, nvars, Domain.RAT, max_terms=2, max_exp=2, max_coeff=4) * g.as_domain(Domain.RAT)
+            cert = ideal_membership(target, gens_list, order, budget)
+            if cert.status is not MembershipStatus.MEMBER or not gb.generators:
+                continue
+            _, quotients = gb.normal_form_with_quotients(target)
+            assert cert.cofactors == reference_cofactors(quotients, gb.cofactors, nvars)
+            members += not target.is_zero
+    assert members >= 60
+
+
+def test_zero_ideal_checks_the_query_arity():
+    zero2 = Polynomial.zero(2, Domain.INT)
+    for query in (Polynomial.variable(3, 0, Domain.INT), Polynomial.zero(3, Domain.INT)):
+        for gens_list in ([zero2], [zero2, zero2], [Polynomial.variable(2, 0, Domain.INT)]):
+            with pytest.raises(ArityError, match="polynomial has 3 variables, basis has 2"):
+                ideal_membership(query, gens_list)
+
+
+def test_substitution_mismatch_is_caught(gens, monkeypatch):
+    g = tuple(gens[n] for n in range(2, 5))
+    h = gens[2] * gens[3]
+    assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
+    normal_form = GroebnerBasis.normal_form
+
+    def corrupted(self, p):  # a tag-only, so T-free, term too many
+        return normal_form(self, p) + Polynomial.variable(p.nvars, p.nvars - 1, Domain.RAT)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", corrupted)
+    with pytest.raises(RuntimeError, match="substitution mismatch"):
+        subalgebra_membership(h, g)
+
+
+def test_cofactor_expansion_mismatch_is_caught(monkeypatch):
+    gens_list = [p2("T1*T2 - 1"), p2("T1^3")]
+    gb = groebner._tracked_basis(tuple(gens_list), GRLEX, GroebnerBudget())
+    assert ideal_membership(p2("T2"), gens_list).status is MembershipStatus.MEMBER
+    (first, *rest), *others = gb.cofactors
+    corrupt = dataclasses.replace(gb, cofactors=((first + p2("T1"), *rest), *others))
+    monkeypatch.setattr(groebner, "_tracked_basis", lambda *args: corrupt)
+    with pytest.raises(RuntimeError, match="cofactor expansion mismatch"):
+        ideal_membership(p2("T2"), gens_list)
 
 
 def test_membership_basis_is_computed_once_per_generators(monkeypatch):

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from semiring_lab.polynomials import (
@@ -25,7 +26,7 @@ from semiring_lab.polynomials import (
     t_names,
     x_names,
 )
-from tests.oracles import random_point, random_poly
+from tests.oracles import random_point, random_poly, reference_substitute
 
 T = t_names(2)
 
@@ -296,6 +297,86 @@ def test_substitution_can_change_ambient_ring():
     assert p.substitute([image]) == p_int("T1^2*T2^2 + 1")
 
 
+def _outcome(call):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ArityError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def test_substitution_matches_termwise_reference_randomized():
+    rng = random.Random(SEMIRING_SEED + 4)
+    x2 = x_names(3)
+    r2 = lambda text: parse_poly(text, T, Domain.RAT)  # noqa: E731
+    fixed = [  # cancellation to zero, mixed denominators, the zero polynomial, constants
+        (parse_poly("X2^2 - X3", x2, Domain.INT), [p_int("T1 - 2*T2"), p_int("T1^2 - 4*T1*T2 + 4*T2^2")]),
+        (parse_poly("X2*X3 - 1", x2, Domain.RAT), [r2("2/3*T1"), r2("3/2*T2^4")]),
+        (parse_poly("1/2*X2^4 + 5/6*X3^3", x2, Domain.RAT), [r2("1/3*T1 - 1/4"), r2("3/5*T2 + 1/9")]),
+        (Polynomial.zero(2, Domain.INT), [p_int("T1"), p_int("T2")]),
+        (Polynomial.constant(2, -7, Domain.INT), [Polynomial.zero(2, Domain.INT), p_int("T2")]),
+        (parse_poly("X2^3 + 2", x2, Domain.NAT), [Polynomial.zero(2, Domain.NAT), p_nat("T1")]),
+    ]
+    for p, images in fixed:
+        expected = reference_substitute(p, images)
+        assert p.substitute(images) == expected
+        _assert_valid(p.substitute(images))
+    assert fixed[0][0].substitute(fixed[0][1]).is_zero
+    assert fixed[1][0].substitute(fixed[1][1]) == r2("T1*T2^4 - 1")
+    cancelled = errors = mixed = 0
+    for own in (Domain.NAT, Domain.INT, Domain.RAT):
+        for ambient in (Domain.NAT, Domain.INT, Domain.RAT):
+            for _ in range(80):
+                nvars, ambient_nvars = rng.randint(1, 3), rng.randint(1, 3)
+                p = random_poly(rng, nvars, own, max_terms=5, max_exp=4, max_coeff=4)
+                images = [random_poly(rng, ambient_nvars, ambient, max_terms=3, max_exp=2, max_coeff=3)
+                          for _ in range(nvars)]
+                if rng.random() < 0.2:  # equal images make the terms of p cancel
+                    images = [images[0]] * nvars
+                got = _outcome(lambda: p.substitute(images))
+                assert got == _outcome(lambda: reference_substitute(p, images)), (p, images)
+                if isinstance(got, Polynomial):
+                    _assert_valid(got)
+                    cancelled += got.is_zero and not p.is_zero
+                    if ambient is Domain.RAT:
+                        mixed += len({c.denominator for g in images for c in g._terms.values()}) > 2
+                else:
+                    errors += 1
+    assert cancelled >= 20 and errors >= 100 and mixed >= 20
+    # the argument checks keep their messages
+    assert _outcome(lambda: p_int("T1").substitute([p_int("T1")])) == (
+        ArityError, "1 images supplied for 2 variables")
+    assert _outcome(lambda: Polynomial.zero(0, Domain.INT).substitute([])) == (
+        ArityError, "substitution needs at least one variable")
+    assert _outcome(lambda: p_int("T1").substitute([p_int("T1"), p_nat("T2")])) == (
+        DomainError, "images do not share a common ambient ring")
+    assert _outcome(lambda: p_int("-2*T1 + 3*T2").substitute([p_nat("T1"), p_nat("T2")])) == (
+        DomainError, "negative coefficient -2 not allowed in natural-number domain")
+    assert _outcome(lambda: r2("1/2*T1 + 1/3*T2").substitute([p_int("T1"), p_int("T2")])) == (
+        DomainError, "Fraction(1, 3) is not an integer, cannot live in integer coefficients")
+
+
+def test_substitution_agrees_with_sympy():
+    rng = random.Random(SEMIRING_SEED + 5)
+    syms = sympy.symbols("x0:3")
+
+    def expr(p: Polynomial):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.prod([s**e for s, e in zip(syms, u)])
+             for u, c in p._terms.items()),
+            sympy.Integer(0),
+        )
+
+    for _ in range(25):
+        p = random_poly(rng, 3, Domain.RAT, max_terms=4, max_exp=3, max_coeff=5)
+        images = [random_poly(rng, 3, Domain.RAT, max_terms=3, max_exp=2, max_coeff=5) for _ in range(3)]
+        substituted = sympy.expand(expr(p).subs(dict(zip(syms, map(expr, images))), simultaneous=True))
+        terms = {
+            u: Fraction(int(c.p), int(c.q)) for u, c in sympy.Poly(substituted, *syms).terms() if c != 0
+        }
+        assert p.substitute(images) == Polynomial(3, Domain.RAT, terms)
+
+
 def test_differentiate():
     p = p_int("2*T1*T2^2 - T2")
     assert p.differentiate(0) == p_int("2*T2^2")
@@ -314,6 +395,24 @@ def test_as_domain_roundtrip_and_failure():
         p_int("T1 - T2").as_domain(Domain.NAT)
     r = p_int("T1").as_domain(Domain.RAT)
     assert r.coefficient((1, 0)) == Fraction(1)
+
+
+def test_widening_takes_the_trusted_path(monkeypatch):
+    rng = random.Random(SEMIRING_SEED + 6)
+    polys = [random_poly(rng, 2, domain) for domain in (Domain.NAT, Domain.INT) for _ in range(30)]
+    monkeypatch.setattr(Domain, "coerce", lambda self, value: pytest.fail("widening validated"))
+    widened = [(p, p.as_domain(target)) for p in polys for target in (Domain.INT, Domain.RAT)]
+    monkeypatch.undo()
+    for p, wide in widened:
+        _assert_valid(wide)
+        assert wide == Polynomial(p.nvars, wide.domain, p._terms)
+        assert wide.as_domain(p.domain) == p
+        assert wide._terms is not p._terms or wide is p
+    # narrowing still validates, with the same messages
+    with pytest.raises(DomainError, match="negative coefficient -1 not allowed"):
+        parse_poly("T1 - T2", T, Domain.RAT).as_domain(Domain.NAT)
+    with pytest.raises(DomainError, match=r"Fraction\(1, 2\) is not an integer"):
+        parse_poly("1/2*T1", T, Domain.RAT).as_domain(Domain.INT)
 
 
 def test_embed_and_project_are_inverse_on_block():
