@@ -29,6 +29,7 @@ On top of the verified context:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -60,6 +61,18 @@ class NotInSubringError(ValueError):
     """The polynomial could not be certified as a subring element."""
 
 
+def _recurrence(n: int) -> Iterator[Polynomial]:
+    """Yield f_2, ..., f_n, fully expanded over Z[T1,T2], from one pass of
+    the recurrence; a caller that keeps only the last holds one at a time."""
+    t2 = Polynomial.variable(2, 1, Domain.INT)
+    one = Polynomial.one(2, Domain.INT)
+    f = Polynomial.variable(2, 0, Domain.INT) * t2
+    yield f
+    for m in range(2, n):
+        f = (f * m - one) * t2
+        yield f
+
+
 def generator(n: int) -> Polynomial:
     """The n-th subring generator, fully expanded over Z[T1,T2].
 
@@ -67,12 +80,8 @@ def generator(n: int) -> Polynomial:
     """
     if n < 2:
         raise ValueError(f"generators start at n = 2, got {n}")
-    t1 = Polynomial.variable(2, 0, Domain.INT)
-    t2 = Polynomial.variable(2, 1, Domain.INT)
-    one = Polynomial.one(2, Domain.INT)
-    f = t1 * t2
-    for m in range(2, n):
-        f = (f * m - one) * t2
+    for f in _recurrence(n):
+        pass
     return f
 
 
@@ -127,7 +136,7 @@ class AbhyankarContext:
     def build(k: int = 6, budget: GroebnerBudget = GroebnerBudget()) -> "AbhyankarContext":
         if k < 2:
             raise ValueError(f"truncation must be at least 2, got {k}")
-        gens = tuple(generator(n) for n in range(2, k + 1))
+        gens = tuple(_recurrence(k))
         point = tuple(Fraction(1, n) for n in range(2, k + 1))
         result = relation_ideal(gens, budget)
         report = WellDefinednessReport(

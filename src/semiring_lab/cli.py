@@ -21,13 +21,12 @@ its position), for inputs over a size limit checked before any work starts,
 and for coefficients too long to print.
 
 Budgets come from flags (``--deg``, ``--coeff``, ``--steps``, ``--box``,
-``--k``), with defaults deg 8, coeff 64, steps 50000, box 6, k 6.  Each
+``--k``) alone, with defaults deg 8, coeff 64, steps 50000, box 6, k 6;
+each flag's type checks its range while the arguments are parsed.  Each
 subcommand takes only the budget flags its handler reads: ``--deg --steps``
 for a Groebner budget, ``--deg --coeff --steps`` for a semiring budget,
 ``--box`` for a cone scan and ``--k`` for a context; any other budget flag
-is a usage error.  The environment variable ``SEMIRING_LAB_BUDGET``
-overrides the defaults of every subcommand with a comma-separated list such
-as ``deg=10,steps=80000``, and is checked as a whole; explicit flags win.
+is a usage error.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import argparse
 import json
 import math
 import operator
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -93,7 +91,6 @@ from .semiring import (
 )
 
 SCHEMA_ID = "semiring-lab/report-v1"
-ENV_VAR = "SEMIRING_LAB_BUDGET"
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -132,44 +129,13 @@ _BUDGET_HELP = {
     "box": "cone box bound",
     "k": "truncation level",
 }
-# the budget flags of each kind, as RunConfig's budget properties read them
+# the budget flags of each kind, as _groebner_budget and _semiring_budget read them
 _GROEBNER = ("deg", "steps")
 _SEMIRING = ("deg", "coeff", "steps")
 
 
 class UsageError(Exception):
     """Bad flags, malformed input, unreadable files: exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated budgets and modes for one run, named after their flags."""
-
-    deg: int
-    coeff: int
-    steps: int
-    box: int
-    k: int
-    json_mode: bool
-    strict: bool
-
-    def __post_init__(self):
-        for name in ("deg", "coeff", "steps", "k"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise UsageError(f"budget --{name} must be positive, got {value}")
-        if self.box < 0:
-            raise UsageError(f"--box must be nonnegative, got {self.box}")
-        if self.k < 2:
-            raise UsageError(f"--k must be at least 2, got {self.k}")
-
-    @property
-    def groebner_budget(self) -> GroebnerBudget:
-        return GroebnerBudget(max_degree=self.deg, max_steps=self.steps)
-
-    @property
-    def semiring_budget(self) -> Budget:
-        return Budget(max_degree=self.deg, max_coeff=self.coeff, max_steps=self.steps)
 
 
 @dataclass(frozen=True)
@@ -195,6 +161,14 @@ class HandlerResult:
                     )
             elif not self.certificates:
                 raise RuntimeError(f"verdict {name} lacks a certificate")
+
+
+def _groebner_budget(args) -> GroebnerBudget:
+    return GroebnerBudget(max_degree=args.deg, max_steps=args.steps)
+
+
+def _semiring_budget(args) -> Budget:
+    return Budget(max_degree=args.deg, max_coeff=args.coeff, max_steps=args.steps)
 
 
 def _computed(certificate: str, text: str) -> HandlerResult:
@@ -270,8 +244,10 @@ def _parse_assignment(text: str) -> EvalHom:
         raise UsageError(f"cannot parse assignment {text!r}: {exc}") from exc
 
 
-def _cone_from_args(args, config: RunConfig):
+def _cone_from_args(args):
     """The cone of the --assign evaluation or the --relations presentation."""
+    if args.assign and args.relations:
+        raise UsageError("supply only one of --assign and --relations")
     if args.assign:
         structure = _parse_assignment(args.assign)
     elif args.relations:
@@ -280,16 +256,19 @@ def _cone_from_args(args, config: RunConfig):
         raise UsageError(
             "supply --assign for an evaluation target or --relations for a presentation"
         )
-    return cone_enumerate(structure, config.box, config.semiring_budget)
+    return cone_enumerate(structure, args.box, _semiring_budget(args))
 
 
 _DOMAINS = {"nat": Domain.NAT, "int": Domain.INT, "rat": Domain.RAT}
 _OPERATIONS = {"add": ("+", operator.add), "sub": ("-", operator.sub), "mul": ("*", operator.mul)}
 
 # `abhyankar generator --n 1000` takes about 0.6 s, and its coefficients (up
-# to 2,565 digits) still print; `abhyankar nonext --nmax 100000` about 0.5 s
+# to 2,565 digits) still print; `abhyankar nonext --nmax 100000` about 0.5 s.
+# `abhyankar verify --evidence` runs the same recurrence, so it shares the
+# generator limit; `abhyankar verify --k 100` takes about 0.7 s at --deg 8
 _MAX_GENERATOR_INDEX = 1000
 _MAX_NONEXT_LEVEL = 10**5
+_MAX_TRUNCATION = 100
 
 # the largest power `poly pow` builds, predicted before it starts: a 10,000-term
 # result takes about a second, and 10,000-bit coefficients still print
@@ -326,7 +305,7 @@ def _check_pow_size(a: Polynomial, exponent: int) -> None:
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _handle_poly(args, config: RunConfig) -> HandlerResult:
+def _handle_poly(args) -> HandlerResult:
     domain = _DOMAINS[args.domain]
     names = t_names(args.nvars)
     a = _parse_word(args.a, names, domain)
@@ -361,10 +340,10 @@ def _handle_poly(args, config: RunConfig) -> HandlerResult:
     return _computed(f"({format_poly(a)}) {symbol} ({format_poly(b)}) = {text}", text)
 
 
-def _handle_groebner_basis(args, config: RunConfig) -> HandlerResult:
+def _handle_groebner_basis(args) -> HandlerResult:
     gens = _read_poly_file(args.ideal, args.nvars, Domain.RAT)
     try:
-        gb = buchberger(gens, MonomialOrder(args.order), config.groebner_budget)
+        gb = buchberger(gens, MonomialOrder(args.order), _groebner_budget(args))
         complete = True
     except BudgetExceededError as exc:
         gb = exc.partial
@@ -385,10 +364,10 @@ def _handle_groebner_basis(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_groebner_member(args, config: RunConfig) -> HandlerResult:
+def _handle_groebner_member(args) -> HandlerResult:
     gens = _read_poly_file(args.ideal, args.nvars, Domain.RAT)
     target = _parse_word(args.poly, t_names(args.nvars), Domain.RAT)
-    cert = ideal_membership(target, gens, budget=config.groebner_budget)
+    cert = ideal_membership(target, gens, budget=_groebner_budget(args))
     if cert.status is MembershipStatus.MEMBER:
         combo = " + ".join(
             f"({format_poly(c)})*({format_poly(g)})"
@@ -413,9 +392,9 @@ def _handle_groebner_member(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_groebner_relations(args, config: RunConfig) -> HandlerResult:
+def _handle_groebner_relations(args) -> HandlerResult:
     gens = _read_poly_file(args.gens, args.nvars, Domain.INT)
-    result = relation_ideal(gens, config.groebner_budget)
+    result = relation_ideal(gens, _groebner_budget(args))
     names = x_names(len(gens) + 1)
     lines = [format_poly(r, names) for r in result.relations]
     verdict = "complete" if result.complete else "partial"
@@ -432,10 +411,10 @@ def _handle_groebner_relations(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_groebner_submember(args, config: RunConfig) -> HandlerResult:
+def _handle_groebner_submember(args) -> HandlerResult:
     gens = _read_poly_file(args.gens, args.nvars, Domain.INT)
     target = _parse_word(args.poly, t_names(args.nvars), Domain.RAT)
-    cert = subalgebra_membership(target, gens, config.groebner_budget)
+    cert = subalgebra_membership(target, gens, _groebner_budget(args))
     names = x_names(len(gens) + 1)
     if cert.status is MembershipStatus.MEMBER:
         rep = format_poly(cert.representation, names)
@@ -502,23 +481,23 @@ def _tri_handler(name: str, answer, pres, lhs=None) -> HandlerResult:
     return _unknown(name, "budget exhausted before a derivation or separator appeared", "unknown")
 
 
-def _handle_presentation_equal(args, config: RunConfig) -> HandlerResult:
+def _handle_presentation_equal(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
     lhs = _parse_word(args.a, t_names(args.nvars), Domain.NAT)
     rhs = _parse_word(args.b, t_names(args.nvars), Domain.NAT)
-    cc = congruence_close(pres, config.semiring_budget)
+    cc = congruence_close(pres, _semiring_budget(args))
     return _tri_handler("equivalent", words_equivalent(lhs, rhs, cc), pres, lhs)
 
 
-def _handle_presentation_idempotent(args, config: RunConfig) -> HandlerResult:
+def _handle_presentation_idempotent(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
-    answer = is_add_idempotent(pres, config.semiring_budget)
+    answer = is_add_idempotent(pres, _semiring_budget(args))
     return _tri_handler("idempotent", answer, pres, pres.one + pres.one)
 
 
-def _handle_presentation_cancellative(args, config: RunConfig) -> HandlerResult:
+def _handle_presentation_cancellative(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
-    report = is_add_cancellative(pres, config.semiring_budget)
+    report = is_add_cancellative(pres, _semiring_budget(args))
     verdict = report.verdict.value
     if report.verdict is Tri.NO and report.witness is not None:
         a, b, c = report.witness
@@ -542,9 +521,9 @@ def _handle_presentation_cancellative(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_presentation_find_l(args, config: RunConfig) -> HandlerResult:
+def _handle_presentation_find_l(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
-    members = find_L(pres, config.semiring_budget)
+    members = find_L(pres, _semiring_budget(args))
     lines = [format_poly(m, t_names(args.nvars)) for m in members]
     cert = [
         f"{len(lines)} one-absorbing words found in the search box "
@@ -558,11 +537,11 @@ def _handle_presentation_find_l(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_presentation_preorder(args, config: RunConfig) -> HandlerResult:
+def _handle_presentation_preorder(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
     a = _parse_word(args.a, t_names(args.nvars), Domain.NAT)
     b = _parse_word(args.b, t_names(args.nvars), Domain.NAT)
-    answer = preorder_leq(a, b, pres, config.semiring_budget)
+    answer = preorder_leq(a, b, pres, _semiring_budget(args))
     verdict = answer.verdict.value
     if answer.verdict is Tri.YES:
         cert = [f"difference witness c = {format_poly(answer.witness)}"]
@@ -575,8 +554,8 @@ def _handle_presentation_preorder(args, config: RunConfig) -> HandlerResult:
     return _unknown("leq", "budget exhausted", "unknown")
 
 
-def _handle_abhyankar_verify(args, config: RunConfig) -> HandlerResult:
-    ctx = AbhyankarContext.build(config.k, config.groebner_budget)
+def _handle_abhyankar_verify(args) -> HandlerResult:
+    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     bases = tuple(
         _parse_word(text, t_names(2), Domain.NAT)
         for text in (args.bases.split(";") if args.bases else ["T1*T2"])
@@ -600,7 +579,7 @@ def _handle_abhyankar_verify(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_abhyankar_nonext(args, config: RunConfig) -> HandlerResult:
+def _handle_abhyankar_nonext(args) -> HandlerResult:
     if args.nmax < 2:
         raise UsageError(f"--nmax must be at least 2, got {args.nmax}")
     if args.nmax > _MAX_NONEXT_LEVEL:
@@ -627,7 +606,7 @@ def _handle_abhyankar_nonext(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_abhyankar_generator(args, config: RunConfig) -> HandlerResult:
+def _handle_abhyankar_generator(args) -> HandlerResult:
     if args.n < 2:
         raise UsageError(f"--n must be at least 2, got {args.n}")
     if args.n > _MAX_GENERATOR_INDEX:
@@ -638,9 +617,9 @@ def _handle_abhyankar_generator(args, config: RunConfig) -> HandlerResult:
     return _computed(f"generator {args.n} = {text}", text)
 
 
-def _handle_abhyankar_image(args, config: RunConfig) -> HandlerResult:
-    ctx = AbhyankarContext.build(config.k, config.groebner_budget)
-    names = x_names(config.k)
+def _handle_abhyankar_image(args) -> HandlerResult:
+    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
+    names = x_names(args.k)
     rep = _parse_word(args.rep, names, Domain.INT)
     try:
         element = ctx.element(rep)
@@ -651,19 +630,19 @@ def _handle_abhyankar_image(args, config: RunConfig) -> HandlerResult:
     cert = [
         f"representation {format_poly(rep, names)} expands to "
         f"{format_poly(element.ambient)}",
-        f"image at (1/2..1/{config.k}) = {text}",
+        f"image at (1/2..1/{args.k}) = {text}",
     ]
     return HandlerResult(
         {"image": "ok"}, cert, {"value": text, "kernel": value == 0}, [text]
     )
 
 
-def _handle_cone_enumerate(args, config: RunConfig) -> HandlerResult:
-    cone = _cone_from_args(args, config)
+def _handle_cone_enumerate(args) -> HandlerResult:
+    cone = _cone_from_args(args)
     members = [list(u) for u in cone.sorted_members()]
     verdict = "complete" if not cone.unknown else "partial"
     cert = [
-        f"{len(members)} members in the box [0, {config.box}]^{cone.nvars}; "
+        f"{len(members)} members in the box [0, {args.box}]^{cone.nvars}; "
         f"{len(cone.unknown)} undecided"
     ]
     display = [str(tuple(u)) for u in cone.sorted_members()]
@@ -676,10 +655,10 @@ def _handle_cone_enumerate(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_cone_purity(args, config: RunConfig) -> HandlerResult:
+def _handle_cone_purity(args) -> HandlerResult:
     gens = [_parse_vector(chunk) for chunk in args.gens.split(";") if chunk.strip()]
     try:
-        result = purity_check(gens, config.box)
+        result = purity_check(gens, args.box)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if result.pure:
@@ -701,13 +680,13 @@ def _handle_cone_purity(args, config: RunConfig) -> HandlerResult:
     )
 
 
-def _handle_cone_interior(args, config: RunConfig) -> HandlerResult:
-    cone = _cone_from_args(args, config)
+def _handle_cone_interior(args) -> HandlerResult:
+    cone = _cone_from_args(args)
     u = find_interior_u(cone)
     if u is None:
         return HandlerResult(
             {"interior": "not-found"},
-            [f"no member has all unit shifts inside the cone (box {config.box})"],
+            [f"no member has all unit shifts inside the cone (box {args.box})"],
             {},
             ["not-found"],
             budget_exhausted=bool(cone.unknown),
@@ -716,8 +695,8 @@ def _handle_cone_interior(args, config: RunConfig) -> HandlerResult:
     return HandlerResult({"interior": "found"}, cert, {"u": list(u)}, [str(tuple(u))])
 
 
-def _handle_cone_qf(args, config: RunConfig) -> HandlerResult:
-    cone = _cone_from_args(args, config)
+def _handle_cone_qf(args) -> HandlerResult:
+    cone = _cone_from_args(args)
     witnesses = qf_from_cone(cone)
     if witnesses is None:
         return HandlerResult(
@@ -747,7 +726,7 @@ def _handle_cone_qf(args, config: RunConfig) -> HandlerResult:
     return HandlerResult({"fractions": verdict}, cert, {"witnesses": rows}, cert)
 
 
-def _handle_report_schema(args, config: RunConfig) -> HandlerResult:
+def _handle_report_schema(args) -> HandlerResult:
     text = json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True)
     return HandlerResult(
         {"schema": "ok"}, [f"schema id {SCHEMA_ID}"], {"value": REPORT_SCHEMA}, [text]
@@ -762,36 +741,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nvars(text: str) -> int:
-    """The type of every --nvars flag: a nonnegative integer."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _nvars(text: str) -> int:
+    """The type of every --nvars flag: a nonnegative integer."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
-def _env_overrides(env) -> dict:
-    overrides = {}
-    for chunk in env.get(ENV_VAR, "").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise UsageError(f"{ENV_VAR}: expected key=value, got {chunk!r}")
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key not in _DEFAULTS:
+def _budget_type(key: str):
+    """The type of budget flag --key: an integer in the flag's range."""
+
+    def parse(text: str) -> int:
+        value = _int(text)
+        if key == "box":
+            if value < 0:
+                raise UsageError(f"--box must be nonnegative, got {value}")
+        elif value <= 0:
+            raise UsageError(f"budget --{key} must be positive, got {value}")
+        elif key == "k" and value < 2:
+            raise UsageError(f"--k must be at least 2, got {value}")
+        elif key == "k" and value > _MAX_TRUNCATION:
             raise UsageError(
-                f"{ENV_VAR}: unknown budget {key!r} (known: {', '.join(sorted(_DEFAULTS))})"
+                f"--k {value:,} is over the limit of {_MAX_TRUNCATION:,} (lower --k)"
             )
-        try:
-            overrides[key] = int(value)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_VAR}: {key} must be an integer") from exc
-    return overrides
+        return value
+
+    return parse
+
+
+def _evidence(text: str) -> int:
+    """The type of --evidence: an integer up to the generator limit."""
+    value = _int(text)
+    if value > _MAX_GENERATOR_INDEX:
+        raise UsageError(
+            f"--evidence {value:,} is over the limit of {_MAX_GENERATOR_INDEX:,} (lower --evidence)"
+        )
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -806,7 +799,9 @@ def _build_parser() -> _Parser:
         """A subcommand taking the common flags and the budget flags it reads."""
         p = sub.add_parser(name, parents=[common], **kwargs)
         for key in budgets:
-            p.add_argument(f"--{key}", type=int, default=None, help=_BUDGET_HELP[key])
+            p.add_argument(
+                f"--{key}", type=_budget_type(key), default=_DEFAULTS[key], help=_BUDGET_HELP[key]
+            )
         p.set_defaults(handler=handler)
         return p
 
@@ -860,7 +855,7 @@ def _build_parser() -> _Parser:
     asub = abhyankar.add_subparsers(dest="aop", required=True)
     verify = leaf(asub, "verify", _handle_abhyankar_verify, ("k", *_GROEBNER))
     verify.add_argument("--bases", default=None, help="semicolon-separated base elements for condition c")
-    verify.add_argument("--evidence", type=int, default=20, help="preimage evidence bound for condition d")
+    verify.add_argument("--evidence", type=_evidence, default=20, help="preimage evidence bound for condition d")
     nonext = leaf(asub, "nonext", _handle_abhyankar_nonext)
     nonext.add_argument("--nmax", type=int, default=2)
     gen = leaf(asub, "generator", _handle_abhyankar_generator)
@@ -888,15 +883,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, env) -> RunConfig:
-    resolved = {**_DEFAULTS, **_env_overrides(env)}
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    return RunConfig(**resolved, json_mode=args.json, strict=args.strict)
-
-
 def _exit_code(verdicts: dict, expected: dict | None, strict: bool) -> int:
     for name, verdict in sorted(verdicts.items()):
         if verdict == "unknown":
@@ -907,14 +893,12 @@ def _exit_code(verdicts: dict, expected: dict | None, strict: bool) -> int:
     return 0
 
 
-def main(argv=None, env=None) -> int:
-    env = os.environ if env is None else env
+def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        config = _config_from_args(args, env)
         start = time.perf_counter()
-        outcome: HandlerResult = args.handler(args, config)
+        outcome: HandlerResult = args.handler(args)
         elapsed = round(time.perf_counter() - start, 6)
     except (UsageError, BudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -922,7 +906,7 @@ def main(argv=None, env=None) -> int:
     except NotInSubringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.json_mode:
+    if args.json:
         envelope = {
             "schema": SCHEMA_ID,
             "command": argv,
@@ -937,7 +921,7 @@ def main(argv=None, env=None) -> int:
         for line in outcome.display:
             print(line)
         print(f"timing: {elapsed}s", file=sys.stderr)
-    return _exit_code(outcome.verdicts, outcome.expected, config.strict)
+    return _exit_code(outcome.verdicts, outcome.expected, args.strict)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ from typing import Callable
 from .abhyankar import (
     AbhyankarContext,
     UnverifiedContextError,
+    _recurrence,
     fraction_field_witnesses,
-    generator,
     non_kernel_annihilator,
     unit_ideal_witness,
 )
@@ -603,12 +603,13 @@ def _condition_d_recurrence(
             )
     except UnverifiedContextError as exc:
         return ConditionVerdict(Verdict.UNKNOWN, STATEMENTS["d"], (str(exc),))
-    for m in range(ctx.truncation + 1, bound + 1):
-        generator(m)  # raises if the recurrence could not produce it
-        cert.append(
-            f"generator {m} is the designated preimage of 1/{m} at "
-            f"truncation {m} (beyond the relation-checked level)"
-        )
+    # one pass of the recurrence produces every generator up to the bound
+    for m, _ in enumerate(_recurrence(bound), start=2):
+        if m > ctx.truncation:
+            cert.append(
+                f"generator {m} is the designated preimage of 1/{m} at "
+                f"truncation {m} (beyond the relation-checked level)"
+            )
     denominator = math.lcm(*range(2, ctx.truncation + 1))
     cert.append(
         f"the image is a ring, so the relation-checked part alone contains "

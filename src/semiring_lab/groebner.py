@@ -428,10 +428,6 @@ class GroebnerBasis:
         zero = Polynomial.zero(n, Domain.RAT)
         return _poly(n, remainder), tuple(_poly(n, q) if q else zero for q in quotients)
 
-    def contains(self, p: Polynomial) -> bool:
-        """Ideal membership via normal form (sound and complete when reduced)."""
-        return self.normal_form(p).is_zero
-
 
 def buchberger(
     gens: Sequence[Polynomial],
@@ -678,21 +674,12 @@ def ideal_membership(
     on every call.  Both the cofactor assembly, sum q_i * combo_i over the
     quotients and the basis elements' cofactors, and the re-expansion
     against the generators are integer sums of products
-    (:func:`~semiring_lab.polynomials._sum_of_products`).  A query whose
-    variable count differs from the generators' raises ArityError, also
-    against the zero ideal.
+    (:func:`~semiring_lab.polynomials._sum_of_products`); against the zero
+    ideal the cofactors are zero.  A query whose variable count differs from
+    the generators' raises ArityError.
     """
     gb = _tracked_basis(tuple(gens), order, budget)
     p = gb._query(p)
-    if not gb.generators:
-        # zero ideal: only the zero polynomial belongs
-        if p.is_zero:
-            return MembershipCertificate(
-                MembershipStatus.MEMBER,
-                cofactors=tuple(Polynomial.zero(p.nvars, Domain.RAT) for _ in gens),
-                basis_complete=gb.reduced,
-            )
-        return MembershipCertificate(MembershipStatus.NON_MEMBER, basis_complete=gb.reduced)
     remainder, quotients = gb.normal_form_with_quotients(p)
     if remainder.is_zero:
         used = [(_form(q), combo) for q, combo in zip(quotients, gb.cofactors) if q]

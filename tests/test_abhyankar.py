@@ -241,6 +241,16 @@ def test_lift_refuses_conservatively_on_non_integral_canonical_form(ctx):
         ctx.lift(e.ambient)
 
 
+
+def test_lift_on_a_truncated_context_is_undecided():
+    # f_5 * f_6 is in B_6, but the degree-4 budget stops the elimination
+    # basis before membership can be decided either way
+    small = AbhyankarContext.build(6, GroebnerBudget(max_degree=4))
+    assert not small.report.relations_complete
+    product = generator(5) * generator(6)
+    with pytest.raises(NotInSubringError, match="undecided within budget"):
+        small.lift(product)
+
 # -- the surjection onto Q --------------------------------------------------
 
 

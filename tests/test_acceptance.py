@@ -417,7 +417,7 @@ def test_criterion_10_timing_and_determinism(capsys):
         assert first.summary_lines() == second.summary_lines()
 
         def run_json():
-            code = main(["abhyankar", "verify", "--k", "5", "--json"], env={})
+            code = main(["abhyankar", "verify", "--k", "5", "--json"])
             out = capsys.readouterr().out
             envelope = json.loads(out)
             envelope.pop("timing_seconds")

@@ -1,6 +1,6 @@
 """End-to-end checks for the command-line interface.
 
-Most tests drive ``main(argv, env)`` in-process and read stdout/stderr via
+Most tests drive ``main(argv)`` in-process and read stdout/stderr via
 capsys; two subprocess tests confirm the installed entry point behaves the
 same.  Every JSON envelope produced here is validated against the published
 schema, and exit codes are checked to be a function of the verdicts alone.
@@ -19,26 +19,26 @@ import jsonschema
 import pytest
 
 from semiring_lab.cli import (
-    ENV_VAR,
     REPORT_SCHEMA,
     SCHEMA_ID,
     HandlerResult,
-    RunConfig,
-    UsageError,
     _build_parser,
+    _exit_code,
+    _groebner_budget,
+    _semiring_budget,
     main,
 )
 
 
-def run_cli(capsys, *argv, env=None):
-    """Run main in-process with an isolated environment; return (code, out, err)."""
-    code = main(list(argv), env={} if env is None else env)
+def run_cli(capsys, *argv):
+    """Run main in-process; return (code, out, err)."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def run_json(capsys, *argv, env=None):
-    code, out, _ = run_cli(capsys, *argv, "--json", env=env)
+def run_json(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
     envelope = json.loads(out)
     jsonschema.validate(envelope, REPORT_SCHEMA)
     return code, envelope
@@ -382,9 +382,7 @@ def test_abhyankar_verify_text_matches_json_verdicts(capsys):
 
 
 def test_abhyankar_verify_unverified_budget_degrades(capsys):
-    code, envelope = run_json(
-        capsys, "abhyankar", "verify", env={ENV_VAR: "deg=4"}
-    )
+    code, envelope = run_json(capsys, "abhyankar", "verify", "--deg", "4")
     assert code == 0
     assert envelope["verdicts"]["a"] == "holds"
     assert envelope["verdicts"]["b"] == "unknown"
@@ -519,6 +517,9 @@ def test_zero_nvars_keeps_its_answers(capsys):
         (("abhyankar", "generator", "--n", "1001"), "generator 1,001 is over the limit of 1,000 (lower --n)"),
         (("abhyankar", "nonext", "--nmax", "100000000"), "--nmax 100,000,000 levels exceed the limit of 100,000 (lower --nmax)"),
         (("abhyankar", "nonext", "--nmax", "100001"), "--nmax 100,001 levels exceed the limit of 100,000"),
+        (("abhyankar", "verify", "--evidence", "1001"), "--evidence 1,001 is over the limit of 1,000 (lower --evidence)"),
+        (("abhyankar", "verify", "--k", "101"), "--k 101 is over the limit of 100 (lower --k)"),
+        (("abhyankar", "image", "--rep", "X2", "--k", "101"), "--k 101 is over the limit of 100 (lower --k)"),
     ],
 )
 def test_oversized_input_fails_fast(capsys, argv, message):
@@ -546,7 +547,7 @@ def test_input_file_that_is_not_utf8_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
 
 
-# -- config, env, report ----------------------------------------------------
+# -- flags, exit codes, report ---------------------------------------------
 
 
 def test_unknown_flag_rejected(capsys):
@@ -621,35 +622,9 @@ def test_nonpositive_budgets_rejected(capsys, ideal_file, absorbing_file):
     assert run_cli(capsys, "abhyankar", "image", "--rep", "X2", "--k", "1")[0] == 2
 
 
-def test_env_budget_override_and_flag_precedence(capsys):
-    env = {ENV_VAR: "deg=4"}
-    code, envelope = run_json(capsys, "abhyankar", "image", "--rep", "X2", env=env)
-    assert code == 0
-    assert envelope["verdicts"] == {"image": "unknown"}
-    assert envelope["budget_exhausted"] is True
-    code, envelope = run_json(
-        capsys, "abhyankar", "image", "--rep", "X2", "--deg", "8", env=env
-    )
-    assert code == 0
-    assert envelope["verdicts"] == {"image": "ok"}
-    assert envelope["result"]["value"] == "1/2"
-
-
-def test_env_budget_rejects_garbage(capsys):
-    assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "bogus=3"})[0] == 2
-    assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "deg=two"})[0] == 2
-    assert run_cli(capsys, "poly", "add", "1", "1", env={ENV_VAR: "deg"})[0] == 2
-    # the variable is validated as a whole, also for budgets the command does not read
-    assert run_cli(capsys, "poly", "mul", "1", "1", env={ENV_VAR: "k=1"})[0] == 2
-
-
 def test_strict_flag_flips_unknown_to_failure(capsys):
-    env = {ENV_VAR: "deg=4"}
-    assert run_cli(capsys, "abhyankar", "image", "--rep", "X2", env=env)[0] == 0
-    assert (
-        run_cli(capsys, "abhyankar", "image", "--rep", "X2", "--strict", env=env)[0]
-        == 1
-    )
+    assert run_cli(capsys, "abhyankar", "image", "--rep", "X2", "--deg", "4")[0] == 0
+    assert run_cli(capsys, "abhyankar", "image", "--rep", "X2", "--deg", "4", "--strict")[0] == 1
 
 
 def test_report_schema_subcommand_prints_schema(capsys):
@@ -665,14 +640,32 @@ def test_report_rejects_bare_verdict_without_certificate():
         HandlerResult(verdicts={"thing": "unknown"}, certificates=[], result={}, display=[])
 
 
-def test_runconfig_validation():
-    with pytest.raises(UsageError):
-        RunConfig(0, 64, 100, 6, 6, False, False)
-    with pytest.raises(UsageError):
-        RunConfig(8, 64, 100, -1, 6, False, False)
-    cfg = RunConfig(8, 64, 100, 6, 6, False, False)
-    assert cfg.groebner_budget.max_degree == 8
-    assert cfg.semiring_budget.max_coeff == 64
+def test_budget_flags_are_range_checked(capsys):
+    # each budget flag is range-checked by its type, with the messages that
+    # name it, and defaults to the value the README documents
+    for flag, value, message, argv in (
+        ("--deg", "0", "budget --deg must be positive, got 0", ("cone", "enumerate", "--assign", "2")),
+        ("--coeff", "-1", "budget --coeff must be positive, got -1", ("cone", "enumerate", "--assign", "2")),
+        ("--steps", "0", "budget --steps must be positive, got 0", ("cone", "enumerate", "--assign", "2")),
+        ("--box", "-1", "--box must be nonnegative, got -1", ("cone", "purity", "--gens", "(1)")),
+        ("--k", "0", "budget --k must be positive, got 0", ("abhyankar", "verify")),
+        ("--k", "1", "--k must be at least 2, got 1", ("abhyankar", "verify")),
+    ):
+        assert run_cli(capsys, *argv, flag, value) == (2, "", f"error: {message}\n")
+    args = _build_parser().parse_args(["cone", "enumerate", "--assign", "2"])
+    assert [args.deg, args.coeff, args.steps, args.box] == [8, 64, 50_000, 6]
+    assert _semiring_budget(args).max_coeff == 64
+    args = _build_parser().parse_args(["abhyankar", "verify", "--deg", "5"])
+    assert (args.k, _groebner_budget(args).max_degree, _groebner_budget(args).max_steps) == (6, 5, 50_000)
+
+
+def test_exit_code_compares_verdicts_with_expected():
+    expected = {"a": "holds", "c": "fails"}
+    assert _exit_code({"a": "holds", "c": "fails"}, expected, strict=False) == 0
+    assert _exit_code({"a": "holds", "c": "holds"}, expected, strict=False) == 1
+    assert _exit_code({"a": "unknown", "c": "fails"}, expected, strict=False) == 0
+    assert _exit_code({"a": "unknown", "c": "fails"}, expected, strict=True) == 1
+    assert _exit_code({"other": "holds"}, None, strict=False) == 0
 
 
 def test_json_runs_are_deterministic(capsys):

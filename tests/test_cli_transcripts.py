@@ -1,6 +1,6 @@
 """Golden transcripts of the command-line interface.
 
-Each case runs ``main(argv, env={})`` in-process three times: in text mode,
+Each case runs ``main(argv)`` in-process three times: in text mode,
 with ``--json`` and with ``--strict``.  A case is pinned by its three exit
 codes and a SHA-256 prefix of the three transcripts: stdout, stderr without
 its timing line, and the JSON envelope without ``timing_seconds``.  Input
@@ -94,6 +94,7 @@ _CASES = [
     ("equal-outside-box", ["presentation", "equal", "--relations", "absorbing.txt", "T1", "T1^3", "--deg", "2"], 2, 2, 2, "85a27fc786e8b4cd"),
     ("equal-negative-steps", ["presentation", "equal", "--relations", "absorbing.txt", "T1", "T1 + 2", "--steps", "-5"], 2, 2, 2, "b71579580e743ce4"),
     ("equal-shift-list-limit", ["presentation", "equal", "--relations", "zero.txt", "--nvars", "8", "--deg", "18", "T1", "T2"], 2, 2, 2, "fa42db2d4c7d64e6"),
+    ("equal-identical-words", ["presentation", "equal", "--nvars", "1", "T1", "T1"], 0, 0, 0, "afb6ee0a5ead4995"),
     ("equal-relations-parse-error", ["presentation", "equal", "--relations", "badrel.txt", "T1", "T1"], 2, 2, 2, "ae3c1e1341dd3b53"),
     ("idempotent-yes", ["presentation", "idempotent", "--relations", "idempotent.txt"], 0, 0, 0, "f2f1a787dca31522"),
     ("idempotent-no", ["presentation", "idempotent", "--nvars", "1"], 0, 0, 0, "e20cd3276bd1a3c2"),
@@ -112,6 +113,8 @@ _CASES = [
     ("verify-k10", ["abhyankar", "verify", "--k", "10"], 0, 0, 1, "e5af27eab01971dc"),
     ("verify-low-degree", ["abhyankar", "verify", "--deg", "4"], 0, 0, 1, "ec40a2e657e1bb23"),
     ("verify-k1", ["abhyankar", "verify", "--k", "1"], 2, 2, 2, "9abdb80150477efb"),
+    ("verify-k-limit", ["abhyankar", "verify", "--k", "101"], 2, 2, 2, "f941828f5034bfa5"),
+    ("verify-evidence-limit", ["abhyankar", "verify", "--evidence", "1001"], 2, 2, 2, "ae23b3d2ea7aff53"),
     ("verify-k2", ["abhyankar", "verify", "--k", "2"], 0, 0, 1, "70385c3ec4b0f56f"),
     ("nonext", ["abhyankar", "nonext", "--nmax", "10"], 0, 0, 0, "662068f7c3365c28"),
     ("nonext-small", ["abhyankar", "nonext", "--nmax", "1"], 2, 2, 2, "b1922e448470673f"),
@@ -127,6 +130,7 @@ _CASES = [
     ("enumerate-presentation", ["cone", "enumerate", "--relations", "absorbing.txt", "--box", "2"], 0, 0, 0, "33ab0e365b36978e"),
     ("enumerate-partial", ["cone", "enumerate", "--relations", "unit.txt", "--nvars", "2", "--box", "1", "--steps", "2"], 0, 0, 0, "d9b79129a0198460"),
     ("enumerate-no-target", ["cone", "enumerate"], 2, 2, 2, "a847f645f2c79551"),
+    ("enumerate-both-targets", ["cone", "enumerate", "--assign", "2,3", "--relations", "unit.txt", "--nvars", "2", "--box", "1"], 2, 2, 2, "139b7a5f6a6e1b10"),
     ("enumerate-bad-assignment", ["cone", "enumerate", "--assign", "a,b"], 2, 2, 2, "7455bf50e46659a2"),
     ("enumerate-negative-box", ["cone", "enumerate", "--assign", "2", "--box", "-1"], 2, 2, 2, "3ba01911b5404f25"),
     ("interior", ["cone", "interior", "--assign", "2,3", "--box", "3"], 0, 0, 0, "a87ea6056ef61506"),
@@ -146,7 +150,7 @@ _CASES = [
 
 
 def _run(capsys, argv):
-    code = main(list(argv), env={})
+    code = main(list(argv))
     captured = capsys.readouterr()
     err = "".join(
         line for line in captured.err.splitlines(keepends=True) if not line.startswith("timing: ")

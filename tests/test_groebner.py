@@ -700,6 +700,18 @@ def test_zero_ideal_checks_the_query_arity():
                 ideal_membership(query, gens_list)
 
 
+def test_zero_ideal_answers_with_certificates():
+    zero2 = Polynomial.zero(2, Domain.INT)
+    for gens_list in ([zero2], [zero2, zero2]):
+        cofactors = tuple(Polynomial.zero(2, Domain.RAT) for _ in gens_list)
+        assert ideal_membership(zero2, gens_list) == groebner.MembershipCertificate(
+            MembershipStatus.MEMBER, cofactors=cofactors, basis_complete=True
+        )
+        assert ideal_membership(p2("T1*T2 - 1"), gens_list) == groebner.MembershipCertificate(
+            MembershipStatus.NON_MEMBER, basis_complete=True
+        )
+
+
 def test_substitution_mismatch_is_caught(gens, monkeypatch):
     g = tuple(gens[n] for n in range(2, 5))
     h = gens[2] * gens[3]
