@@ -17,8 +17,8 @@ the subcommand's expectation (query subcommands expect nothing and always
 exit 0), 1 when a verification subcommand's verdict deviates or, under
 ``--strict``, when any verdict is unknown, and 2 for usage errors (such as
 a budget flag the subcommand does not read; malformed input is reported with
-its position), for inputs over a size limit checked before any work starts,
-and for coefficients too long to print.
+its position), for inputs over a size limit checked before the work they
+size starts, and for coefficients too long to print.
 
 Budgets come from flags (``--deg``, ``--coeff``, ``--steps``, ``--box``,
 ``--k``) alone, with defaults deg 8, coeff 64, steps 50000, box 6, k 6;
@@ -270,10 +270,31 @@ _MAX_GENERATOR_INDEX = 1000
 _MAX_NONEXT_LEVEL = 10**5
 _MAX_TRUNCATION = 100
 
-# the largest power `poly pow` builds, predicted before it starts: a 10,000-term
-# result takes about a second, and 10,000-bit coefficients still print
-_MAX_POW_TERMS = 10**4
-_MAX_POW_COEFF_BITS = 10**4
+# the largest power `poly pow` builds and the largest expansion `abhyankar
+# image` prints, predicted before either starts: a 10,000-term result takes
+# about a second, and 10,000-bit coefficients still print
+_MAX_EXPANSION_TERMS = 10**4
+_MAX_EXPANSION_COEFF_BITS = 10**4
+
+# condition c of `abhyankar verify` lifts c*(base + shift) for up to 104 pairs
+# of a shift and a pool element c per base, and a search that finds nothing
+# lifts them all: at the limits (eight terms of degree 16) a whole run takes
+# about 0.9 s on a 2-vCPU Linux host, eight terms of degree 20 about 1.4 s,
+# and the single term T1^60*T2^60 about 2.4 s
+_MAX_BASE_DEGREE = 16
+_MAX_BASE_TERMS = 8
+
+
+def _check_expansion_size(what: str, terms: int, bits: int, lower: str) -> None:
+    """Raise BudgetError when a predicted expansion could pass either size limit."""
+    if terms > _MAX_EXPANSION_TERMS or bits > _MAX_EXPANSION_COEFF_BITS:
+        def size(n: int) -> str:  # past 64 bits a power of two: str() refuses huge ints
+            return f"{n:,}" if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
+
+        raise BudgetError(
+            f"{what} may have {size(terms)} terms and {size(bits)}-bit coefficients, over the "
+            f"limit of {_MAX_EXPANSION_TERMS:,} terms or {_MAX_EXPANSION_COEFF_BITS:,} bits ({lower})"
+        )
 
 
 def _check_pow_size(a: Polynomial, exponent: int) -> None:
@@ -291,14 +312,44 @@ def _check_pow_size(a: Polynomial, exponent: int) -> None:
     )
     height = math.lcm(*(c.denominator for c in coeffs)) * sum(abs(c.numerator) for c in coeffs)
     bits = exponent * (height - 1).bit_length()
-    if terms > _MAX_POW_TERMS or bits > _MAX_POW_COEFF_BITS:
-        def size(n: int) -> str:  # past 64 bits a power of two: str() refuses huge ints
-            return f"{n:,}" if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
+    _check_expansion_size(f"({format_poly(a)})^{exponent}", terms, bits, "lower the exponent")
 
+
+def _check_image_size(rep: Polynomial, gens: tuple, names) -> None:
+    """Raise BudgetError when the integer tag polynomial ``rep`` with the
+    integer generators substituted could pass either size limit, predicted
+    as for a power: a term c*X^e expands to at most prod_i
+    multinomial(len(g_i), e_i) terms, the sum to at most the monomials of
+    the largest degree sum_i e_i*deg(g_i) reached, and its coefficients to
+    at most sum |c| * prod_i H_i**e_i, with H_i the sum of |coefficients| of
+    g_i, all bounded in bit lengths."""
+    heights = [(sum(abs(c) for _, c in g.terms()) - 1).bit_length() for g in gens]
+    degree = count = bits = 0
+    for e, c in rep.terms():
+        degree = max(degree, sum(k * g.total_degree() for k, g in zip(e, gens)))
+        count += math.prod(math.comb(len(g) + k - 1, k) for k, g in zip(e, gens))
+        bits = max(bits, abs(c).bit_length() + sum(k * h for k, h in zip(e, heights)))
+    nvars = gens[0].nvars
+    terms = min(count, math.comb(nvars + degree, nvars))
+    bits += (len(rep) - 1).bit_length()  # a sum of len(rep) such terms
+    what = f"the expansion of {format_poly(rep, names)}"
+    _check_expansion_size(what, terms, bits, "lower the exponents")
+
+
+def _check_bases(bases: tuple) -> None:
+    """Raise BudgetError when a condition-c base passes the degree limit, or
+    the bases together pass the term limit."""
+    for base in bases:
+        if base.total_degree() > _MAX_BASE_DEGREE:
+            raise BudgetError(
+                f"--bases: {format_poly(base)} has degree {base.total_degree():,}, over the "
+                f"limit of {_MAX_BASE_DEGREE} (lower the degree)"
+            )
+    terms = sum(map(len, bases))
+    if terms > _MAX_BASE_TERMS:
         raise BudgetError(
-            f"({format_poly(a)})^{exponent} may have {size(terms)} terms and {size(bits)}-bit "
-            f"coefficients, over the limit of {_MAX_POW_TERMS:,} terms or "
-            f"{_MAX_POW_COEFF_BITS:,} bits (lower the exponent)"
+            f"--bases: {terms:,} terms in all, over the limit of {_MAX_BASE_TERMS} "
+            f"(fewer terms or bases)"
         )
 
 
@@ -555,12 +606,13 @@ def _handle_presentation_preorder(args) -> HandlerResult:
 
 
 def _handle_abhyankar_verify(args) -> HandlerResult:
-    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     bases = tuple(
         _parse_word(text, t_names(2), Domain.NAT)
         for text in (args.bases.split(";") if args.bases else ["T1*T2"])
         if text.strip()
     )
+    _check_bases(bases)
+    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     report = verify_conditions(RecurrenceCandidate(ctx, bases), evidence_bound=args.evidence)
     verdicts = {
         letter: verdict.status.value for letter, verdict in report.as_mapping().items()
@@ -621,6 +673,7 @@ def _handle_abhyankar_image(args) -> HandlerResult:
     ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     names = x_names(args.k)
     rep = _parse_word(args.rep, names, Domain.INT)
+    _check_image_size(rep, ctx.generators, names)
     try:
         element = ctx.element(rep)
         value = element.rational_image

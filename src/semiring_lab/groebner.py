@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,6 +39,7 @@ from .polynomials import (
     _form,
     _from_form,
     _integral,
+    _substitute,
     _sum_of_products,
     elimination,
     mono_deg,
@@ -172,19 +173,20 @@ class _Packing:
         return tuple(m >> s & self.limit for s in self.shifts)
 
     def pack_terms(self, terms: _Terms) -> _Terms:
+        """``terms`` on packed monomials; a shorter exponent vector embeds at offset 0."""
         return {sum(map(mul, u, self.units)): c for u, c in terms.items()}
 
-    def unpack_terms(self, terms: _Terms) -> _Terms:
-        return {self.unpack(m): c for m, c in terms.items()}
+    def unpack_form(self, form: _Form) -> _Form:
+        terms, den = form
+        return {self.unpack(m): c for m, c in terms.items()}, den
 
 
 _packing = lru_cache(maxsize=256)(_Packing)  # one per (order, nvars, width)
 
 
-def _primitive(terms: _Terms) -> _Terms:
-    """The primitive integer form of packed Fraction ``terms``: the rational
-    multiple with coprime integer coefficients and a positive leading one."""
-    ints, _ = _integral(terms)
+def _primitive(ints: _Terms) -> _Terms:
+    """The primitive part of packed integer terms: the rational multiple with
+    coprime integer coefficients and a positive leading one."""
     content = gcd(*ints.values())
     if ints[max(ints)] < 0:
         content = -content
@@ -201,7 +203,7 @@ class _Entry:
 
     def at(self, pk: _Packing) -> tuple[int, _Terms, int]:
         if pk.width not in self.packed:
-            lm, form = pk.pack(self.lm), _primitive(pk.pack_terms(self.terms))
+            lm, form = pk.pack(self.lm), _primitive(_integral(pk.pack_terms(self.terms))[0])
             self.packed[pk.width] = lm, form, form[lm]
         return self.packed[pk.width]
 
@@ -209,6 +211,12 @@ class _Entry:
 def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
     """Divisor-table entry of a nonzero monic polynomial, sharing its dict."""
     return _Entry(p.leading_term(order)[0], p._terms, p.total_degree())
+
+
+def _same(a: _Form, b: _Form) -> bool:
+    """Whether two integer forms are the same polynomial (zero terms are never stored)."""
+    (ta, da), (tb, db) = a, b
+    return ta.keys() == tb.keys() and all(c * db == tb[u] * da for u, c in ta.items())
 
 
 def _clear_content(work: _Terms, den: int) -> tuple[_Terms, int]:
@@ -220,8 +228,8 @@ def _clear_content(work: _Terms, den: int) -> tuple[_Terms, int]:
 
 
 def _reduce(
-    work: tuple[_Terms, int], table: list, pk: _Packing, degree_cap: int | None, memo: dict[int, int]
-) -> tuple[list, _Terms]:
+    work: _Form, table: list, pk: _Packing, degree_cap: int | None, memo: dict[int, int]
+) -> tuple[list, _Form]:
     """The division loop, fraction-free on packed monomials; consumes ``work``.
 
     ``work`` is an integer term dict W over a positive denominator D, and each
@@ -230,9 +238,11 @@ def _reduce(
     is not 1 and subtracts (c/g)*shift*G, so W/D stays the exact work; once D
     passes ``_CONTENT_BITS`` bits, a step that grew it removes the common
     content of W and D.  Returns the steps ``(k, shift, c, D)``, each the
-    quotient term c/D of divisor k, and the remainder with Fraction
-    coefficients.  A leading term of degree above ``degree_cap`` (at most
-    ``pk.limit``) or, uncapped, ``pk.limit`` raises _DegreeCapHit.
+    quotient term c/D of divisor k, and the remainder as an integer form on
+    packed monomials: a leading term that no divisor divides leaves the work
+    as c/D, and the remainder is these terms over the lcm of their D's.  A
+    leading term of degree above ``degree_cap`` (at most ``pk.limit``) or,
+    uncapped, ``pk.limit`` raises _DegreeCapHit.
 
     ``memo`` maps a packed monomial u to the first divisor of u in table
     order: ``k >= 0`` is the index of that entry, ``~n`` says that none of
@@ -246,8 +256,8 @@ def _reduce(
     lms = [entry[0] for entry in table]
     n = len(lms)
     steps: list[tuple[int, int, int, int]] = []
-    remainder: _Terms = {}
     work, den = work
+    remainder: list[tuple[int, int, int]] = []
     while work:
         u = max(work)
         c = work[u]
@@ -285,17 +295,66 @@ def _reduce(
             if g != a and den.bit_length() > _CONTENT_BITS:
                 work, den = _clear_content(work, den)
         else:
-            remainder[u] = Fraction(c, den)
+            remainder.append((u, c, den))
             del work[u]
-    return steps, remainder
+    return steps, _over_lcm(remainder)
 
 
-def _quotients(steps: list, count: int, pk: _Packing) -> list[_Terms]:
-    """The unpacked quotient of each of ``count`` divisors from :func:`_reduce`'s steps."""
-    quotients: list[_Terms] = [{} for _ in range(count)]
+def _over_lcm(terms: list) -> _Form:
+    """Terms ``(u, c, den)``, each c/den at monomial u, as one integer form
+    over the lcm of their denominators."""
+    common = lcm(*(den for _, _, den in terms))
+    return {u: c * (common // den) for u, c, den in terms}, common
+
+
+def _quotients(steps: list, count: int, pk: _Packing) -> list[_Form]:
+    """The quotient of each of ``count`` divisors from :func:`_reduce`'s steps,
+    as an unpacked integer form over the lcm of its steps' denominators."""
+    quotients: list[list] = [[] for _ in range(count)]
     for k, shift, c, den in steps:
-        quotients[k][pk.unpack(shift)] = Fraction(c, den)
-    return quotients
+        quotients[k].append((pk.unpack(shift), c, den))
+    return [_over_lcm(terms) for terms in quotients]
+
+
+def _fractions(form: _Form) -> _Terms:
+    """An integer form's terms with ``Fraction`` coefficients."""
+    terms, den = form
+    return {u: Fraction(c, den) for u, c in terms.items()}
+
+
+def _division(
+    form: _Form,
+    divisors: Sequence[_Entry],
+    order: MonomialOrder,
+    nvars: int,
+    degree_cap: int | None,
+    memos: dict[int, dict[int, int]],
+) -> tuple[list, _Form, _Packing]:
+    """The shared division path: :func:`_reduce` of the integer form ``form``
+    by monic divisor-table entries, in ``nvars`` variables (a shorter exponent
+    vector embeds at offset 0).  Returns the steps, the remainder on packed
+    monomials, and the packing they use.
+
+    Packs as wide as the degrees or the divisors' packed forms need; with no
+    cap, a leading term at a guard bit redoes it twice as wide.  ``memos``
+    holds :func:`_reduce`'s first-divisor memo per width; a caller passes the
+    same one only for the same divisors, or for a list that has since only
+    grown by appending.
+    """
+    terms, den = form
+    degree = max(max(map(mono_deg, terms), default=0), degree_cap or 0, *(e.degree for e in divisors))
+    width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+    while True:
+        pk = _packing(order, nvars, width)
+        try:
+            memo = memos.setdefault(width, {})
+            table = [e.at(pk) for e in divisors]
+            steps, remainder = _reduce((pk.pack_terms(terms), den), table, pk, degree_cap, memo)
+            return steps, remainder, pk
+        except _DegreeCapHit:
+            if degree_cap is not None:
+                raise
+            width *= 2
 
 
 def _divide(
@@ -313,28 +372,17 @@ def _divide(
     leading term.  No remainder term is divisible by any divisor's leading
     monomial.  The quotients are built only with ``track`` (else None).  With
     a degree cap, intermediate blowup past the cap raises _DegreeCapHit.
-    Packs as wide as the degrees or the divisors' packed forms need; with no
-    cap, a leading term at a guard bit redoes it twice as wide.  ``memos``
-    holds :func:`_reduce`'s first-divisor memo per width; a caller passes the
-    same one only for the same divisors, or for a list that has since only
-    grown by appending, and by default each call starts empty.
+    The division runs on integer forms (:func:`_division`; by default each
+    call starts with an empty memo), and the quotients and the remainder
+    take ``Fraction`` coefficients only here, at the end.
     """
     if not target:
         return [{} for _ in divisors] if track else None, {}
-    degree = max(max(map(mono_deg, target)), degree_cap or 0, *(e.degree for e in divisors))
-    width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+    nvars = len(next(iter(target)))
     memos = {} if memos is None else memos
-    while True:
-        pk = _packing(order, len(next(iter(target))), width)
-        try:
-            work = _integral(pk.pack_terms(target))
-            memo = memos.setdefault(width, {})
-            steps, remainder = _reduce(work, [e.at(pk) for e in divisors], pk, degree_cap, memo)
-            return _quotients(steps, len(divisors), pk) if track else None, pk.unpack_terms(remainder)
-        except _DegreeCapHit:
-            if degree_cap is not None:
-                raise
-            width *= 2
+    steps, remainder, pk = _division(_integral(target), divisors, order, nvars, degree_cap, memos)
+    quotients = [_fractions(q) for q in _quotients(steps, len(divisors), pk)] if track else None
+    return quotients, _fractions(pk.unpack_form(remainder))
 
 
 def _combo_update(
@@ -379,6 +427,15 @@ class GroebnerBasis:
     is truncated.  Per width, the basis also keeps :func:`_reduce`'s memo of
     each leading monomial's first divisor across queries; the table never
     changes, so a remembered divisor stays the one a fresh scan would find.
+
+    Every query runs through one integer-form normal form,
+    :meth:`_normal_form`: an integer form goes in, and the steps and the
+    remainder come out as integers on packed monomials.
+    :meth:`normal_form` and :meth:`normal_form_with_quotients` are thin
+    wrappers that unpack and make ``Fraction`` coefficients;
+    :func:`ideal_membership` and :func:`subalgebra_membership` read the
+    integers.  With cofactors, the basis keeps their integer forms, and the
+    source generators', made on first use.
     """
 
     generators: tuple[Polynomial, ...]
@@ -404,29 +461,46 @@ class GroebnerBasis:
         queries: the divisor table never changes, so no entry goes stale."""
         return {}
 
-    def _query(self, p: Polynomial) -> Polynomial:
-        p = _to_rat(p)
+    @cached_property
+    def _cofactor_forms(self) -> tuple[tuple[_Form, ...], ...]:
+        """``cofactors`` as integer forms, made on first use."""
+        return tuple(tuple(map(_form, combo)) for combo in self.cofactors)
+
+    @cached_property
+    def _source_forms(self) -> tuple[_Form, ...]:
+        return tuple(map(_form, self.source))
+
+    def _query(self, p: Polynomial) -> _Form:
         if p.nvars != self.nvars:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
-        return p
+        return _form(p)
+
+    def _normal_form(self, form: _Form) -> tuple[list, _Form, _Packing]:
+        """The integer-form normal form of ``form``: :func:`_reduce`'s steps,
+        the remainder as an integer form on packed monomials, and the packing
+        they use (see :func:`_division`; a shorter exponent vector embeds at
+        offset 0)."""
+        return _division(form, self._divisors, self.order, self.nvars, None, self._memos)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
-        p = self._query(p)
-        _, remainder = _divide(p._terms, self._divisors, self.order, track=False, memos=self._memos)
-        return _poly(p.nvars, remainder)
+        _, remainder, pk = self._normal_form(self._query(p))
+        return _poly(p.nvars, _fractions(pk.unpack_form(remainder)))
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
         """Remainder plus the quotients: p = sum(q_i * generators[i]) + r.
 
         Every empty quotient is the same zero polynomial object.
         """
-        p = self._query(p)
-        quotients, remainder = _divide(p._terms, self._divisors, self.order, memos=self._memos)
+        steps, remainder, pk = self._normal_form(self._query(p))
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
-        return _poly(n, remainder), tuple(_poly(n, q) if q else zero for q in quotients)
+        quotients = _quotients(steps, len(self.generators), pk)
+        return (
+            _poly(n, _fractions(pk.unpack_form(remainder))),
+            tuple(_from_form(n, Domain.RAT, q) if q[0] else zero for q in quotients),
+        )
 
 
 def buchberger(
@@ -448,9 +522,10 @@ def buchberger(
     integer form (coprime integer coefficients) and a = lc(G) > 0.  S-pairs
     are formed from the integer forms over the lcm of the two a's, the
     division loop :func:`_reduce` is fraction-free, and a new element is the
-    primitive part of its remainder; the coefficient cap still measures the
-    monic coefficients c/a.  Each exponent vector is packed into one int
-    whose order is the monomial order.  Fields, high bits first: lex
+    primitive part of its integer remainder, taken without ``Fraction``s;
+    the coefficient cap still measures the monic coefficients c/a.  Each
+    exponent vector is packed into one int whose order is the monomial
+    order.  Fields, high bits first: lex
     ``[x1..xn | deg]``, grlex ``[deg | x1..xn | deg]``, elim ``[deg(head) |
     head | deg(tail) | tail | deg]``, each ``w`` value bits under a guard
     bit; a variable's unit also bumps its degree fields.  So a product is
@@ -514,7 +589,7 @@ def buchberger(
         if g.is_zero:
             continue
         terms = pk.pack_terms(g._terms)
-        add(_primitive(terms))
+        add(_primitive(_integral(terms)[0]))
         if track:
             inv = 1 / terms[table[-1][0]]
             combos.append(tuple(
@@ -566,7 +641,7 @@ def buchberger(
         # every remainder term was once the leading term of the work and
         # passed the degree cap there, so the remainder needs no check
         try:
-            reduction, remainder = _reduce((spoly, f_i * a_i), table, pk, budget.max_degree, memo)
+            reduction, (remainder, rden) = _reduce((spoly, f_i * a_i), table, pk, budget.max_degree, memo)
         except _DegreeCapHit:
             raise BudgetExceededError(
                 f"degree budget {budget.max_degree} exceeded", partial_basis()
@@ -584,8 +659,8 @@ def buchberger(
         if track:
             mono_i, mono_j = ({pk.unpack(shift_i): 1}, 1), ({pk.unpack(shift_j): -1}, 1)
             base = [[(mono_i, a), (mono_j, b)] for a, b in zip(combos[i], combos[j])]
-            quotients = _quotients(reduction, len(table), pk)
-            combos.append(_combo_update(base, quotients, combos, 1 / remainder[lm]))
+            quotients = [_fractions(q) for q in _quotients(reduction, len(table), pk)]
+            combos.append(_combo_update(base, quotients, combos, Fraction(rden, remainder[lm])))
         add(form)
 
     return _finalize(table, combos, pk, source, steps, track, reduced=True)
@@ -670,22 +745,25 @@ def ideal_membership(
     self-check.  A budget-truncated basis can still certify MEMBER (its
     elements are genuine ideal members); it cannot certify NON_MEMBER, so
     that collapses to UNKNOWN with ``basis_complete=False``.  The basis is
-    computed once per generators, order and budget; the cofactor check runs
-    on every call.  Both the cofactor assembly, sum q_i * combo_i over the
-    quotients and the basis elements' cofactors, and the re-expansion
-    against the generators are integer sums of products
-    (:func:`~semiring_lab.polynomials._sum_of_products`); against the zero
-    ideal the cofactors are zero.  A query whose variable count differs from
-    the generators' raises ArityError.
+    computed once per generators, order and budget, and it keeps the integer
+    forms of its cofactors and its source generators; the cofactor check
+    runs on every call.  The query goes in as an integer form, and the
+    quotients come as integer forms from the division's steps.  Both the
+    cofactor assembly, sum q_i * combo_i over the quotients and the basis
+    elements' cofactors, and the re-expansion against the generators are
+    integer sums of products (:func:`~semiring_lab.polynomials._sum_of_products`),
+    and the cofactors take ``Fraction`` coefficients only in the returned
+    certificate; against the zero ideal the cofactors are zero.  A query
+    whose variable count differs from the generators' raises ArityError.
     """
     gb = _tracked_basis(tuple(gens), order, budget)
-    p = gb._query(p)
-    remainder, quotients = gb.normal_form_with_quotients(p)
-    if remainder.is_zero:
-        used = [(_form(q), combo) for q, combo in zip(quotients, gb.cofactors) if q]
-        cof = [_sum_of_products((q, _form(combo[j])) for q, combo in used) for j in range(len(gens))]
-        check = _sum_of_products(zip(cof, map(_form, gb.source)))
-        if _from_form(p.nvars, Domain.RAT, check) != p:
+    query = gb._query(p)
+    steps, (remainder, _), pk = gb._normal_form(query)
+    if not remainder:
+        quotients = _quotients(steps, len(gb.generators), pk)
+        used = [(q, combo) for q, combo in zip(quotients, gb._cofactor_forms) if q[0]]
+        cof = [_sum_of_products((q, combo[j]) for q, combo in used) for j in range(len(gens))]
+        if not _same(_sum_of_products(zip(cof, gb._source_forms)), query):
             raise RuntimeError("internal certificate check failed: cofactor expansion mismatch")
         return MembershipCertificate(
             MembershipStatus.MEMBER,
@@ -714,20 +792,20 @@ def tag_ring_generators(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
 @lru_cache(maxsize=64)
 def _tag_elimination_basis(
     gens: tuple[Polynomial, ...], budget: GroebnerBudget
-) -> tuple[tuple[Polynomial, ...], GroebnerBasis]:
+) -> tuple[tuple[_Form, ...], GroebnerBasis]:
     """Cached elimination basis of {X_i - g_i} with the T-block dominant.
 
     Keyed by the caller's generators as given, whose hashes the polynomials
-    keep, so a repeated query converts nothing.  Returns the generators over
-    Q and the basis; a budget-truncated basis is cached like a complete one,
-    with ``reduced=False``.
+    keep, so a repeated query converts nothing.  Returns the generators as
+    integer forms and the basis; a budget-truncated basis is cached like a
+    complete one, with ``reduced=False``.
     """
-    source = tuple(_to_rat(g) for g in gens)
-    order = elimination(source[0].nvars)
+    order = elimination(gens[0].nvars)
+    forms = tuple(map(_form, gens))
     try:
-        return source, buchberger(tag_ring_generators(source), order, budget)
+        return forms, buchberger(tag_ring_generators(gens), order, budget)
     except BudgetExceededError as exc:
-        return source, exc.partial
+        return forms, exc.partial
 
 
 def _tag_free_part(gb: GroebnerBasis, nvars: int, tag_count: int) -> tuple[Polynomial, ...]:
@@ -755,12 +833,12 @@ def relation_ideal(
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
-    source, gb = _tag_elimination_basis(tuple(gens), budget)
-    relations = _tag_free_part(gb, source[0].nvars, len(source))
+    _, gb = _tag_elimination_basis(tuple(gens), budget)
+    relations = _tag_free_part(gb, gens[0].nvars, len(gens))
     return RelationIdealResult(
         relations=relations,
         complete=gb.reduced,
-        tag_count=len(source),
+        tag_count=len(gens),
         steps_used=gb.steps_used,
     )
 
@@ -780,28 +858,36 @@ def subalgebra_membership(
     for membership in the Z-subalgebra is Q-membership plus integrality of
     the canonical representation.  A truncated basis keeps MEMBER sound
     (substitution is re-verified) but turns failed reductions into UNKNOWN.
+
+    The query's integer form is packed straight into the elimination
+    packing, and the T-freeness test, the projection and the integrality
+    test read the integer remainder.  The substitution check expands the
+    representation over the generators' integer forms, cached with the
+    basis (:func:`~semiring_lab.polynomials._substitute`, whose powers are
+    made per call), and compares integer forms; ``Fraction`` appears only in
+    the returned representation.
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
-    h = _to_rat(h)
     nvars = gens[0].nvars
     if h.nvars != nvars:
         raise ArityError(f"query has {h.nvars} variables, generators have {nvars}")
-    source, gb = _tag_elimination_basis(tuple(gens), budget)
-    tag_count = len(source)
+    forms, gb = _tag_elimination_basis(tuple(gens), budget)
+    tag_count = len(gens)
     truncation = tag_count + 1  # generators are numbered 2..k
-    total = nvars + tag_count
-    remainder = gb.normal_form(h.embed(total, 0))
-    t_free = not any(any(u[:nvars]) for u in remainder.support())
-    if t_free:
-        representation = remainder.project(nvars, total)
-        if representation.substitute(list(source)) != h:
+    query = _form(h)
+    _, (remainder, den), pk = gb._normal_form(query)
+    # the T-block's degree is the top field, so a T-free monomial packs below
+    # every T-variable's unit, and the leading monomial is the largest
+    if not remainder or max(remainder) < min(pk.units[:nvars]):
+        rep = {pk.unpack(m)[nvars:]: c for m, c in remainder.items()}
+        terms, rden = _substitute(rep.items(), forms, nvars)
+        if not _same((terms, rden * den), query):
             raise RuntimeError("internal certificate check failed: substitution mismatch")
-        integral = all(Fraction(c).denominator == 1 for _, c in representation.terms())
         return MembershipCertificate(
             MembershipStatus.MEMBER,
-            representation=representation,
-            integral=integral,
+            representation=_poly(tag_count, _fractions((rep, den))),
+            integral=all(c % den == 0 for c in rep.values()),
             truncation_level=truncation,
             basis_complete=gb.reduced,
         )

@@ -129,6 +129,37 @@ def _sum_of_products(pairs: Iterable[tuple[_Form, _Form]]) -> _Form:
     return out, den
 
 
+def _substitute(
+    terms: Iterable[tuple[Exponent, int | Fraction]], forms: Sequence[_Form], nvars: int
+) -> _Form:
+    """The integer form of sum c * prod forms[i]^e_i over ``terms`` (pairs
+    (e, c), c an int or a Fraction), in ``nvars`` variables.
+
+    One :func:`_sum_of_products`: each power of a form that a term uses is
+    made once per call, by squaring, and each term contributes the pair (c
+    times all its powers but the last, the last power).
+    """
+    powers: list[dict[int, _Form]] = [{1: f} for f in forms]
+
+    def power(i: int, e: int) -> _Form:
+        cache = powers[i]
+        if e not in cache:
+            half = power(i, e >> 1)
+            square = _sum_of_products([(half, half)])
+            cache[e] = _sum_of_products([(square, forms[i])]) if e & 1 else square
+        return cache[e]
+
+    const = (0,) * nvars
+    pairs = []
+    for exp, c in terms:
+        *factors, last = [power(i, e) for i, e in enumerate(exp) if e] or [({const: 1}, 1)]
+        head = ({const: c.numerator}, c.denominator)
+        for f in factors:
+            head = _sum_of_products([(head, f)])
+        pairs.append((head, last))
+    return _sum_of_products(pairs)
+
+
 def _form(p: Polynomial) -> _Form:
     """``p`` as an integer form; off Q it shares p's dict over denominator 1."""
     return _integral(p._terms) if p.domain is Domain.RAT else (p._terms, 1)
@@ -410,10 +441,7 @@ class Polynomial:
 
         The images must share one ambient ring; the result lives there, and
         the coefficients of self must fit the images' domain.  The expansion
-        is one integer :func:`_sum_of_products`: each power of an image that
-        a term uses is made once per call, by squaring, as an integer form,
-        and each term c*X^e of self contributes the pair (c times all its
-        powers but the last, the last power).
+        runs on integer forms (:func:`_substitute`).
         """
         if len(images) != self.nvars:
             raise ArityError(f"{len(images)} images supplied for {self.nvars} variables")
@@ -423,29 +451,9 @@ class Polynomial:
         for g in images:
             if g.nvars != ambient_nvars or g.domain is not ambient_domain:
                 raise DomainError("images do not share a common ambient ring")
-        powers: list[dict[int, _Form]] = [{} for _ in images]
-
-        def power(i: int, e: int) -> _Form:
-            cache = powers[i]
-            if e not in cache:
-                if e == 1:
-                    cache[e] = _form(images[i])
-                else:
-                    half = power(i, e >> 1)
-                    square = _sum_of_products([(half, half)])
-                    cache[e] = _sum_of_products([(square, power(i, 1))]) if e & 1 else square
-            return cache[e]
-
-        const = (0,) * ambient_nvars
-        pairs = []
-        for exp, coeff in sorted(self._terms.items()):
-            c = ambient_domain.coerce(coeff)
-            *factors, last = [power(i, e) for i, e in enumerate(exp) if e] or [({const: 1}, 1)]
-            head = ({const: c.numerator}, c.denominator)
-            for f in factors:
-                head = _sum_of_products([(head, f)])
-            pairs.append((head, last))
-        return _from_form(ambient_nvars, ambient_domain, _sum_of_products(pairs))
+        terms = ((exp, ambient_domain.coerce(c)) for exp, c in sorted(self._terms.items()))
+        form = _substitute(terms, [_form(g) for g in images], ambient_nvars)
+        return _from_form(ambient_nvars, ambient_domain, form)
 
     def differentiate(self, index: int) -> Polynomial:
         """Partial derivative with respect to variable ``index``."""

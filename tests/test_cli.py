@@ -520,6 +520,27 @@ def test_zero_nvars_keeps_its_answers(capsys):
         (("abhyankar", "verify", "--evidence", "1001"), "--evidence 1,001 is over the limit of 1,000 (lower --evidence)"),
         (("abhyankar", "verify", "--k", "101"), "--k 101 is over the limit of 100 (lower --k)"),
         (("abhyankar", "image", "--rep", "X2", "--k", "101"), "--k 101 is over the limit of 100 (lower --k)"),
+        (
+            ("abhyankar", "image", "--rep", "X6^200"),
+            "the expansion of X6^200 may have 721,801 terms and 1,601-bit coefficients, "
+            "over the limit of 10,000 terms or 10,000 bits (lower the exponents)",
+        ),
+        (
+            ("abhyankar", "image", "--rep", "X2^5000*X12^400", "--k", "12"),
+            "may have 109,542,201 terms and 10,801-bit coefficients",
+        ),
+        (
+            ("abhyankar", "verify", "--bases", "T1^200*T2^200"),
+            "--bases: T1^200*T2^200 has degree 400, over the limit of 16 (lower the degree)",
+        ),
+        (
+            ("abhyankar", "verify", "--bases", "T1*T2;T1^17"),
+            "--bases: T1^17 has degree 17, over the limit of 16 (lower the degree)",
+        ),
+        (
+            ("abhyankar", "verify", "--bases", "T1+T2+1;T1^2+T2^2+T1*T2;T1^3+T2^3+T1^4"),
+            "--bases: 9 terms in all, over the limit of 8 (fewer terms or bases)",
+        ),
     ],
 )
 def test_oversized_input_fails_fast(capsys, argv, message):
@@ -529,6 +550,16 @@ def test_oversized_input_fails_fast(capsys, argv, message):
     assert code == 2 and out == "" and message in err
     if argv[0] == "cone":
         assert "over the limit of 100,000 (lower --box" in err
+
+
+def test_size_limits_accept_inputs_at_their_edge(capsys):
+    # X6^22 may have 8,911 terms (its expansion has 782) and X2^5000 has one
+    for rep in ("X6^22", "X2^5000"):
+        assert run_cli(capsys, "abhyankar", "image", "--rep", rep)[0] == 0
+    # eight terms in all, each base of degree at most 16
+    bases = "T1^8*T2^8;T1*T2;T2^16;T1^2*T2^2;T1^3*T2;T1^16;T2;T1^4*T2^4"
+    code, out, _ = run_cli(capsys, "abhyankar", "verify", "--bases", bases)
+    assert code == 0 and "base T1^16: no witness within the search bounds" in out
 
 
 @pytest.mark.parametrize(

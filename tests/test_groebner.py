@@ -716,12 +716,14 @@ def test_substitution_mismatch_is_caught(gens, monkeypatch):
     g = tuple(gens[n] for n in range(2, 5))
     h = gens[2] * gens[3]
     assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
-    normal_form = GroebnerBasis.normal_form
+    normal_form = GroebnerBasis._normal_form
 
-    def corrupted(self, p):  # a tag-only, so T-free, term too many
-        return normal_form(self, p) + Polynomial.variable(p.nvars, p.nvars - 1, Domain.RAT)
+    def corrupted(self, form):  # a tag-only, so T-free, term too many: + X_last
+        steps, (terms, den), pk = normal_form(self, form)
+        last = pk.units[self.nvars - 1]
+        return steps, ({**terms, last: terms.get(last, 0) + den}, den), pk
 
-    monkeypatch.setattr(GroebnerBasis, "normal_form", corrupted)
+    monkeypatch.setattr(GroebnerBasis, "_normal_form", corrupted)
     with pytest.raises(RuntimeError, match="substitution mismatch"):
         subalgebra_membership(h, g)
 
@@ -881,6 +883,70 @@ def test_integrality_flag_tracks_denominators(gens):
     assert cert.integral is False
     cert_int = subalgebra_membership(gens[2] * 7, g)
     assert cert_int.integral is True
+
+
+def _reference_subalgebra_membership(h, gens_list, budget=GroebnerBudget()):
+    """The certificate from the definition, on ``Fraction`` polynomials: the
+    reference division of h, embedded in the combined ring, by the
+    elimination basis; a T-free remainder, projected to the tags, is the
+    representation, and it must substitute back to h."""
+    _, gb = groebner._tag_elimination_basis(tuple(gens_list), budget)
+    nvars, count = gens_list[0].nvars, len(gens_list)
+    query = h.as_domain(Domain.RAT).embed(nvars + count, 0)
+    _, remainder = _reference_divide(query, gb.generators, gb.order)
+    level = count + 1
+    if all(not any(u[:nvars]) for u in remainder):
+        rep = Polynomial(count, Domain.RAT, {u[nvars:]: c for u, c in remainder.items()})
+        assert rep.substitute([g.as_domain(Domain.RAT) for g in gens_list]) == h.as_domain(Domain.RAT)
+        integral = all(c.denominator == 1 for c in remainder.values())
+        return groebner.MembershipCertificate(
+            MembershipStatus.MEMBER, rep, None, integral, level, gb.reduced
+        )
+    if gb.reduced:
+        return groebner.MembershipCertificate(MembershipStatus.NON_MEMBER, truncation_level=level)
+    return groebner.MembershipCertificate(
+        MembershipStatus.UNKNOWN, truncation_level=level, basis_complete=False
+    )
+
+
+def _assert_parity(h, gens_list, budget=GroebnerBudget()) -> MembershipStatus:
+    cert = subalgebra_membership(h, gens_list, budget)
+    assert cert == _reference_subalgebra_membership(h, gens_list, budget)
+    if cert.representation is not None:
+        assert _is_rational(cert.representation._terms)
+    return cert.status
+
+
+def test_subalgebra_membership_matches_the_fraction_path(redone):
+    k8 = [closed_form_generator(n) for n in range(2, 9)]
+    one = Polynomial.one(2, Domain.INT)
+    statuses = []
+    # every product f_i * f_j minus a constant, at k = 8
+    for i in range(2, 9):
+        for j in range(i, 9):
+            product = k8[i - 2] * k8[j - 2]
+            for c in (0, 3):
+                statuses.append(_assert_parity(product - one * c, k8))
+    # non-members, and queries over N, Z and Q, the zero query among them
+    t = t_names(2)
+    queries = [
+        *(parse_poly(text, t, Domain.NAT) for text in ("T1*T2", "T1^3*T2^3 + T1*T2", "T1", "T1*T2 + T2", "0")),
+        *(parse_poly(text, t, Domain.INT) for text in ("T1*T2 - T2^2", "-T2", "T1^2", "0")),
+        *(parse_poly(text, t, Domain.RAT) for text in ("1/3*T1*T2", "1/2*T1*T2^2 - 1/4*T2", "1/5*T1 + 1", "0")),
+        k8[2].as_domain(Domain.RAT).scale(Fraction(1, 3)) * k8[5].as_domain(Domain.RAT),
+    ]
+    statuses += [_assert_parity(h, k8) for h in queries]
+    assert {MembershipStatus.MEMBER, MembershipStatus.NON_MEMBER} <= set(statuses)
+    # a budget-truncated basis: members stay sound, the rest is unknown
+    truncated = GroebnerBudget(max_steps=2)
+    cut = [_assert_parity(h, k8[:4], truncated) for h in [*queries, k8[1] * 5, k8[3] - one]]
+    assert {MembershipStatus.MEMBER, MembershipStatus.UNKNOWN} <= set(cut)
+    assert not groebner._tag_elimination_basis(tuple(k8[:4]), truncated)[1].reduced
+    # a wide query redoes its division at twice the width, on a fresh basis
+    groebner._tag_elimination_basis.cache_clear()
+    assert not redone
+    assert _assert_parity(p2("T1 + T2") ** 33, (p2("T1 + T2^3"), p2("T2"))) is MembershipStatus.MEMBER
+    assert redone
 
 
 # -- budgets ---------------------------------------------------------------
