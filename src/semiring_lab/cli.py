@@ -44,6 +44,7 @@ from .abhyankar import (
     AbhyankarContext,
     NotInSubringError,
     UnverifiedContextError,
+    _recurrence,
     generator,
     non_extendability_certificate,
 )
@@ -670,10 +671,10 @@ def _handle_abhyankar_generator(args) -> HandlerResult:
 
 
 def _handle_abhyankar_image(args) -> HandlerResult:
-    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     names = x_names(args.k)
     rep = _parse_word(args.rep, names, Domain.INT)
-    _check_image_size(rep, ctx.generators, names)
+    _check_image_size(rep, tuple(_recurrence(args.k)), names)
+    ctx = AbhyankarContext.build(args.k, _groebner_budget(args))
     try:
         element = ctx.element(rep)
         value = element.rational_image

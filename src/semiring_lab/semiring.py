@@ -215,11 +215,15 @@ class CongruenceClosure:
     """Congruence data for a presentation under one budget, grown on demand.
 
     The closure memoises one resumable search (``_Exploration``) per start
-    word.  ``preorder_leq`` and the bound predicates advance it through
-    ``explore`` only as far as each query needs, so no start word is searched
-    twice per closure; answers, witnesses and member order do not depend on
-    what was asked before.  ``words_equivalent`` does not use the memo.
-    Equality compares presentation and budget."""
+    word.  ``preorder_leq``, the bound predicates and ``cone_enumerate``
+    advance it through ``explore`` only as far as each query needs, so no
+    start word is searched twice per closure; answers, witnesses and member
+    order do not depend on what was asked before.  Words of one component
+    still get a search each, but an ended search from a word inside the
+    budget box stands for the search from any of its members
+    (``_Exploration.ended``); ``cone_enumerate`` skips those.
+    ``words_equivalent`` does not use the memo.  Equality compares
+    presentation and budget."""
 
     presentation: Presentation
     budget: Budget
@@ -260,7 +264,7 @@ def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
 
 
 def _iter_rewrites(
-    word: Polynomial, pres: Presentation, budget: Budget
+    word: Polynomial, pres: Presentation, budget: Budget, cache: dict | None = None
 ) -> Iterator[tuple[Step, Polynomial | None]]:
     """All one-step rewrites of ``word``, deterministically ordered.
 
@@ -269,7 +273,14 @@ def _iter_rewrites(
     the term dicts: removing ``mult * T^shift * src`` only lowers
     coefficients, so when ``word`` lies in the box only the terms that
     ``mult * T^shift * dst`` touches can leave it.
+
+    ``cache`` keeps, per ``(rel_index, forward, shift)``, the shifted source
+    and destination terms, whether the destination fits the degree cap, and
+    the steps made so far by multiplier; a search passes one dict for all of
+    its words, since its words share most shifts.
     """
+    if cache is None:
+        cache = {}
     n = pres.nvars
     max_degree, max_coeff = budget.max_degree, budget.max_coeff
     terms = word._terms
@@ -288,7 +299,17 @@ def _iter_rewrites(
                     {shift for w in terms if (shift := mono_div(w, anchor)) is not None}
                 )
             for shift in shifts:
-                moved_src = [(mono_mul(shift, v), c) for v, c in src._terms.items()]
+                key = (rel_index, forward, shift)
+                moved = cache.get(key)
+                if moved is None:
+                    moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
+                    moved = cache[key] = (
+                        [(mono_mul(shift, v), c) for v, c in src._terms.items()],
+                        moved_dst,
+                        all(mono_deg(w) <= max_degree for w, _ in moved_dst),
+                        [],
+                    )
+                moved_src, moved_dst, fits_degree, steps = moved
                 if moved_src:
                     top = min(terms.get(w, 0) // c for w, c in moved_src)
                 else:
@@ -296,8 +317,8 @@ def _iter_rewrites(
                     top = max_coeff
                 if top == 0:
                     continue
-                moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
-                fits_degree = all(mono_deg(w) <= max_degree for w, _ in moved_dst)
+                for mult in range(len(steps) + 1, top + 1):
+                    steps.append(Step(rel_index, forward, shift, mult))
                 for mult in range(1, top + 1):
                     out = dict(terms)
                     for w, c in moved_src:
@@ -313,15 +334,17 @@ def _iter_rewrites(
                         admitted = fits_degree and all(out[w] <= max_coeff for w, _ in moved_dst)
                     else:
                         admitted = budget.admits(result)
-                    yield Step(rel_index, forward, shift, mult), (result if admitted else None)
+                    yield steps[mult - 1], (result if admitted else None)
 
 
 def _rewrites(queue: deque[Polynomial], pres: Presentation, budget: Budget) -> Iterator[tuple]:
     """(word, step, result) for each word popped from ``queue`` until it is
-    empty.  Holds no reference to the search, so the two form no cycle."""
+    empty, sharing one rewrite cache.  Holds no reference to the search, so
+    the two form no cycle."""
+    cache: dict = {}
     while queue:
         word = queue.popleft()
-        for step, result in _iter_rewrites(word, pres, budget):
+        for step, result in _iter_rewrites(word, pres, budget, cache):
             yield word, step, result
 
 
@@ -334,10 +357,11 @@ class _Exploration:
     step) in discovery order, however the search was advanced, and
     ``rewrites_used`` counts the rewrites taken.  The next rewrite is drawn
     only to go on or to tell whether a search stopped at its cap had ended;
-    ``steps_used`` counts it (c + 1 at cap c).  ``complete``: the search
-    ended and no rewrite left the budget box, so the component is finite
-    and fully known.  An over-limit zero-side shift list raises BudgetError
-    at construction, not partway; a draw that raised raises again on resume."""
+    ``steps_used`` counts it (c + 1 at cap c).  ``ended``: no rewrite is
+    left.  ``complete``: the search ended and no rewrite left the budget
+    box, so the component is finite and fully known.  An over-limit
+    zero-side shift list raises BudgetError at construction, not partway; a
+    draw that raised raises again on resume."""
 
     def __init__(self, start: Polynomial, pres: Presentation, budget: Budget):
         for lhs, rhs in pres.relations:
@@ -362,8 +386,17 @@ class _Exploration:
         return self._next
 
     @property
+    def ended(self) -> bool:
+        """No rewrite is left.  If the start word lies in the budget box,
+        the members are then its whole in-box component: rewrites are
+        reversible inside the box, so a search from any member finds the
+        same set with the same number of rewrites.  Rewrites that left the
+        box (``complete`` is then False) do not change that."""
+        return self._peek() is None
+
+    @property
     def complete(self) -> bool:
-        return self._peek() is None and not self._clipped
+        return self.ended and not self._clipped
 
     @property
     def steps_used(self) -> int:

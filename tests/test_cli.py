@@ -18,6 +18,7 @@ import time
 import jsonschema
 import pytest
 
+from semiring_lab import cli
 from semiring_lab.cli import (
     REPORT_SCHEMA,
     SCHEMA_ID,
@@ -550,6 +551,15 @@ def test_oversized_input_fails_fast(capsys, argv, message):
     assert code == 2 and out == "" and message in err
     if argv[0] == "cone":
         assert "over the limit of 100,000 (lower --box" in err
+
+
+def test_oversized_image_fails_before_the_context_is_built(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr(cli.AbhyankarContext, "build", refuse)
+    code, out, err = run_cli(capsys, "abhyankar", "image", "--rep", "X6^200", "--k", "100")
+    assert code == 2 and out == "" and "over the limit of 10,000 terms" in err
 
 
 def test_size_limits_accept_inputs_at_their_edge(capsys):

@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,6 +31,7 @@ from semiring_lab.polynomials import Domain, DomainError, Polynomial, parse_poly
 from semiring_lab import semiring
 from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri
 from tests.oracles import purity_violations, semigroup_within_box
+from tests.test_semiring import CATALOG
 
 SEED = 66217
 
@@ -189,6 +191,112 @@ def test_cone_explores_each_start_once(monkeypatch):
     cone_enumerate(pres, 2, budget)
     assert starts
     assert max(starts.values()) == 1, "a start word was explored twice"
+
+
+def _swapped(pres):
+    """The same presentation with T1 and T2 exchanged."""
+    def swap(p):
+        return Polynomial(2, Domain.NAT, {(u[1], u[0]): c for u, c in p.terms()})
+
+    return Presentation(2, tuple((swap(lhs), swap(rhs)) for lhs, rhs in pres.relations))
+
+
+def _catalog_targets():
+    for nvars, text in CATALOG:
+        pres = Presentation.free(nvars) if text is None else Presentation.from_text(nvars, text)
+        yield text, pres
+        if nvars == 2:
+            yield f"{text} (swapped)", _swapped(pres)
+
+
+@pytest.mark.parametrize("box", [2, 3])
+@pytest.mark.parametrize(
+    "budget", [Budget(4, 8, 300), Budget(5, 8, 5000)], ids=["small", "cone-scan"]
+)
+def test_cone_sweep_matches_the_predicate_cell_by_cell(budget, box):
+    # the sweep over constants must give each cell the verdict of the
+    # bounded-above predicate, which scans the constants cell by cell
+    for text, pres in _catalog_targets():
+        predicate = BoundedSubsetPredicate(BoundClass.ABOVE, pres, budget)
+        verdicts = {
+            u: predicate.classify(Polynomial.monomial(u, 1, Domain.NAT)).answer
+            for u in product(range(box + 1), repeat=pres.nvars)
+        }
+        cone = cone_enumerate(pres, box, budget)
+        assert cone.members == frozenset(u for u, v in verdicts.items() if v is Tri.YES), text
+        assert cone.unknown == tuple(u for u, v in verdicts.items() if v is Tri.UNKNOWN), text
+
+
+def test_cone_sweep_searches_on_from_a_member_of_a_capped_search():
+    # at cap 1 the search from 1 finds only 2 (by 1 = 1 + 1); the search
+    # from 2 has not ended with it and finds T1 first (by 1 + 1 = T1)
+    pres = Presentation.from_text(1, "1 + 1 = T1\n1 + 1 = 1")
+    budget = Budget(max_degree=4, max_coeff=8, max_steps=1)
+    predicate = BoundedSubsetPredicate(BoundClass.ABOVE, pres, budget, max_bound=2)
+    assert predicate.classify(word("T1", 1)).upper == 2
+    cone = cone_enumerate(pres, 1, budget, max_bound=2)
+    assert cone.members == frozenset({(0,), (1,)}) and cone.unknown == ()
+
+
+def test_evaluation_cone_evaluates_nothing(monkeypatch, ev):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a monomial was evaluated")
+
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    c = cone_enumerate(ev, 3)
+    assert c.members == frozenset(product(range(4), repeat=2)) and c.unknown == ()
+
+
+def _spy_searches(monkeypatch):
+    """Record every search created, by start word."""
+    searches = {}
+    exploration = semiring._Exploration
+
+    def recording(start, *args):
+        searches[start] = exploration(start, *args)
+        return searches[start]
+
+    monkeypatch.setattr(semiring, "_Exploration", recording)
+    return searches
+
+
+def test_cone_sweep_searches_a_shared_component_once(monkeypatch):
+    # under 2 = 1 the constants 1..8 form one component: the scan cell by
+    # cell searches it from each of them, the sweep from 1 only
+    pres = Presentation.from_text(2, "1 + 1 = 1")
+    budget = Budget(max_degree=5, max_coeff=8, max_steps=5000)
+    searches = _spy_searches(monkeypatch)
+    predicate = BoundedSubsetPredicate(BoundClass.ABOVE, pres, budget)
+    for u in product(range(4), repeat=2):
+        predicate.classify(Polynomial.monomial(u, 1, Domain.NAT))
+    assert len(searches) == 8
+    searches.clear()
+    cone = cone_enumerate(pres, 3, budget)
+    assert list(searches) == [pres.one]
+    assert cone.members == frozenset({(0, 0)}) and len(cone.unknown) == 15
+
+
+def test_cone_sweep_searches_each_component(monkeypatch):
+    # under T1*T2 = 1 no two constants are equivalent
+    searches = _spy_searches(monkeypatch)
+    pres = Presentation.from_text(2, "T1*T2 = 1")
+    cone_enumerate(pres, 2, Budget(max_degree=5, max_coeff=8, max_steps=5000))
+    assert len(searches) == 8
+
+
+def test_ended_searches_of_one_component_agree():
+    # 8 ~ 9 leaves the coefficient box, so no search is complete; each still
+    # ends, with the same members after the same number of rewrites
+    pres = Presentation.from_text(2, "1 + 1 = 1")
+    budget = Budget(max_degree=5, max_coeff=8, max_steps=5000)
+    searches = []
+    for q in range(1, 9):
+        search = semiring._Exploration(Polynomial.constant(2, q, Domain.NAT), pres, budget)
+        assert search.find(lambda _: False, budget.max_steps) is None
+        assert search.ended and not search.complete
+        searches.append(search)
+    assert all(set(s.members) == set(searches[0].members) for s in searches)
+    assert len({s.rewrites_used for s in searches}) == 1
 
 
 # -- cone dimension ---------------------------------------------------------

@@ -549,8 +549,8 @@ def test_oversized_shift_list_fails_before_any_search():
 
 def _failing_rewrites(after):
     # the one-step rewrites, with the draw after the first ``after`` raising
-    def rewrites(word, pres, budget):
-        for step, result in iter_rewrites(word, pres, budget):
+    def rewrites(word, pres, budget, *rest):
+        for step, result in iter_rewrites(word, pres, budget, *rest):
             if counter[0] == after:
                 raise RuntimeError("draw failed")
             counter[0] += 1
