@@ -39,7 +39,10 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=4000, help="step budget")
     args = ap.parse_args()
 
-    budget = Budget(max_degree=8, max_coeff=16, max_steps=args.steps)
+    try:
+        budget = Budget(max_degree=8, max_coeff=16, max_steps=args.steps)
+    except ValueError as exc:
+        ap.error(str(exc))
     for name, target in GALLERY:
         cone = cone_enumerate(target, args.box, budget)
         u = find_interior_u(cone)

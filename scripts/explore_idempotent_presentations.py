@@ -40,9 +40,10 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=4000, help="step budget")
     args = ap.parse_args()
 
-    budget = Budget(
-        max_degree=args.deg, max_coeff=args.coeff, max_steps=args.steps
-    )
+    try:
+        budget = Budget(max_degree=args.deg, max_coeff=args.coeff, max_steps=args.steps)
+    except ValueError as exc:
+        ap.error(str(exc))
     header = f"{'presentation':<32}{'idempotent':<12}{'cancellative':<14}one-absorbing"
     print(header)
     print("-" * len(header))

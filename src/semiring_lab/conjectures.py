@@ -201,7 +201,7 @@ class Cone:
 # a scan lists every vector of the box [0, box]^n: 10^5 cells take about
 # 0.05 s in an evaluation cone_enumerate and 0.8 s in purity_check (all of
 # [0, 315]^2 from (1, 0) and (0, 1)); a presentation cone_enumerate costs
-# its constants' searches, about 2 s for T1*T2 = 1 at the CLI's budget
+# its constants' searches, about 1 s for T1*T2 = 1 at box 3 and the CLI's budget
 _MAX_BOX_CELLS = 10**5
 
 

@@ -416,7 +416,8 @@ class Polynomial:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, self.domain, frozenset(self._terms.items())))
+            # the domain is left out (equality still checks it): Enum.__hash__ runs in Python
+            h = hash((self.nvars, frozenset(self._terms.items())))
             self._hash = h
         return h
 

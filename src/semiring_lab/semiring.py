@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
@@ -82,12 +82,17 @@ class Tri(Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Derivation budget: total degree cap, coefficient magnitude cap, and
-    a cap on the number of rewrite applications a search may perform."""
+    """Derivation budget: total degree cap (at least 0), coefficient cap and
+    cap on the rewrites a search may perform (both at least 1)."""
 
     max_degree: int = 6
     max_coeff: int = 64
     max_steps: int = 100_000
+
+    def __post_init__(self):
+        for name, low in (("max_degree", 0), ("max_coeff", 1), ("max_steps", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"budget {name} must be at least {low}, got {getattr(self, name)}")
 
     def admits(self, p: Polynomial) -> bool:
         return p.total_degree() <= self.max_degree and p.max_coeff_abs() <= self.max_coeff
@@ -222,8 +227,8 @@ class CongruenceClosure:
     still get a search each, but an ended search from a word inside the
     budget box stands for the search from any of its members
     (``_Exploration.ended``); ``cone_enumerate`` skips those.
-    ``words_equivalent`` does not use the memo.  Equality compares
-    presentation and budget."""
+    ``words_equivalent`` does not use the memo; all searches share the
+    closure's ``_RewriteTable``.  Equality compares presentation and budget."""
 
     presentation: Presentation
     budget: Budget
@@ -231,10 +236,14 @@ class CongruenceClosure:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @cached_property
+    def _table(self) -> _RewriteTable:
+        return _RewriteTable(self.presentation, self.budget)
+
     def explore(self, start: Polynomial) -> _Exploration:
         """The memoised search of ``start``'s component under the closure's budget."""
         if start not in self._explored:
-            self._explored[start] = _Exploration(start, self.presentation, self.budget)
+            self._explored[start] = _Exploration(start, self.presentation, self.budget, self._table)
         return self._explored[start]
 
 
@@ -263,92 +272,141 @@ def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
     )
 
 
+class _RewriteTable:
+    """Rewrite data shared by the searches of one closure: ``sides`` (built
+    on the first draw) lists each relation direction that rewrites, with a
+    nonzero source's GRLEX anchor or a zero source's shifts; ``moves`` maps
+    (rel_index, forward, shift) to the shifted source and destination terms,
+    whether the destination fits the degree cap, the steps so far by
+    multiplier and the key change ``delta``.  A key packs an in-box word's
+    coefficients into ``width`` + 1-bit fields, one per monomial in
+    first-seen order.  ``width`` holds max_coeff * (1 + the largest relation
+    coefficient), so each field of ``key + mult * delta`` is in range, and
+    one above max_coeff sets its guard bit (``guards``) in ``key + spread``."""
+
+    def __init__(self, pres: Presentation, budget: Budget):
+        self.pres, self.budget = pres, budget
+        self.moves, self.fields = {}, {}
+        self.spread = self.guards = 0
+
+    @cached_property
+    def sides(self) -> list[tuple]:
+        n, relations, max_degree = self.pres.nvars, self.pres.relations, self.budget.max_degree
+        largest = max((c for rel in relations for side in rel for _, c in side.terms()), default=0)
+        self.width = (self.budget.max_coeff * (1 + largest)).bit_length()
+        sides = []
+        for rel_index, (lhs, rhs) in enumerate(relations):
+            for forward in (True, False):
+                src, dst = (lhs, rhs) if forward else (rhs, lhs)
+                if src == dst:
+                    continue
+                anchor = None if src.is_zero else src.leading_term(GRLEX)[0]
+                # a zero source adds c*T^u*dst to any word: the box bounds its shifts
+                shifts = anchor is None and _bounded_exponents(n, max_degree - dst.total_degree())
+                sides.append((rel_index, forward, src, dst, anchor, shifts))
+        return sides
+
+    def encode(self, terms) -> int:
+        """The key of (monomial, coefficient) pairs; lays out new fields."""
+        key = 0
+        for w, c in terms:
+            offset = self.fields.get(w)
+            if offset is None:
+                offset = self.fields[w] = len(self.fields) * (self.width + 1)
+                self.spread |= ((1 << self.width) - 1 - self.budget.max_coeff) << offset
+                self.guards |= 1 << (offset + self.width)
+            key += c << offset
+        return key
+
+
 def _iter_rewrites(
-    word: Polynomial, pres: Presentation, budget: Budget, cache: dict | None = None
+    word: Polynomial, pres: Presentation, budget: Budget,
+    table=None, key=None, known=None, queue=None,
 ) -> Iterator[tuple[Step, Polynomial | None]]:
     """All one-step rewrites of ``word``, deterministically ordered.
 
     Yields (step, result); result is None when the rewritten word violates
     the budget box (the caller records clipping).  Results are computed on
-    the term dicts: removing ``mult * T^shift * src`` only lowers
-    coefficients, so when ``word`` lies in the box only the terms that
-    ``mult * T^shift * dst`` touches can leave it.
+    the term dicts, and only for words not known to the search.
 
-    ``cache`` keeps, per ``(rel_index, forward, shift)``, the shifted source
-    and destination terms, whether the destination fits the degree cap, and
-    the steps made so far by multiplier; a search passes one dict for all of
-    its words, since its words share most shifts.
+    ``table`` is the closure's ``_RewriteTable`` (a fresh one when None).
+    Given a search's member keys ``known`` and ``queue``, an in-box word
+    (``key``, or None to key it on its first rewrite) keys its results as
+    ``key + mult * delta``; a start word outside the box keys its admitted
+    results from scratch.  A known result is yielded as ``_KNOWN``, unbuilt;
+    a new one's key goes into ``known`` and (result, key) onto ``queue``.
     """
-    if cache is None:
-        cache = {}
-    n = pres.nvars
-    max_degree, max_coeff = budget.max_degree, budget.max_coeff
+    table = table or _RewriteTable(pres, budget)
+    n, max_coeff, moves = pres.nvars, budget.max_coeff, table.moves
     terms = word._terms
-    inside = budget.admits(word)
-    for rel_index, (lhs, rhs) in enumerate(pres.relations):
-        for forward in (True, False):
-            src, dst = (lhs, rhs) if forward else (rhs, lhs)
-            if src == dst:
+    for rel_index, forward, src, dst, anchor, shifts in table.sides:
+        if anchor is not None:
+            shifts = sorted({shift for w in terms if (shift := mono_div(w, anchor)) is not None})
+        for shift in shifts:
+            moved = moves.get((rel_index, forward, shift))
+            if moved is None:
+                moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
+                moved_src = [(mono_mul(shift, v), c) for v, c in src._terms.items()]
+                fits = all(mono_deg(w) <= budget.max_degree for w, _ in moved_dst)
+                moved = moves[rel_index, forward, shift] = [moved_src, moved_dst, fits, [], None]
+            moved_src, moved_dst, fits_degree, steps, delta = moved
+            # a zero source fits any word: the coefficient cap bounds mult
+            top = min(terms.get(w, 0) // c for w, c in moved_src) if moved_src else max_coeff
+            if top == 0:
                 continue
-            if src.is_zero:
-                # adding c*T^u*dst is always permitted; bound by the box
-                shifts = _bounded_exponents(n, max_degree - dst.total_degree())
-            else:
-                anchor, _ = src.leading_term(GRLEX)
-                shifts = sorted(
-                    {shift for w in terms if (shift := mono_div(w, anchor)) is not None}
-                )
-            for shift in shifts:
-                key = (rel_index, forward, shift)
-                moved = cache.get(key)
-                if moved is None:
-                    moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
-                    moved = cache[key] = (
-                        [(mono_mul(shift, v), c) for v, c in src._terms.items()],
-                        moved_dst,
-                        all(mono_deg(w) <= max_degree for w, _ in moved_dst),
-                        [],
-                    )
-                moved_src, moved_dst, fits_degree, steps = moved
-                if moved_src:
-                    top = min(terms.get(w, 0) // c for w, c in moved_src)
-                else:
-                    # a zero source fits any word: the coefficient cap bounds mult
-                    top = max_coeff
-                if top == 0:
-                    continue
-                for mult in range(len(steps) + 1, top + 1):
-                    steps.append(Step(rel_index, forward, shift, mult))
-                for mult in range(1, top + 1):
-                    out = dict(terms)
-                    for w, c in moved_src:
-                        left = out[w] - mult * c
-                        if left:
-                            out[w] = left
-                        else:
-                            del out[w]
-                    for w, c in moved_dst:
-                        out[w] = out.get(w, 0) + mult * c
-                    result = Polynomial._raw(n, Domain.NAT, out)
-                    if inside:
-                        admitted = fits_degree and all(out[w] <= max_coeff for w, _ in moved_dst)
+            for mult in range(len(steps) + 1, top + 1):
+                steps.append(Step(rel_index, forward, shift, mult))
+            if not fits_degree:
+                yield from ((step, None) for step in steps[:top])
+                continue
+            if known is not None and (key is not None or budget.admits(word)):
+                if key is None:
+                    known.add(key := table.encode(terms.items()))
+                if delta is None:
+                    delta = moved[4] = table.encode(moved_dst) - table.encode(moved_src)
+                spread, guards = table.spread, table.guards
+            for mult in range(1, top + 1):
+                step = steps[mult - 1]
+                if key is not None:
+                    r = key + mult * delta
+                    clipped = (r + spread) & guards
+                    if clipped or r in known:
+                        yield step, None if clipped else _KNOWN
+                        continue
+                out = dict(terms)
+                for w, c in moved_src:
+                    left = out[w] - mult * c
+                    if left:
+                        out[w] = left
                     else:
-                        admitted = budget.admits(result)
-                    yield steps[mult - 1], (result if admitted else None)
+                        del out[w]
+                for w, c in moved_dst:
+                    out[w] = out.get(w, 0) + mult * c
+                result = Polynomial._raw(n, Domain.NAT, out)
+                if key is None and not budget.admits(result):
+                    yield step, None
+                    continue
+                if known is not None:
+                    if key is None and (r := table.encode(out.items())) in known:
+                        yield step, _KNOWN
+                        continue
+                    known.add(r)
+                    queue.append((result, r))
+                yield step, result
 
 
-def _rewrites(queue: deque[Polynomial], pres: Presentation, budget: Budget) -> Iterator[tuple]:
-    """(word, step, result) for each word popped from ``queue`` until it is
-    empty, sharing one rewrite cache.  Holds no reference to the search, so
-    the two form no cycle."""
-    cache: dict = {}
+def _rewrites(start: Polynomial, pres: Presentation, budget: Budget, table) -> Iterator[tuple]:
+    """(word, step, result) for each rewrite of the breadth-first search from
+    ``start``.  Holds no reference to the search, so the two form no cycle."""
+    queue, known = deque([(start, None)]), set()
     while queue:
-        word = queue.popleft()
-        for step, result in _iter_rewrites(word, pres, budget, cache):
+        word, key = queue.popleft()
+        for step, result in _iter_rewrites(word, pres, budget, table, key, known, queue):
             yield word, step, result
 
 
 _UNDRAWN = object()
+_KNOWN = object()  # a rewrite result that the search has found before
 
 
 class _Exploration:
@@ -361,15 +419,15 @@ class _Exploration:
     left.  ``complete``: the search ended and no rewrite left the budget
     box, so the component is finite and fully known.  An over-limit
     zero-side shift list raises BudgetError at construction, not partway; a
-    draw that raised raises again on resume."""
+    draw that raised raises again on resume.  Rewrites share ``table`` (a new
+    one when None) and test results by key; a search drawing none keys nothing."""
 
-    def __init__(self, start: Polynomial, pres: Presentation, budget: Budget):
+    def __init__(self, start: Polynomial, pres: Presentation, budget: Budget, table=None):
         for lhs, rhs in pres.relations:
             if lhs.is_zero != rhs.is_zero:  # rewrites add every shift of the other side
                 _bounded_exponents(pres.nvars, budget.max_degree - (lhs + rhs).total_degree())
         self.members: dict[Polynomial, tuple] = {start: (None, None)}
-        self._queue: deque[Polynomial] = deque([start])
-        self._rewrites = _rewrites(self._queue, pres, budget)
+        self._rewrites = _rewrites(start, pres, budget, table or _RewriteTable(pres, budget))
         self._next = _UNDRAWN
         self.rewrites_used = 0
         self._clipped = False
@@ -414,9 +472,8 @@ class _Exploration:
             self.rewrites_used += 1
             if result is None:
                 self._clipped = True
-            elif result not in self.members:
+            elif result is not _KNOWN:
                 self.members[result] = (word, step)
-                self._queue.append(result)
                 if wanted(result):
                     return result
         return None
@@ -509,7 +566,7 @@ def words_equivalent(
             )
     total = 0
     for source, target, backwards in ((p, q, False), (q, p, True)):
-        exploration = _Exploration(source, pres, budget)
+        exploration = _Exploration(source, pres, budget, cc._table)
         if exploration.find(lambda word: word == target, budget.max_steps) is not None:
             trace = exploration.trace_to(target)
             if backwards:

@@ -43,6 +43,32 @@ def test_abhyankar_report_rejects_truncation_below_3(k, monkeypatch, capsys):
     assert f"--k must be at least 3, got {k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        ("cone_gallery.py", ["--steps", "0"], "max_steps must be at least 1, got 0"),
+        (
+            "explore_idempotent_presentations.py",
+            ["--deg", "-1"],
+            "max_degree must be at least 0, got -1",
+        ),
+        (
+            "explore_idempotent_presentations.py",
+            ["--coeff", "0"],
+            "max_coeff must be at least 1, got 0",
+        ),
+    ],
+    ids=["gallery-steps", "explore-deg", "explore-coeff"],
+)
+def test_scripts_reject_an_out_of_range_budget(script, argv, message, monkeypatch, capsys):
+    path = SCRIPTS / script
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_abhyankar_report_skips_evaluation_on_unverified_context(monkeypatch, capsys):
     # at k = 10 the default --deg 8 leaves the relation ideal incomplete
     path = SCRIPTS / "run_abhyankar_report.py"

@@ -5,7 +5,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -99,6 +99,20 @@ def test_relations_must_be_natural_domain():
 def test_relation_arity_checked():
     with pytest.raises(ValueError):
         Presentation(2, ((P1("T1"), P1("1")),))
+
+
+# -- budgets ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, low", [("max_degree", 0), ("max_coeff", 1), ("max_steps", 1)]
+)
+def test_budget_rejects_a_cap_below_its_floor(field, low):
+    # the box-1 T1*T2 = 1 cone once called its trivial cell (0, 0) unknown
+    # under a zero coefficient cap and a member under a negative degree cap
+    assert getattr(Budget(**{field: low}), field) == low
+    with pytest.raises(ValueError, match=f"budget {field} must be at least {low}, got {low - 1}"):
+        Budget(**{field: low - 1})
 
 
 # -- congruence closure ----------------------------------------------------
@@ -444,6 +458,123 @@ def _catalog_presentation(nvars, text):
     return Presentation.free(nvars) if text is None else Presentation.from_text(nvars, text)
 
 
+# the packed path against the dict path: the catalog, a relation coefficient
+# above 1 in two variables, a zero relation side in one variable, and two
+# relations that rewrite a start word outside the box to one word twice
+PACKED_CATALOG = CATALOG + [(2, "2*T1 = 1"), (1, "T1 = 0"), (1, "2 = 1\n3 = 2")]
+
+
+def _outcome(result):
+    if result is None:
+        return "clipped"
+    return "known" if result is semiring._KNOWN else result
+
+
+def _dict_path_rewrites(start, pres, budget):
+    """(word, step, outcome) of a breadth-first search on the dict path,
+    drawing at most max_steps + 1 rewrites; outcome is the new word,
+    "known" or "clipped"."""
+    members, queue, out = {start}, [start], []
+    for word in queue:
+        for step, result in semiring._iter_rewrites(word, pres, budget):
+            if len(out) > budget.max_steps:
+                return out
+            if result is not None and result in members:
+                result = semiring._KNOWN
+            elif result is not None:
+                members.add(result)
+                queue.append(result)
+            out.append((word, step, _outcome(result)))
+    return out
+
+
+def _start_words(rng, pres, budget):
+    nvars, unit = pres.nvars, (0,) * pres.nvars
+    words = [pres.one, pres.one + pres.one]
+    words += [side for rel in pres.relations for side in rel if budget.admits(side)]
+    words += [
+        random_poly(rng, nvars, Domain.NAT, max_terms=2, max_exp=2, max_coeff=3) for _ in range(2)
+    ]
+    # outside the box: a coefficient and a degree above the caps
+    words.append(Polynomial(nvars, Domain.NAT, {unit: budget.max_coeff + 1, (1,) + unit[1:]: 1}))
+    words.append(Polynomial(nvars, Domain.NAT, {(budget.max_degree + 1,) + unit[1:]: 1, unit: 1}))
+    return words
+
+
+@pytest.mark.parametrize(
+    "budget", [Budget(4, 8, 300), Budget(5, 8, 5000)], ids=["small", "cone-scan"]
+)
+def test_packed_path_matches_the_dict_path(budget):
+    rng = random.Random(SEED + 9)
+    for nvars, text in PACKED_CATALOG:
+        pres = _catalog_presentation(nvars, text)
+        table = semiring._RewriteTable(pres, budget)  # shared, as in one closure
+        for start in _start_words(rng, pres, budget):
+            expected = _dict_path_rewrites(start, pres, budget)
+            packed = semiring._rewrites(start, pres, budget, table)
+            got = [(w, s, _outcome(r)) for w, s, r in islice(packed, len(expected))]
+            assert got == expected, (text, format_poly(start))
+            reference = reference_explore(start, pres, budget)
+            search = semiring._Exploration(start, pres, budget, table)
+            search.find(lambda _: False, budget.max_steps)
+            assert list(search.members.items()) == list(reference.members.items()), text
+            assert (search.steps_used, search.complete) == (
+                reference.steps_used,
+                reference.complete,
+            ), (text, format_poly(start))
+            # equal (parent, step) entries make equal traces; replay the deepest
+            last = list(search.members)[-1]
+            assert replay_trace(start, search.trace_to(last), pres) == last
+
+
+@pytest.mark.parametrize(
+    "nvars, text, start",
+    [(1, "1 = 0", "T1 + 1"), (1, "3 = 0", "T1 + 1"), (2, "T1 = 3*T2", "{c}*T1 + {c}*T2")],
+)
+@pytest.mark.parametrize("max_coeff", [1, 2, 3, 7, 8, 9, 15, 64])
+def test_packed_cap_admits_the_cap_and_clips_above_it(nvars, text, start, max_coeff):
+    # every rewrite of an in-box start is keyed and tested against the cap:
+    # under 0 -> c one coefficient grows by c*mult, so with c = 1 one
+    # reaches the cap exactly and one lands just above it; under
+    # T1 -> 3*T2 from the corner of the box a field grows to 4*max_coeff
+    pres = Presentation.from_text(nvars, text)
+    budget = Budget(max_degree=2, max_coeff=max_coeff, max_steps=100)
+    start = parse_poly(start.format(c=max_coeff), t_names(nvars), Domain.NAT)
+    table = semiring._RewriteTable(pres, budget)
+    over = set()  # the largest coefficient minus the cap, per rewrite
+    for word, step, result in semiring._rewrites(start, pres, budget, table):
+        if word != start:
+            break
+        replayed = step.apply(start, pres)
+        assert (result is not None) == budget.admits(replayed), step
+        assert result is None or result == replayed
+        over.add(replayed.max_coeff_abs() - max_coeff)
+    assert max(over) > 0
+    if text == "1 = 0":
+        assert {0, 1} <= over
+
+
+def test_a_search_that_draws_no_rewrite_keys_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word was keyed")
+
+    monkeypatch.setattr(semiring._RewriteTable, "encode", refuse)
+    budget = Budget(max_degree=4, max_coeff=8, max_steps=300)
+    one = Polynomial.one(2, Domain.NAT)
+    # no rewrite applies to 1 under T1^2 = T2, and the free presentation has none
+    for pres in (Presentation.from_text(2, "T1^2 = T2"), Presentation.free(2)):
+        search = semiring._Exploration(one, pres, budget)
+        assert search.find(lambda _: False, budget.max_steps) is None
+        assert search.complete and list(search.members) == [one]
+    # 1 <= 2 is answered by the start word: nothing is drawn or built
+    cc = congruence_close(Presentation.from_text(2, "T1*T2 = 1"), budget)
+    assert preorder_leq(one, one + one, cc).verdict is Tri.YES
+    assert "sides" not in vars(cc._table)
+    # the first rewrite of 1 under T1*T2 = 1 keys the start word
+    with pytest.raises(AssertionError, match="a word was keyed"):
+        preorder_leq(Polynomial.variable(2, 0, Domain.NAT), one, cc)
+
+
 def _advanced(start, pres, budget, *caps):
     search = semiring._Exploration(start, pres, budget)
     for cap in caps:
@@ -467,7 +598,8 @@ def test_search_matches_the_reference_search_at_every_cap():
                 words.append(word)
         for start in words:
             n = reference_explore(start, pres, box).steps_used
-            for cap in sorted({0, 1, 2, n // 2, max(n - 1, 0), n, n + 1}):
+            # a budget caps steps at 1 or more
+            for cap in sorted({1, 2, max(n // 2, 1), max(n - 1, 1), max(n, 1), n + 1}):
                 budget = Budget(max_degree=2, max_coeff=2, max_steps=cap)
                 expected = reference_explore(start, pres, budget)
                 fresh = _advanced(start, pres, budget, cap)
