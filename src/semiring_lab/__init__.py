@@ -6,7 +6,7 @@ Layers, bottom to top:
   * ``groebner``    -- Groebner bases with cofactor certificates, ideal and
                        subalgebra membership, relation ideals
   * ``semiring``    -- finitely presented commutative semirings: bounded
-                       congruence closure, cancellativity, difference rings
+                       congruence closure, idempotence, cancellativity
   * ``abhyankar``   -- the subring of Z[T1,T2] generated by the recurrence
                        f_2 = T1*T2, f_{n+1} = (n*f_n - 1)*T2, and its
                        surjection onto Q sending f_n to 1/n
@@ -31,15 +31,13 @@ from .abhyankar import (
 from .conjectures import (
     BoundClass,
     BoundedSubsetPredicate,
-    Cone,
     ConditionReport,
+    Cone,
     RecurrenceCandidate,
-    UnitIdealCandidate,
     Verdict,
     cone_dim,
     cone_enumerate,
     find_interior_u,
-    one_plus_Tu_in_P,
     purity_check,
     qf_from_cone,
     verify_conditions,
@@ -72,12 +70,10 @@ from .polynomials import (
 from .semiring import (
     Budget,
     BudgetError,
-    DifferenceRing,
     EvalHom,
     Presentation,
     Tri,
     congruence_close,
-    difference_embed,
     find_L,
     is_add_cancellative,
     is_add_idempotent,
@@ -93,9 +89,8 @@ __all__ = [
     "Budget",
     "BudgetError",
     "BudgetExceededError",
-    "Cone",
     "ConditionReport",
-    "DifferenceRing",
+    "Cone",
     "Domain",
     "DomainError",
     "EvalHom",
@@ -111,14 +106,12 @@ __all__ = [
     "RecurrenceCandidate",
     "SubringElement",
     "Tri",
-    "UnitIdealCandidate",
     "UnverifiedContextError",
     "Verdict",
     "buchberger",
     "cone_dim",
     "cone_enumerate",
     "congruence_close",
-    "difference_embed",
     "elimination",
     "find_L",
     "find_interior_u",
@@ -131,7 +124,6 @@ __all__ = [
     "non_extendability_certificate",
     "non_kernel_annihilator",
     "normal_form",
-    "one_plus_Tu_in_P",
     "parse_poly",
     "preorder_leq",
     "purity_check",

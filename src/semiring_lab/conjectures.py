@@ -348,26 +348,6 @@ def find_interior_u(c: Cone) -> Exponent | None:
     return None
 
 
-def one_plus_Tu_in_P(
-    u: Exponent,
-    structure,
-    budget: Budget = Budget(),
-    max_bound: int = 16,
-) -> BoundVerdict:
-    """Two-sided boundedness of 1 + T^u in the target.
-
-    Always Yes on evaluation targets.  On presentations the constant term
-    supplies the lower bound; the upper bound is searched, and an
-    undecided upper bound leaves the verdict Unknown.
-    """
-    n = structure_nvars(structure)
-    if len(tuple(u)) != n:
-        raise ValueError(f"exponent vector {u} does not have {n} coordinates")
-    predicate = BoundedSubsetPredicate(BoundClass.TWO_SIDED, structure, budget, max_bound)
-    word = Polynomial.one(n, Domain.NAT) + Polynomial.monomial(tuple(u), 1, Domain.NAT)
-    return predicate.classify(word)
-
-
 @dataclass(frozen=True)
 class QfWitness:
     """T_i = T^(u+e_i) / T^u, with both exponents checked against the
@@ -450,12 +430,12 @@ class ConditionReport:
     """Deterministic aggregate of the four condition verdicts."""
 
     candidate: str
-    truncation: int | None
+    truncation: int
     a: ConditionVerdict
     b: ConditionVerdict
     c: ConditionVerdict
     d: ConditionVerdict
-    evidence_level: int | None
+    evidence_level: int
     budget_note: str
 
     def as_mapping(self) -> dict:
@@ -478,15 +458,12 @@ class ConditionReport:
         }
 
     def summary_lines(self) -> tuple:
-        lines = [f"candidate: {self.candidate}"]
-        if self.truncation is not None:
-            lines.append(f"truncation: {self.truncation}")
+        lines = [f"candidate: {self.candidate}", f"truncation: {self.truncation}"]
         for letter, v in self.as_mapping().items():
             lines.append(f"{letter}) {v.status.value.upper():<8} {v.statement}")
             for cert_line in v.certificate:
                 lines.append(f"     {cert_line}")
-        if self.evidence_level is not None:
-            lines.append(f"evidence level: denominators up to {self.evidence_level}")
+        lines.append(f"evidence level: denominators up to {self.evidence_level}")
         return tuple(lines)
 
 
@@ -497,14 +474,6 @@ class RecurrenceCandidate:
 
     context: AbhyankarContext
     annihilator_bases: tuple = ()
-
-
-@dataclass(frozen=True)
-class UnitIdealCandidate:
-    """Degenerate candidate: the subring is the whole ambient ring and the
-    ideal is the unit ideal."""
-
-    nvars: int = 2
 
 
 STATEMENTS = {
@@ -644,7 +613,20 @@ def _condition_d_recurrence(
     return ConditionVerdict(Verdict.HOLDS, STATEMENTS["d"], tuple(cert))
 
 
-def _verify_recurrence(candidate: RecurrenceCandidate, evidence_bound: int) -> ConditionReport:
+def verify_conditions(candidate, evidence_bound: int = 20) -> ConditionReport:
+    """Aggregate verifier over a recurrence-subring candidate.
+
+    Runs the four condition checks, each certified or witnessed, and
+    merges them into a deterministic report.  Every Groebner computation
+    runs under the candidate context's budget, which the report's
+    ``budget_note`` names.  Budget exhaustion in any
+    check surfaces as Unknown for that condition only.  ``evidence_bound``
+    sets how far the finite preimage evidence for condition d reaches;
+    preimages beyond the context's relation-checked truncation are
+    designated by the recurrence and marked as such.
+    """
+    if not isinstance(candidate, RecurrenceCandidate):
+        raise TypeError(f"expected RecurrenceCandidate, got {type(candidate).__name__}")
     ctx = candidate.context
     return ConditionReport(
         candidate=f"recurrence subring at truncation {ctx.truncation}",
@@ -655,69 +637,4 @@ def _verify_recurrence(candidate: RecurrenceCandidate, evidence_bound: int) -> C
         d=_condition_d_recurrence(ctx, evidence_bound),
         evidence_level=max(evidence_bound, ctx.truncation),
         budget_note=f"groebner budget ({ctx.budget.max_degree}, {ctx.budget.max_steps})",
-    )
-
-
-def _verify_unit_ideal(candidate: UnitIdealCandidate) -> ConditionReport:
-    n = candidate.nvars
-    variables = [Polynomial.variable(n, i, Domain.INT) for i in range(n)]
-    one = Polynomial.one(n, Domain.INT)
-    a_cert = tuple(
-        f"{format_poly(v)} = {format_poly(v)} / 1; residual "
-        f"{format_poly(v * one - v)}"
-        for v in variables
-    )
-    a = ConditionVerdict(Verdict.HOLDS, STATEMENTS["a"], a_cert)
-    b = ConditionVerdict(
-        Verdict.HOLDS,
-        STATEMENTS["b"],
-        ("the ideal is the whole ring, so it contains 1; 1 = 1 * 1",),
-    )
-    c = ConditionVerdict(
-        Verdict.HOLDS,
-        STATEMENTS["c"],
-        (
-            "every coefficient of every polynomial lies in the unit ideal, "
-            "so any base element works vacuously (e.g. h = X - base)",
-        ),
-    )
-    d = ConditionVerdict(
-        Verdict.FAILS,
-        STATEMENTS["d"],
-        (
-            "1 lies in the ideal, so the quotient is the zero ring",
-            "in the zero ring 1 = 0, and no map from the rationals sends 1 to 0",
-        ),
-        witness=one,
-    )
-    return ConditionReport(
-        candidate=f"full ring on {n} variables with the unit ideal",
-        truncation=None,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        evidence_level=None,
-        budget_note="none needed (all checks are closed-form)",
-    )
-
-
-def verify_conditions(candidate, evidence_bound: int = 20) -> ConditionReport:
-    """Aggregate verifier over a subring/ideal candidate.
-
-    Runs the four condition checks, each certified or witnessed, and
-    merges them into a deterministic report.  Every Groebner computation
-    on a recurrence candidate runs under its context's budget, which the
-    report's ``budget_note`` names.  Budget exhaustion in any
-    check surfaces as Unknown for that condition only.  ``evidence_bound``
-    sets how far the finite preimage evidence for condition d reaches;
-    preimages beyond the context's relation-checked truncation are
-    designated by the recurrence and marked as such.
-    """
-    if isinstance(candidate, RecurrenceCandidate):
-        return _verify_recurrence(candidate, evidence_bound)
-    if isinstance(candidate, UnitIdealCandidate):
-        return _verify_unit_ideal(candidate)
-    raise TypeError(
-        f"expected RecurrenceCandidate or UnitIdealCandidate, got {type(candidate).__name__}"
     )

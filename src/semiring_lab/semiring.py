@@ -25,8 +25,7 @@ coefficient, max derivation steps):
 On top of the word problem: additive idempotence (via 1+1 ~ 1, which forces
 a+a = a*(1+1) = a for every a), additive cancellativity with explicit
 counterexample triples, the natural preorder a <= b iff b = a + c, the set
-L of elements with phi(l) + 1 = phi(l), and the formal-difference ring S - S
-of a certified cancellative semiring.
+L of elements with phi(l) + 1 = phi(l).
 """
 
 from __future__ import annotations
@@ -62,16 +61,6 @@ class BudgetError(ValueError):
 
 class TraceError(RuntimeError):
     """A derivation trace failed to replay."""
-
-
-class NotCancellativeError(RuntimeError):
-    """Difference-ring construction refused; carries the witness triple
-    (a, b, c) with a + c ~ b + c but a and b provably inequivalent, or None
-    when cancellativity was merely undetermined."""
-
-    def __init__(self, message: str, witness: tuple[Polynomial, Polynomial, Polynomial] | None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class Tri(Enum):
@@ -749,83 +738,3 @@ def find_L(
             found.append(candidate)
     found.sort(key=lambda p: p.sort_key())
     return tuple(found)
-
-
-# -- formal differences ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DifferencePair:
-    """A formal difference minuend - subtrahend; equality is
-    (a, b) ~ (c, d) iff a + d = b + c."""
-
-    minuend: Polynomial
-    subtrahend: Polynomial
-
-
-class DifferenceRing:
-    """The ring S - S of formal differences of a cancellative semiring S.
-
-    Here S is N[T1..Tn] (a free presentation); the construction must be
-    refused for non-cancellative inputs, because the defining equivalence
-    is not transitive without cancellation.
-    """
-
-    def __init__(self, presentation: Presentation, budget: Budget = Budget()):
-        report = is_add_cancellative(presentation, budget)
-        if report.verdict is Tri.NO:
-            witness = report.witness
-            raise NotCancellativeError(
-                "additive cancellation fails: "
-                f"({format_poly(witness[0])}, {format_poly(witness[1])}, {format_poly(witness[2])})",
-                witness,
-            )
-        if report.verdict is Tri.UNKNOWN:
-            raise NotCancellativeError(
-                "cancellativity could not be certified within budget", None
-            )
-        self.presentation = presentation
-        self.nvars = presentation.nvars
-
-    def pair(self, minuend: Polynomial, subtrahend: Polynomial) -> DifferencePair:
-        for side in (minuend, subtrahend):
-            if side.domain is not Domain.NAT or side.nvars != self.nvars:
-                raise DomainError("difference parts must be natural-domain words of the structure")
-        return DifferencePair(minuend, subtrahend)
-
-    def embed(self, s: Polynomial) -> DifferencePair:
-        """s |-> (s + e, e) with e = 0; equality-respecting by cancellation."""
-        return self.pair(s, Polynomial.zero(self.nvars, Domain.NAT))
-
-    def add(self, x: DifferencePair, y: DifferencePair) -> DifferencePair:
-        return DifferencePair(x.minuend + y.minuend, x.subtrahend + y.subtrahend)
-
-    def mul(self, x: DifferencePair, y: DifferencePair) -> DifferencePair:
-        return DifferencePair(
-            x.minuend * y.minuend + x.subtrahend * y.subtrahend,
-            x.minuend * y.subtrahend + x.subtrahend * y.minuend,
-        )
-
-    def neg(self, x: DifferencePair) -> DifferencePair:
-        return DifferencePair(x.subtrahend, x.minuend)
-
-    def equal(self, x: DifferencePair, y: DifferencePair) -> bool:
-        return x.minuend + y.subtrahend == x.subtrahend + y.minuend
-
-    def zero(self) -> DifferencePair:
-        z = Polynomial.zero(self.nvars, Domain.NAT)
-        return DifferencePair(z, z)
-
-    def one(self) -> DifferencePair:
-        return self.embed(Polynomial.one(self.nvars, Domain.NAT))
-
-
-def difference_embed(
-    a: Polynomial, b: Polynomial, structure: Presentation, budget: Budget = Budget()
-) -> DifferencePair:
-    """The formal difference a - b in the difference ring of the structure.
-
-    Refuses (with a witness) when the structure is not certified
-    additively cancellative.
-    """
-    return DifferenceRing(structure, budget).pair(a, b)

@@ -16,12 +16,10 @@ from semiring_lab.conjectures import (
     Cone,
     ConditionReport,
     RecurrenceCandidate,
-    UnitIdealCandidate,
     Verdict,
     cone_dim,
     cone_enumerate,
     find_interior_u,
-    one_plus_Tu_in_P,
     purity_check,
     qf_from_cone,
     verify_conditions,
@@ -440,27 +438,34 @@ def test_interior_result_satisfies_definition():
 # -- two-sided boundedness of 1 + T^u ---------------------------------------
 
 
+def one_plus(u) -> Polynomial:
+    """1 + T^u as a natural-domain word in len(u) variables."""
+    return Polynomial.one(len(u), Domain.NAT) + Polynomial.monomial(u, 1, Domain.NAT)
+
+
 def test_one_plus_monomial_on_evaluation(ev):
-    assert one_plus_Tu_in_P((2, 3), ev).answer is Tri.YES
-    assert one_plus_Tu_in_P((0, 0), ev).answer is Tri.YES
+    two_sided = BoundedSubsetPredicate(BoundClass.TWO_SIDED, ev)
+    assert two_sided.classify(one_plus((2, 3))).answer is Tri.YES
+    assert two_sided.classify(one_plus((0, 0))).answer is Tri.YES
 
 
 def test_one_plus_monomial_unknown_propagates(absorbing):
-    verdict = one_plus_Tu_in_P((1,), absorbing, SMALL, max_bound=4)
-    assert verdict.answer is Tri.UNKNOWN
+    two_sided = BoundedSubsetPredicate(BoundClass.TWO_SIDED, absorbing, SMALL, max_bound=4)
+    assert two_sided.classify(one_plus((1,))).answer is Tri.UNKNOWN
 
 
 def test_one_plus_monomial_derivable_bound(collapse_to_one):
-    verdict = one_plus_Tu_in_P(
-        (1,), collapse_to_one, Budget(max_degree=5, max_coeff=8, max_steps=4000)
+    two_sided = BoundedSubsetPredicate(
+        BoundClass.TWO_SIDED, collapse_to_one, Budget(max_degree=5, max_coeff=8, max_steps=4000)
     )
+    verdict = two_sided.classify(one_plus((1,)))
     assert verdict.answer is Tri.YES
     assert verdict.lower == 1 and verdict.upper == 2
 
 
 def test_one_plus_monomial_arity_check(ev):
     with pytest.raises(ValueError):
-        one_plus_Tu_in_P((1,), ev)
+        BoundedSubsetPredicate(BoundClass.TWO_SIDED, ev).classify(one_plus((1,)))
 
 
 # -- fraction witnesses from cones ------------------------------------------
@@ -565,16 +570,6 @@ def test_d_evidence_bound_is_adjustable():
     assert "beyond the relation-checked level" not in " ".join(rep.d.certificate)
 
 
-def test_degenerate_candidate():
-    rep = verify_conditions(UnitIdealCandidate())
-    assert rep.a.status is Verdict.HOLDS
-    assert rep.b.status is Verdict.HOLDS
-    assert rep.c.status is Verdict.HOLDS
-    assert rep.d.status is Verdict.FAILS
-    assert rep.d.witness == Polynomial.one(2, Domain.INT)
-    assert rep.truncation is None
-
-
 def test_empty_base_list_leaves_c_unknown():
     ctx = AbhyankarContext.build(6)
     rep = verify_conditions(RecurrenceCandidate(ctx, ()))
@@ -642,5 +637,5 @@ def test_summary_lines_cover_all_conditions(recurrence_report):
 
 
 def test_rejects_unknown_candidate_type():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^expected RecurrenceCandidate, got object$"):
         verify_conditions(object())

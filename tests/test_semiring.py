@@ -1,5 +1,5 @@
 """Presented semirings: word problem, idempotence, cancellativity,
-preorder, L-sets, difference rings."""
+preorder, L-sets."""
 
 import gc
 import random
@@ -24,17 +24,13 @@ from semiring_lab.semiring import (
     BudgetError,
     CancellativityReport,
     CongruenceClosure,
-    DifferencePair,
-    DifferenceRing,
     EvalHom,
-    NotCancellativeError,
     Presentation,
     Separator,
     Step,
     TraceError,
     Tri,
     congruence_close,
-    difference_embed,
     find_L,
     is_add_cancellative,
     is_add_idempotent,
@@ -747,58 +743,3 @@ def test_free_and_rational_L_are_empty(free1):
 
 def test_find_L_deterministic(successor_absorbed):
     assert find_L(successor_absorbed) == find_L(successor_absorbed)
-
-
-# -- difference rings ------------------------------------------------------
-
-
-def c0(k: int) -> Polynomial:
-    return Polynomial.constant(0, k, Domain.NAT)
-
-
-def test_difference_pairs_over_naturals():
-    ring = DifferenceRing(Presentation.free(0))
-    assert ring.equal(ring.pair(c0(3), c0(1)), ring.pair(c0(5), c0(3)))
-    sq = ring.mul(ring.pair(c0(2), c0(1)), ring.pair(c0(2), c0(1)))
-    assert (sq.minuend, sq.subtrahend) == (c0(5), c0(4))
-    assert ring.equal(sq, ring.one())
-
-
-def test_difference_ring_is_isomorphic_to_integers():
-    ring = DifferenceRing(Presentation.free(0))
-    rng = random.Random(SEED + 5)
-
-    def lift(z: int) -> DifferencePair:
-        return ring.pair(c0(max(z, 0)), c0(max(-z, 0)))
-
-    def drop(pair: DifferencePair) -> int:
-        return int(pair.minuend.evaluate([])) - int(pair.subtrahend.evaluate([]))
-
-    for _ in range(300):
-        x = rng.randint(-100, 100)
-        y = rng.randint(-100, 100)
-        assert drop(ring.add(lift(x), lift(y))) == x + y
-        assert drop(ring.mul(lift(x), lift(y))) == x * y
-        assert ring.equal(lift(x), lift(y)) == (x == y)
-        assert drop(ring.neg(lift(x))) == -x
-
-
-def test_embedding_respects_equality():
-    ring = DifferenceRing(Presentation.free(1))
-    s = P1("2*T1 + 1")
-    t = P1("2*T1 + 1")
-    assert ring.equal(ring.embed(s), ring.embed(t))
-    assert not ring.equal(ring.embed(s), ring.embed(P1("2*T1")))
-
-
-def test_construction_refused_for_non_cancellative_input(successor_absorbed):
-    with pytest.raises(NotCancellativeError) as exc_info:
-        DifferenceRing(successor_absorbed)
-    assert exc_info.value.witness == (P1("1"), P1("0"), P1("T1"))
-    with pytest.raises(NotCancellativeError):
-        difference_embed(P1("T1"), P1("1"), successor_absorbed)
-
-
-def test_difference_embed_over_free_structure(free1):
-    pair = difference_embed(P1("T1 + 2"), P1("T1"), free1)
-    assert pair == DifferencePair(P1("T1 + 2"), P1("T1"))
