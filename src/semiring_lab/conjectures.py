@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from .abhyankar import (
     AbhyankarContext,
@@ -350,9 +349,9 @@ def find_interior_u(c: Cone) -> Exponent | None:
 
 @dataclass(frozen=True)
 class QfWitness:
-    """T_i = T^(u+e_i) / T^u, with both exponents checked against the
-    subring oracle (by default: cone membership, i.e. 1 + T^v is a
-    subring generator) and the identity checked by cross-multiplication."""
+    """T_i = T^(u+e_i) / T^u, with both exponents checked against the cone
+    (v is a member when 1 + T^v is a subring generator) and the identity
+    checked by cross-multiplication."""
 
     variable_index: int
     numerator_exp: Exponent
@@ -370,21 +369,17 @@ class QfWitness:
         )
 
 
-def qf_from_cone(
-    c: Cone, member_oracle: Callable[[Exponent], bool] | None = None
-) -> tuple[QfWitness, ...] | None:
+def qf_from_cone(c: Cone) -> tuple[QfWitness, ...] | None:
     """Fraction witnesses for every ambient variable from an interior cone
     point: T_i = T^(u+e_i) / T^u.  None when the cone has no interior
     point within its box.
 
     Each witness is checked by cross-multiplication (T_i * T^u equals
-    T^(u+e_i) exactly) and both exponents are run through the membership
-    oracle, which defaults to cone membership.
+    T^(u+e_i) exactly) and both exponents by cone membership.
     """
     u = find_interior_u(c)
     if u is None:
         return None
-    oracle = member_oracle if member_oracle is not None else c.contains
     witnesses = []
     for i in range(c.nvars):
         shifted = tuple(x + (1 if i == j else 0) for j, x in enumerate(u))
@@ -397,8 +392,8 @@ def qf_from_cone(
                 variable_index=i,
                 numerator_exp=shifted,
                 denominator_exp=u,
-                numerator_in_subring=bool(oracle(shifted)),
-                denominator_in_subring=bool(oracle(u)),
+                numerator_in_subring=c.contains(shifted),
+                denominator_in_subring=c.contains(u),
                 cross_multiplication_ok=cross,
             )
         )

@@ -142,10 +142,6 @@ def _to_rat(p: Polynomial) -> Polynomial:
     return p.as_domain(Domain.RAT)
 
 
-def _poly(nvars: int, terms: _Terms) -> Polynomial:
-    return Polynomial._raw(nvars, Domain.RAT, terms)
-
-
 class _Packing:
     """Exponent vectors of one (order, nvars) as ints, laid out as in :func:`buchberger`."""
 
@@ -316,97 +312,59 @@ def _quotients(steps: list, count: int, pk: _Packing) -> list[_Form]:
     return [_over_lcm(terms) for terms in quotients]
 
 
-def _fractions(form: _Form) -> _Terms:
-    """An integer form's terms with ``Fraction`` coefficients."""
-    terms, den = form
-    return {u: Fraction(c, den) for u, c in terms.items()}
-
-
 def _division(
-    form: _Form,
-    divisors: Sequence[_Entry],
-    order: MonomialOrder,
-    nvars: int,
-    degree_cap: int | None,
+    form: _Form, divisors: Sequence[_Entry], order: MonomialOrder, nvars: int,
     memos: dict[int, dict[int, int]],
 ) -> tuple[list, _Form, _Packing]:
-    """The shared division path: :func:`_reduce` of the integer form ``form``
-    by monic divisor-table entries, in ``nvars`` variables (a shorter exponent
-    vector embeds at offset 0).  Returns the steps, the remainder on packed
+    """The division path of every division but the S-pair loop's:
+    :func:`_reduce` of the integer form ``form`` by monic divisor-table
+    entries, in ``nvars`` variables (a shorter exponent vector embeds at
+    offset 0), with no degree cap.  Returns the steps, the remainder on packed
     monomials, and the packing they use.
 
-    Packs as wide as the degrees or the divisors' packed forms need; with no
-    cap, a leading term at a guard bit redoes it twice as wide.  ``memos``
-    holds :func:`_reduce`'s first-divisor memo per width; a caller passes the
-    same one only for the same divisors, or for a list that has since only
-    grown by appending.
+    Packs as wide as the degrees or the divisors' packed forms need; a leading
+    term at a guard bit redoes the division twice as wide, so no answer is
+    truncated.  ``memos`` holds :func:`_reduce`'s first-divisor memo per
+    width; a caller passes the same one only for the same divisors, or for a
+    list that has since only grown by appending.
     """
     terms, den = form
-    degree = max(max(map(mono_deg, terms), default=0), degree_cap or 0, *(e.degree for e in divisors))
+    degree = max([*map(mono_deg, terms), *(e.degree for e in divisors)], default=0)
     width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
     while True:
         pk = _packing(order, nvars, width)
         try:
             memo = memos.setdefault(width, {})
             table = [e.at(pk) for e in divisors]
-            steps, remainder = _reduce((pk.pack_terms(terms), den), table, pk, degree_cap, memo)
+            steps, remainder = _reduce((pk.pack_terms(terms), den), table, pk, None, memo)
             return steps, remainder, pk
         except _DegreeCapHit:
-            if degree_cap is not None:
-                raise
             width *= 2
-
-
-def _divide(
-    target: _Terms,
-    divisors: Sequence[_Entry],
-    order: MonomialOrder,
-    degree_cap: int | None = None,
-    track: bool = True,
-    memos: dict[int, dict[int, int]] | None = None,
-) -> tuple[list[_Terms] | None, _Terms]:
-    """Multivariate division: target = sum(quotient_i * divisor_i) + remainder.
-
-    Divisors are monic divisor-table entries; each step reduces by the first
-    divisor, in table order, whose leading monomial divides the current
-    leading term.  No remainder term is divisible by any divisor's leading
-    monomial.  The quotients are built only with ``track`` (else None).  With
-    a degree cap, intermediate blowup past the cap raises _DegreeCapHit.
-    The division runs on integer forms (:func:`_division`; by default each
-    call starts with an empty memo), and the quotients and the remainder
-    take ``Fraction`` coefficients only here, at the end.
-    """
-    if not target:
-        return [{} for _ in divisors] if track else None, {}
-    nvars = len(next(iter(target)))
-    memos = {} if memos is None else memos
-    steps, remainder, pk = _division(_integral(target), divisors, order, nvars, degree_cap, memos)
-    quotients = [_fractions(q) for q in _quotients(steps, len(divisors), pk)] if track else None
-    return quotients, _fractions(pk.unpack_form(remainder))
 
 
 def _combo_update(
     base: Sequence[list[tuple[_Form, _Form]]],
-    quotients: Sequence[_Terms],
+    quotients: Sequence[_Form],
     combos: Sequence[tuple[_Form, ...]],
-    scale: int | Fraction = 1,
+    scale: tuple[int, int] = (1, 1),
 ) -> tuple[_Form, ...]:
     """The combo of scale * (b - sum q_i * basis_i), given the basis elements' combos.
 
-    A combo holds one integer form per source generator, and ``base[j]``
-    lists the pairs whose products sum to b's j-th cofactor.  Each cofactor
-    of the result is one :func:`_sum_of_products` of those pairs and the
-    pairs (-q_i, combo_i[j]), scaled, with the content it shares with its
-    denominator divided out.
+    A combo holds one integer form per source generator, ``base[j]`` lists
+    the pairs whose products sum to b's j-th cofactor, the quotients are the
+    integer forms of :func:`_quotients`, and ``scale`` is a numerator over a
+    positive denominator.  Each cofactor of the result is one
+    :func:`_sum_of_products` of those pairs and the pairs (-q_i, combo_i[j]),
+    scaled, with the content it shares with its denominator divided out.
     """
-    negated = [({u: -c for u, c in ints.items()}, den) for ints, den in map(_integral, quotients)]
+    negated = [({u: -c for u, c in ints.items()}, den) for ints, den in quotients]
     out = []
     for j, pairs in enumerate(base):
         terms, den = _sum_of_products(
             [*pairs, *((q, combo[j]) for q, combo in zip(negated, combos) if q[0] and combo[j][0])]
         )
-        if scale != 1:
-            terms, den = {u: c * scale.numerator for u, c in terms.items()}, den * scale.denominator
+        if scale != (1, 1):
+            terms, den = {u: c * scale[0] for u, c in terms.items()}, den * scale[1]
         out.append(_clear_content(terms, den))
     return tuple(out)
 
@@ -429,13 +387,15 @@ class GroebnerBasis:
     changes, so a remembered divisor stays the one a fresh scan would find.
 
     Every query runs through one integer-form normal form,
-    :meth:`_normal_form`: an integer form goes in, and the steps and the
-    remainder come out as integers on packed monomials.
-    :meth:`normal_form` and :meth:`normal_form_with_quotients` are thin
-    wrappers that unpack and make ``Fraction`` coefficients;
-    :func:`ideal_membership` and :func:`subalgebra_membership` read the
-    integers.  With cofactors, the basis keeps their integer forms, and the
-    source generators', made on first use.
+    :meth:`_normal_form`, which is :func:`_division` on this table: an
+    integer form goes in, and the steps and the remainder come out as
+    integers on packed monomials.  :meth:`normal_form` and
+    :meth:`normal_form_with_quotients` are thin wrappers that unpack and make
+    ``Fraction`` coefficients; :func:`ideal_membership` and
+    :func:`subalgebra_membership` read the integers.  :func:`_finalize` built
+    the table through the same :func:`_division`, so ``Fraction`` appears
+    only in returned polynomials.  With cofactors, the basis keeps their
+    integer forms, and the source generators', made on first use.
     """
 
     generators: tuple[Polynomial, ...]
@@ -480,13 +440,13 @@ class GroebnerBasis:
         the remainder as an integer form on packed monomials, and the packing
         they use (see :func:`_division`; a shorter exponent vector embeds at
         offset 0)."""
-        return _division(form, self._divisors, self.order, self.nvars, None, self._memos)
+        return _division(form, self._divisors, self.order, self.nvars, self._memos)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
         _, remainder, pk = self._normal_form(self._query(p))
-        return _poly(p.nvars, _fractions(pk.unpack_form(remainder)))
+        return _from_form(p.nvars, Domain.RAT, pk.unpack_form(remainder))
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
         """Remainder plus the quotients: p = sum(q_i * generators[i]) + r.
@@ -498,7 +458,7 @@ class GroebnerBasis:
         zero = Polynomial.zero(n, Domain.RAT)
         quotients = _quotients(steps, len(self.generators), pk)
         return (
-            _poly(n, _fractions(pk.unpack_form(remainder))),
+            _from_form(n, Domain.RAT, pk.unpack_form(remainder)),
             tuple(_from_form(n, Domain.RAT, q) if q[0] else zero for q in quotients),
         )
 
@@ -525,18 +485,24 @@ def buchberger(
     primitive part of its integer remainder, taken without ``Fraction``s;
     the coefficient cap still measures the monic coefficients c/a.  Each
     exponent vector is packed into one int whose order is the monomial
-    order.  Fields, high bits first: lex
-    ``[x1..xn | deg]``, grlex ``[deg | x1..xn | deg]``, elim ``[deg(head) |
-    head | deg(tail) | tail | deg]``, each ``w`` value bits under a guard
-    bit; a variable's unit also bumps its degree fields.  So a product is
-    ``+``, v divides u iff ``((u | guards) - v) & guards == guards``, a pair
-    is coprime iff ``lcm == lm_i + lm_j``, the leading term is ``max``, and
-    monomials of degree below ``2**w`` add without carry.  ``w`` is the bit length of twice
-    ``max(max_degree, input degrees)``: lcms pack clean and the degree cap
-    fires before a field overflows.  The finalisation interreduces through
-    the same loop and returns the generators monic over Q; its
-    interreduction can raise degrees, so a division that reaches a guard bit
-    is redone at twice the width.
+    order.  Fields, high bits first: lex ``[x1..xn | deg]``, grlex ``[deg |
+    x1..xn | deg]``, elim ``[deg(head) | head | deg(tail) | tail | deg]``,
+    each ``w`` value bits under a guard bit; a variable's unit also bumps its
+    degree fields.  So a product is ``+``, v divides u iff ``((u | guards) -
+    v) & guards == guards``, a pair is coprime iff ``lcm == lm_i + lm_j``,
+    the leading term is ``max``, and monomials of degree below ``2**w`` add
+    without carry.  ``w`` is the bit length of twice ``max(max_degree, input
+    degrees)``: lcms pack clean and the degree cap fires before a field
+    overflows.
+
+    :func:`_reduce` has two callers: this S-pair loop, at one width and
+    under the degree cap, and :func:`_division`, with no cap, which redoes a
+    division that reaches a guard bit at twice the width.  Every other
+    division goes through :func:`_division`: the finalisation
+    (:func:`_finalize`) interreduces through it, since interreduction can
+    raise degrees, and returns the generators monic over Q.  ``Fraction``
+    appears only in the returned polynomials and in the coefficient cap's
+    measurement.
 
     The table only grows by appending, so one first-divisor memo (see
     :func:`_reduce`) serves every reduction of the run: a remembered divisor
@@ -549,10 +515,11 @@ def buchberger(
     :func:`~semiring_lab.polynomials._sum_of_products`) with its content
     divided out.  Each cofactor of a new element is one integer sum of
     products, over the S-pair's two monomial multiples and the reduction's
-    quotients (:func:`_combo_update`); the cofactors become ``Fraction``
-    polynomials once, in :func:`_finalize`.  Budgets are enforced, the coefficient cap once per
-    new element; exceeding one raises :class:`BudgetExceededError` with the
-    partial basis attached.
+    integer quotients (:func:`_quotients`, :func:`_combo_update`); the
+    interreduction's quotients take the same update, and the cofactors
+    become ``Fraction`` polynomials once, in :func:`_finalize`.  Budgets are
+    enforced, the coefficient cap once per new element; exceeding one raises
+    :class:`BudgetExceededError` with the partial basis attached.
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -659,8 +626,9 @@ def buchberger(
         if track:
             mono_i, mono_j = ({pk.unpack(shift_i): 1}, 1), ({pk.unpack(shift_j): -1}, 1)
             base = [[(mono_i, a), (mono_j, b)] for a, b in zip(combos[i], combos[j])]
-            quotients = [_fractions(q) for q in _quotients(reduction, len(table), pk)]
-            combos.append(_combo_update(base, quotients, combos, Fraction(rden, remainder[lm])))
+            quotients = _quotients(reduction, len(table), pk)
+            lc = remainder[lm]  # the cofactors of the monic element remainder / lc
+            combos.append(_combo_update(base, quotients, combos, (rden, lc) if lc > 0 else (-rden, -lc)))
         add(form)
 
     return _finalize(table, combos, pk, source, steps, track, reduced=True)
@@ -682,8 +650,12 @@ def _finalize(
     elements with a smaller leading monomial can divide its other terms.
     One ascending pass, each element reduced by the already reduced ones
     below it, therefore yields the interreduced basis: no remainder is zero,
-    none needs rescaling, and the order stays sorted.  The reductions run
-    through :func:`_divide`, and the generators come out monic over Q.
+    none needs rescaling, and the order stays sorted.  Each element goes
+    into :func:`_division` as its primitive integer form G over a = lc(G),
+    with one memo for the whole pass, since the entries only grow by
+    appending; its remainder takes ``Fraction`` coefficients once, as the
+    monic generator, and with tracking the integer quotients feed
+    :func:`_combo_update`.
     """
     order, nvars, guards = pk.order, pk.nvars, pk.guards
     kept: list[int] = []
@@ -692,21 +664,24 @@ def _finalize(
         if not any((lm_g - table[s][0]) & guards == guards for s in kept):
             kept.append(t)
 
+    generators: list[Polynomial] = []
     entries: list[_Entry] = []
     kept_combos: list[tuple[_Form, ...]] = []
+    memos: dict[int, dict[int, int]] = {}
     one = ({(0,) * nvars: 1}, 1)
     for t in kept:
         _, form, a, lm = table[t]
-        monic = {pk.unpack(u): Fraction(c, a) for u, c in form.items()}
-        quotients, remainder = _divide(monic, entries, order, track=track)
-        entries.append(_Entry(lm, remainder, max(map(mono_deg, remainder))))
+        reduction, remainder, rpk = _division(pk.unpack_form((form, a)), entries, order, nvars, memos)
+        g = _from_form(nvars, Domain.RAT, rpk.unpack_form(remainder))
+        if track:
+            quotients = _quotients(reduction, len(entries), rpk)
+            kept_combos.append(_combo_update([[(c, one)] for c in combos[t]], quotients, kept_combos))
+        generators.append(g)
+        entries.append(_Entry(lm, g._terms, g.total_degree()))
         if entries[-1].degree <= pk.limit:  # hand the table out packed where it fits
             entries[-1].at(pk)
-        if track:
-            kept_combos.append(_combo_update([[(c, one)] for c in combos[t]], quotients, kept_combos))
-    generators = tuple(_poly(nvars, e.terms) for e in entries)
     cofactors = tuple(tuple(_from_form(nvars, Domain.RAT, c) for c in combo) for combo in kept_combos)
-    basis = GroebnerBasis(generators, order, reduced, source, cofactors if track else None, steps)
+    basis = GroebnerBasis(tuple(generators), order, reduced, source, cofactors if track else None, steps)
     basis.__dict__["_divisors"] = tuple(entries)  # seed the cached table, packed
     return basis
 
@@ -800,7 +775,8 @@ def _tag_elimination_basis(
     integer forms and the basis; a budget-truncated basis is cached like a
     complete one, with ``reduced=False``.
     """
-    order = elimination(gens[0].nvars)
+    nvars = gens[0].nvars  # with no ambient variable, grlex on the tags is the elimination order
+    order = elimination(nvars) if nvars else MonomialOrder("grlex")
     forms = tuple(map(_form, gens))
     try:
         return forms, buchberger(tag_ring_generators(gens), order, budget)
@@ -878,15 +854,16 @@ def subalgebra_membership(
     query = _form(h)
     _, (remainder, den), pk = gb._normal_form(query)
     # the T-block's degree is the top field, so a T-free monomial packs below
-    # every T-variable's unit, and the leading monomial is the largest
-    if not remainder or max(remainder) < min(pk.units[:nvars]):
+    # every T-variable's unit, and the leading monomial is the largest; with
+    # no T-variable, every monomial is T-free
+    if not remainder or not nvars or max(remainder) < min(pk.units[:nvars]):
         rep = {pk.unpack(m)[nvars:]: c for m, c in remainder.items()}
         terms, rden = _substitute(rep.items(), forms, nvars)
         if not _same((terms, rden * den), query):
             raise RuntimeError("internal certificate check failed: substitution mismatch")
         return MembershipCertificate(
             MembershipStatus.MEMBER,
-            representation=_poly(tag_count, _fractions((rep, den))),
+            representation=_from_form(tag_count, Domain.RAT, (rep, den)),
             integral=all(c % den == 0 for c in rep.values()),
             truncation_level=truncation,
             basis_complete=gb.reduced,

@@ -232,7 +232,7 @@ class CongruenceClosure:
     def explore(self, start: Polynomial) -> _Exploration:
         """The memoised search of ``start``'s component under the closure's budget."""
         if start not in self._explored:
-            self._explored[start] = _Exploration(start, self.presentation, self.budget, self._table)
+            self._explored[start] = _Exploration(start, self._table)
         return self._explored[start]
 
 
@@ -309,8 +309,7 @@ class _RewriteTable:
 
 
 def _iter_rewrites(
-    word: Polynomial, pres: Presentation, budget: Budget,
-    table=None, key=None, known=None, queue=None,
+    word: Polynomial, table: _RewriteTable, key=None, known=None, queue=None
 ) -> Iterator[tuple[Step, Polynomial | None]]:
     """All one-step rewrites of ``word``, deterministically ordered.
 
@@ -318,15 +317,15 @@ def _iter_rewrites(
     the budget box (the caller records clipping).  Results are computed on
     the term dicts, and only for words not known to the search.
 
-    ``table`` is the closure's ``_RewriteTable`` (a fresh one when None).
-    Given a search's member keys ``known`` and ``queue``, an in-box word
-    (``key``, or None to key it on its first rewrite) keys its results as
-    ``key + mult * delta``; a start word outside the box keys its admitted
+    ``table`` is the closure's ``_RewriteTable``, with the presentation and
+    budget.  Given a search's member keys ``known`` and ``queue``, an in-box
+    word (``key``, or None to key it on its first rewrite) keys its results
+    as ``key + mult * delta``; a start word outside the box keys its admitted
     results from scratch.  A known result is yielded as ``_KNOWN``, unbuilt;
     a new one's key goes into ``known`` and (result, key) onto ``queue``.
     """
-    table = table or _RewriteTable(pres, budget)
-    n, max_coeff, moves = pres.nvars, budget.max_coeff, table.moves
+    budget, moves = table.budget, table.moves
+    n, max_coeff = table.pres.nvars, budget.max_coeff
     terms = word._terms
     for rel_index, forward, src, dst, anchor, shifts in table.sides:
         if anchor is not None:
@@ -384,13 +383,13 @@ def _iter_rewrites(
                 yield step, result
 
 
-def _rewrites(start: Polynomial, pres: Presentation, budget: Budget, table) -> Iterator[tuple]:
+def _rewrites(start: Polynomial, table: _RewriteTable) -> Iterator[tuple]:
     """(word, step, result) for each rewrite of the breadth-first search from
     ``start``.  Holds no reference to the search, so the two form no cycle."""
     queue, known = deque([(start, None)]), set()
     while queue:
         word, key = queue.popleft()
-        for step, result in _iter_rewrites(word, pres, budget, table, key, known, queue):
+        for step, result in _iter_rewrites(word, table, key, known, queue):
             yield word, step, result
 
 
@@ -408,15 +407,17 @@ class _Exploration:
     left.  ``complete``: the search ended and no rewrite left the budget
     box, so the component is finite and fully known.  An over-limit
     zero-side shift list raises BudgetError at construction, not partway; a
-    draw that raised raises again on resume.  Rewrites share ``table`` (a new
-    one when None) and test results by key; a search drawing none keys nothing."""
+    draw that raised raises again on resume.  The search reads the
+    presentation and the budget from ``table``, which searches share; they
+    test results by key, and a search drawing none keys nothing."""
 
-    def __init__(self, start: Polynomial, pres: Presentation, budget: Budget, table=None):
+    def __init__(self, start: Polynomial, table: _RewriteTable):
+        pres, budget = table.pres, table.budget
         for lhs, rhs in pres.relations:
             if lhs.is_zero != rhs.is_zero:  # rewrites add every shift of the other side
                 _bounded_exponents(pres.nvars, budget.max_degree - (lhs + rhs).total_degree())
         self.members: dict[Polynomial, tuple] = {start: (None, None)}
-        self._rewrites = _rewrites(start, pres, budget, table or _RewriteTable(pres, budget))
+        self._rewrites = _rewrites(start, table)
         self._next = _UNDRAWN
         self.rewrites_used = 0
         self._clipped = False
@@ -555,7 +556,7 @@ def words_equivalent(
             )
     total = 0
     for source, target, backwards in ((p, q, False), (q, p, True)):
-        exploration = _Exploration(source, pres, budget, cc._table)
+        exploration = _Exploration(source, cc._table)
         if exploration.find(lambda word: word == target, budget.max_steps) is not None:
             trace = exploration.trace_to(target)
             if backwards:

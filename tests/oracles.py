@@ -292,7 +292,8 @@ def reference_explore(
     """Breadth-first search of ``start``'s congruence component, stopping
     early at ``target``, as one self-contained loop that restarts from
     scratch on every call.  It shares only the one-step rewrites
-    (``semiring._iter_rewrites``) with the resumable search it checks.
+    (``semiring._iter_rewrites``, on a rewrite table of its own) with the
+    resumable search it checks.
 
     ``members`` maps each word to (parent, step).  A search stopped at the
     step cap reports cap + 1 steps, counting the rewrite it drew past the
@@ -302,11 +303,12 @@ def reference_explore(
     if target is not None and target == start:
         return ReferenceExploration(members, True, 0, True)
     queue = deque([start])
+    table = semiring._RewriteTable(pres, budget)
     clipped = False
     steps_used = 0
     while queue:
         word = queue.popleft()
-        for step, result in semiring._iter_rewrites(word, pres, budget):
+        for step, result in semiring._iter_rewrites(word, table):
             steps_used += 1
             if steps_used > budget.max_steps:
                 return ReferenceExploration(members, False, steps_used, False)

@@ -502,10 +502,15 @@ def test_negative_nvars_is_usage_error(capsys, argv):
     assert err == "error: argument --nvars: must be nonnegative, got -1\n"
 
 
-def test_zero_nvars_keeps_its_answers(capsys):
+def test_zero_nvars_keeps_its_answers(capsys, tmp_path):
     assert run_cli(capsys, "poly", "add", "1", "2", "--nvars", "0")[:2] == (0, "3\n")
     assert run_cli(capsys, "presentation", "idempotent", "--nvars", "0")[:2] == (0, "no\n")
     assert run_cli(capsys, "cone", "enumerate", "--relations", os.devnull, "--nvars", "0")[:2] == (0, "()\n")
+    constants = tmp_path / "constants.txt"
+    constants.write_text("1\n2\n")
+    gens = ("--gens", str(constants), "--nvars", "0")
+    assert run_cli(capsys, "groebner", "relations", *gens)[:2] == (0, "X3 - 2\nX2 - 1\n")
+    assert run_cli(capsys, "groebner", "submember", "--poly", "3", *gens)[:2] == (0, "member: 3\n")
 
 
 @pytest.mark.parametrize(

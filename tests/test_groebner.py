@@ -277,7 +277,7 @@ def test_difference_to_normal_form_lies_in_ideal():
         assert total == p - r
 
 
-def _reference_divide(target, divisors, order, degree_cap=None):
+def _reference_division(target, divisors, order, degree_cap=None):
     """Division straight from the definition: each step reduces the leading
     term by the first divisor, in list order, whose leading monomial divides
     it, comparing exponents one by one."""
@@ -311,6 +311,36 @@ def _is_rational(terms) -> bool:
     """Every coefficient is a Fraction: the RAT invariant, which equality
     would not check (``Fraction(2) == 2``)."""
     return all(type(c) is Fraction for c in terms.values())
+
+
+def _rational(form) -> dict:
+    """An integer form's terms with ``Fraction`` coefficients."""
+    ints, den = form
+    return {u: Fraction(c, den) for u, c in ints.items()}
+
+
+def _as_reference(steps, remainder, pk, count):
+    """The steps and the packed integer remainder of a division by ``count``
+    divisors as the quotients and the remainder of ``_reference_division``;
+    the ``Fraction``s are made here, once."""
+    quotients = [_rational(q) for q in groebner._quotients(steps, count, pk)]
+    return quotients, _rational(pk.unpack_form(remainder))
+
+
+def _through_division(target, table, order, memos):
+    """``_division`` of ``target`` by the entries ``table``."""
+    steps, remainder, pk = groebner._division(groebner._form(target), table, order, target.nvars, memos)
+    return _as_reference(steps, remainder, pk, len(table))
+
+
+def _through_capped_reduce(target, table, order, cap):
+    """``_reduce`` of ``target`` under a degree cap, at the width that
+    ``_division`` picks for the degrees, widened to hold the cap."""
+    degree = max(target.total_degree(), cap, *(e.degree for e in table))
+    pk = groebner._packing(order, target.nvars, degree.bit_length())
+    terms, den = groebner._form(target)
+    steps, remainder = groebner._reduce((pk.pack_terms(terms), den), [e.at(pk) for e in table], pk, cap, {})
+    return _as_reference(steps, remainder, pk, len(table))
 
 
 _PRIMES = (65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423, 65419)
@@ -358,16 +388,16 @@ def test_divide_matches_reference_division(kind, cleared):
         cap = rng.choice([None, None, 4])
         table = [groebner._entry(d, order) for d in divisors]
         try:
-            expected = _reference_divide(target, divisors, order, cap)
+            expected = _reference_division(target, divisors, order, cap)
         except groebner._DegreeCapHit:
             with pytest.raises(groebner._DegreeCapHit):
-                groebner._divide(dict(target.terms()), table, order, cap)
+                _through_capped_reduce(target, table, order, cap)
             raised += 1
             continue
-        quotients, remainder = groebner._divide(dict(target.terms()), table, order, cap)
-        assert (quotients, remainder) == expected
-        assert all(map(_is_rational, [*quotients, remainder]))
-        assert groebner._divide(dict(target.terms()), table, order, cap, track=False) == (None, remainder)
+        if cap is None:
+            assert _through_division(target, table, order, {}) == expected
+        else:
+            assert _through_capped_reduce(target, table, order, cap) == expected
     assert raised  # the degree cap was exercised too
     # the content removal ran past its size, and some removed a common factor
     assert cleared and all(bits > groebner._CONTENT_BITS for bits, _ in cleared)
@@ -449,14 +479,14 @@ _WIDE_GENS = [p2("T1 - T2^5")]  # outside grlex, T1 -> T2^5 raises degrees fivef
 def test_wide_normal_forms_match_reference_division(order, redone):
     gb = buchberger(_WIDE_GENS, order, track=True)
     for query in (p2("T1^40*T2"), p2("T1 + T2") ** 33, p2("T1^1000")):
-        quotients, remainder = _reference_divide(query, gb.generators, order)
+        quotients, remainder = _reference_division(query, gb.generators, order)
         expected = Polynomial(2, Domain.RAT, remainder)
         assert gb.normal_form_with_quotients(query) == (
             expected, tuple(Polynomial(2, Domain.RAT, q) for q in quotients)
         )
         assert ideal_membership(query, _WIDE_GENS, order).member is expected.is_zero
         member = query - expected
-        quotients, remainder = _reference_divide(member, gb.generators, order)
+        quotients, remainder = _reference_division(member, gb.generators, order)
         assert not remainder
         cofactor = sum(
             (Polynomial(2, Domain.RAT, q) * combo[0] for q, combo in zip(quotients, gb.cofactors)),
@@ -482,7 +512,7 @@ def test_wide_subalgebra_representations_match_reference_division(redone):
     gens_list = (p2("T1 + T2^3"), p2("T2"))  # T1 -> X2 - X3^3 triples degrees
     _, gb = groebner._tag_elimination_basis(gens_list, GroebnerBudget())
     for h in (p2("T1^40*T2"), p2("T1 + T2") ** 33, p2("T1^12*T2^988")):
-        _, remainder = _reference_divide(h.embed(4, 0), gb.generators, gb.order)
+        _, remainder = _reference_division(h.embed(4, 0), gb.generators, gb.order)
         cert = subalgebra_membership(h, gens_list)
         assert cert.status is MembershipStatus.MEMBER
         assert cert.representation == Polynomial(4, Domain.RAT, remainder).project(2, 4)
@@ -505,7 +535,7 @@ def _memo_queries(label: str, count: int) -> list[Polynomial]:
 
 def _assert_reference_answers(gb: GroebnerBasis, queries: list[Polynomial]) -> None:
     for query in queries:
-        quotients, remainder = _reference_divide(query, gb.generators, gb.order)
+        quotients, remainder = _reference_division(query, gb.generators, gb.order)
         expected = Polynomial(gb.nvars, Domain.RAT, remainder)
         assert gb.normal_form_with_quotients(query) == (
             expected, tuple(Polynomial(gb.nvars, Domain.RAT, q) for q in quotients)
@@ -540,9 +570,9 @@ def test_memo_resumes_its_scan_after_the_table_grows():
     memos = {}
     for n in (1, 2, 3):  # the table grows by appending; the memo is kept
         for target in targets:
-            answer = groebner._divide(dict(target.terms()), table[:n], GRLEX, memos=memos)
-            assert answer == _reference_divide(target, divisors[:n], GRLEX)
-            assert answer == groebner._divide(dict(target.terms()), table[:n], GRLEX)  # a fresh memo
+            answer = _through_division(target, table[:n], GRLEX, memos)
+            assert answer == _reference_division(target, divisors[:n], GRLEX)
+            assert answer == _through_division(target, table[:n], GRLEX, {})  # a fresh memo
         found = [k for memo in memos.values() for k in memo.values()]
         if n < 3:  # misses over the short table, which the next pass resumes
             assert ~n in found
@@ -633,27 +663,24 @@ def test_tracked_cofactors_match_reference_loop(gens, monkeypatch):
     kernel = groebner._combo_update
     seen = {"calls": 0, "quotients": 0, "scaled": 0, "nvars": 0}
 
-    def terms(form):
-        ints, den = form
-        return {u: Fraction(c, den) for u, c in ints.items()}
-
     def sum_of(pairs):
         out = {}
         for a, b in pairs:
-            add_product(out, terms(a), terms(b))
+            add_product(out, _rational(a), _rational(b))
         return out
 
-    def checked(base, quotients, combos, scale=1):
+    def checked(base, quotients, combos, scale=(1, 1)):
         result = kernel(base, quotients, combos, scale)
         nvars = seen["nvars"]
-        poly = lambda form: Polynomial(nvars, Domain.RAT, terms(form))  # noqa: E731
+        poly = lambda form: Polynomial(nvars, Domain.RAT, _rational(form))  # noqa: E731
         sums = [Polynomial(nvars, Domain.RAT, sum_of(pairs)) for pairs in base]
-        expected = reference_combo_update(sums, quotients, [tuple(map(poly, combo)) for combo in combos])
-        assert tuple(map(poly, result)) == tuple(e.scale(scale) for e in expected)
+        rational = [_rational(q) for q in quotients]
+        expected = reference_combo_update(sums, rational, [tuple(map(poly, combo)) for combo in combos])
+        assert tuple(map(poly, result)) == tuple(e.scale(Fraction(*scale)) for e in expected)
         assert all(math.gcd(den, *ints.values()) == 1 for ints, den in result)
         seen["calls"] += 1
-        seen["quotients"] += any(quotients)
-        seen["scaled"] += scale != 1
+        seen["quotients"] += any(rational)
+        seen["scaled"] += Fraction(*scale) != 1
         return result
 
     monkeypatch.setattr(groebner, "_combo_update", checked)
@@ -670,6 +697,27 @@ def test_tracked_cofactors_match_reference_loop(gens, monkeypatch):
         for g, combo in zip(gb.generators, gb.cofactors):
             assert sum((c * s for c, s in zip(combo, source)), Polynomial.zero(g.nvars, Domain.RAT)) == g
     assert seen["calls"] >= 300 and seen["quotients"] >= 60 and seen["scaled"] >= 100
+
+
+@pytest.mark.parametrize("max_steps", [3, 40])
+def test_tracking_changes_nothing_but_cofactors(max_steps):
+    budget = GroebnerBudget(max_degree=12, max_steps=max_steps)
+    partial = 0
+    for gens_list, order in _random_ideals(random.Random(f"{SEED}:tracking:{max_steps}"), 60):
+        runs = []
+        for track in (False, True):
+            try:
+                runs.append(buchberger(gens_list, order, budget, track))
+            except BudgetExceededError as exc:
+                runs.append(exc.partial)
+        plain, tracked = runs
+        assert (plain.generators, plain.steps_used, plain.reduced) == (
+            tracked.generators, tracked.steps_used, tracked.reduced
+        )
+        assert [sorted(e.packed) for e in plain._divisors] == [sorted(e.packed) for e in tracked._divisors]
+        assert plain.cofactors is None and len(tracked.cofactors) == len(tracked.generators)
+        partial += not plain.reduced
+    assert 0 < partial < 60  # both partial and complete bases were compared
 
 
 def test_membership_cofactors_match_reference_loop():
@@ -893,7 +941,7 @@ def _reference_subalgebra_membership(h, gens_list, budget=GroebnerBudget()):
     _, gb = groebner._tag_elimination_basis(tuple(gens_list), budget)
     nvars, count = gens_list[0].nvars, len(gens_list)
     query = h.as_domain(Domain.RAT).embed(nvars + count, 0)
-    _, remainder = _reference_divide(query, gb.generators, gb.order)
+    _, remainder = _reference_division(query, gb.generators, gb.order)
     level = count + 1
     if all(not any(u[:nvars]) for u in remainder):
         rep = Polynomial(count, Domain.RAT, {u[nvars:]: c for u, c in remainder.items()})
@@ -1081,7 +1129,7 @@ def test_relation_ideal_is_generated_by_the_closed_form_quadratics(k):
     assert result.complete and len(quadratics) == math.comb(k - 2, 2)
     # the relations are a Groebner basis in the tag block's order, graded lex
     for q in quadratics:
-        _, remainder = _reference_divide(q, result.relations, GRLEX)
+        _, remainder = _reference_division(q, result.relations, GRLEX)
         assert not remainder
     # and each relation is a Q-combination of the quadratics, found without Groebner bases
     zero = Polynomial.zero(k - 1, Domain.RAT)

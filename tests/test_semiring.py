@@ -414,8 +414,9 @@ def test_rewrite_kernel_matches_step_replay():
         unit = (0,) * nvars
         words.append(Polynomial(nvars, Domain.NAT, {unit: 9, (1,) + unit[1:]: 2}))
         words.append(Polynomial(nvars, Domain.NAT, {(5,) + unit[1:]: 1, unit: 1}))
+        table = semiring._RewriteTable(pres, budget)
         for word in words:
-            for step, result in semiring._iter_rewrites(word, pres, budget):
+            for step, result in semiring._iter_rewrites(word, table):
                 replayed = step.apply(word, pres)
                 yielded += 1
                 if budget.admits(replayed):
@@ -445,7 +446,7 @@ def test_zero_side_rewrite_does_not_enumerate_the_full_box(monkeypatch):
     monkeypatch.setattr(semiring, "product", refuse)
     pres = Presentation.from_text(8, "0 = T1")
     word = Polynomial.one(8, Domain.NAT)
-    step, result = next(semiring._iter_rewrites(word, pres, Budget(max_degree=8)))
+    step, result = next(semiring._iter_rewrites(word, semiring._RewriteTable(pres, Budget(max_degree=8))))
     assert step == Step(0, True, (0,) * 8, 1)
     assert result == word + Polynomial.variable(8, 0, Domain.NAT)
 
@@ -471,8 +472,9 @@ def _dict_path_rewrites(start, pres, budget):
     drawing at most max_steps + 1 rewrites; outcome is the new word,
     "known" or "clipped"."""
     members, queue, out = {start}, [start], []
+    table = semiring._RewriteTable(pres, budget)
     for word in queue:
-        for step, result in semiring._iter_rewrites(word, pres, budget):
+        for step, result in semiring._iter_rewrites(word, table):
             if len(out) > budget.max_steps:
                 return out
             if result is not None and result in members:
@@ -507,11 +509,11 @@ def test_packed_path_matches_the_dict_path(budget):
         table = semiring._RewriteTable(pres, budget)  # shared, as in one closure
         for start in _start_words(rng, pres, budget):
             expected = _dict_path_rewrites(start, pres, budget)
-            packed = semiring._rewrites(start, pres, budget, table)
+            packed = semiring._rewrites(start, table)
             got = [(w, s, _outcome(r)) for w, s, r in islice(packed, len(expected))]
             assert got == expected, (text, format_poly(start))
             reference = reference_explore(start, pres, budget)
-            search = semiring._Exploration(start, pres, budget, table)
+            search = semiring._Exploration(start, table)
             search.find(lambda _: False, budget.max_steps)
             assert list(search.members.items()) == list(reference.members.items()), text
             assert (search.steps_used, search.complete) == (
@@ -538,7 +540,7 @@ def test_packed_cap_admits_the_cap_and_clips_above_it(nvars, text, start, max_co
     start = parse_poly(start.format(c=max_coeff), t_names(nvars), Domain.NAT)
     table = semiring._RewriteTable(pres, budget)
     over = set()  # the largest coefficient minus the cap, per rewrite
-    for word, step, result in semiring._rewrites(start, pres, budget, table):
+    for word, step, result in semiring._rewrites(start, table):
         if word != start:
             break
         replayed = step.apply(start, pres)
@@ -559,7 +561,7 @@ def test_a_search_that_draws_no_rewrite_keys_nothing(monkeypatch):
     one = Polynomial.one(2, Domain.NAT)
     # no rewrite applies to 1 under T1^2 = T2, and the free presentation has none
     for pres in (Presentation.from_text(2, "T1^2 = T2"), Presentation.free(2)):
-        search = semiring._Exploration(one, pres, budget)
+        search = semiring._Exploration(one, semiring._RewriteTable(pres, budget))
         assert search.find(lambda _: False, budget.max_steps) is None
         assert search.complete and list(search.members) == [one]
     # 1 <= 2 is answered by the start word: nothing is drawn or built
@@ -572,7 +574,7 @@ def test_a_search_that_draws_no_rewrite_keys_nothing(monkeypatch):
 
 
 def _advanced(start, pres, budget, *caps):
-    search = semiring._Exploration(start, pres, budget)
+    search = semiring._Exploration(start, semiring._RewriteTable(pres, budget))
     for cap in caps:
         assert search.find(lambda _: False, cap) is None
     return search
@@ -677,8 +679,8 @@ def test_oversized_shift_list_fails_before_any_search():
 
 def _failing_rewrites(after):
     # the one-step rewrites, with the draw after the first ``after`` raising
-    def rewrites(word, pres, budget, *rest):
-        for step, result in iter_rewrites(word, pres, budget, *rest):
+    def rewrites(word, table, *rest):
+        for step, result in iter_rewrites(word, table, *rest):
             if counter[0] == after:
                 raise RuntimeError("draw failed")
             counter[0] += 1
@@ -691,14 +693,14 @@ def _failing_rewrites(after):
 def test_search_resumed_after_a_failed_draw_answers_as_a_fresh_one(monkeypatch, successor_absorbed):
     budget = Budget(max_degree=3, max_coeff=4, max_steps=400)
     start = Polynomial.variable(1, 0, Domain.NAT)
-    full = semiring._Exploration(start, successor_absorbed, budget)
+    full = semiring._Exploration(start, semiring._RewriteTable(successor_absorbed, budget))
     full.find(lambda _: False, 400)
     found = list(full.members)
     assert len(found) > 3
     # the draw right after the one that found the third member fails
     after = reference_explore(start, successor_absorbed, budget, target=found[2]).steps_used
     monkeypatch.setattr(semiring, "_iter_rewrites", _failing_rewrites(after))
-    search = semiring._Exploration(start, successor_absorbed, budget)
+    search = semiring._Exploration(start, semiring._RewriteTable(successor_absorbed, budget))
     # the target is returned without drawing past it
     assert search.find(lambda w: w == found[2], 400) == found[2]
     for _ in range(2):
