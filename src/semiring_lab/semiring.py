@@ -262,20 +262,26 @@ def _bounded_exponents(nvars: int, max_degree: int) -> tuple[Exponent, ...]:
 
 
 class _RewriteTable:
-    """Rewrite data shared by the searches of one closure: ``sides`` (built
-    on the first draw) lists each relation direction that rewrites, with a
-    nonzero source's GRLEX anchor or a zero source's shifts; ``moves`` maps
-    (rel_index, forward, shift) to the shifted source and destination terms,
-    whether the destination fits the degree cap, the steps so far by
-    multiplier and the key change ``delta``.  A key packs an in-box word's
-    coefficients into ``width`` + 1-bit fields, one per monomial in
-    first-seen order.  ``width`` holds max_coeff * (1 + the largest relation
-    coefficient), so each field of ``key + mult * delta`` is in range, and
-    one above max_coeff sets its guard bit (``guards``) in ``key + spread``."""
+    """Rewrite data shared by the searches of one closure; an over-limit
+    zero-side shift list raises BudgetError at construction, not partway.
+    ``sides`` (built on the first draw) lists each relation direction that
+    rewrites, with a nonzero source's GRLEX anchor or a zero source's
+    shifts.  ``moves`` maps (rel_index, forward, shift) to a move: the
+    shifted source and destination terms, the steps by multiplier, the key
+    change ``delta`` (None when the destination leaves the degree cap),
+    rel_index, forward and shift; ``plans`` maps a support to its moves in
+    rewrite order.  A key packs an in-box word's coefficients into
+    ``width`` + 1-bit fields, one per monomial in first-seen order; ``width``
+    holds max_coeff * (1 + the largest relation coefficient), so each field
+    of ``key + mult * delta`` is in range, and one above max_coeff sets its
+    guard bit (``guards``) in ``key + spread``."""
 
     def __init__(self, pres: Presentation, budget: Budget):
+        for lhs, rhs in pres.relations:
+            if lhs.is_zero != rhs.is_zero:  # rewrites add every shift of the other side
+                _bounded_exponents(pres.nvars, budget.max_degree - (lhs + rhs).total_degree())
         self.pres, self.budget = pres, budget
-        self.moves, self.fields = {}, {}
+        self.moves, self.plans, self.fields = {}, {}, {}
         self.spread = self.guards = 0
 
     @cached_property
@@ -295,6 +301,35 @@ class _RewriteTable:
                 sides.append((rel_index, forward, src, dst, anchor, shifts))
         return sides
 
+    def fitting(self, terms: dict) -> Iterator[tuple[list, int]]:
+        """(move, top) for each move that fits into the word with ``terms``,
+        at most ``top`` >= 1 times, in rewrite order."""
+        support = frozenset(terms)
+        plan = self.plans.get(support)
+        if plan is None:
+            plan = self.plans[support] = []
+            for rel_index, forward, src, dst, anchor, shifts in self.sides:
+                if anchor is not None:
+                    shifts = sorted({s for w in terms if (s := mono_div(w, anchor)) is not None})
+                for shift in shifts:
+                    move = self.moves.get((rel_index, forward, shift))
+                    if move is None:
+                        moved_src = [(mono_mul(shift, v), c) for v, c in src._terms.items()]
+                        moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
+                        fits = all(mono_deg(w) <= self.budget.max_degree for w, _ in moved_dst)
+                        delta = self.encode(moved_dst) - self.encode(moved_src) if fits else None
+                        move = [moved_src, moved_dst, {}, delta, rel_index, forward, shift]
+                        self.moves[rel_index, forward, shift] = move
+                    plan.append(move)
+        for move in plan:
+            if len(move[0]) == 1:
+                ((w, c),) = move[0]
+                top = terms[w] // c
+            else:  # a zero source fits any word: the coefficient cap bounds mult
+                top = min((terms.get(w, 0) // c for w, c in move[0]), default=self.budget.max_coeff)
+            if top:
+                yield move, top
+
     def encode(self, terms) -> int:
         """The key of (monomial, coefficient) pairs; lays out new fields."""
         key = 0
@@ -308,139 +343,128 @@ class _RewriteTable:
         return key
 
 
-def _iter_rewrites(
-    word: Polynomial, table: _RewriteTable, key=None, known=None, queue=None
-) -> Iterator[tuple[Step, Polynomial | None]]:
-    """All one-step rewrites of ``word``, deterministically ordered.
+def _step(move: list, mult: int) -> Step:
+    steps = move[2]
+    return steps.get(mult) or steps.setdefault(mult, Step(*move[4:], mult))
 
-    Yields (step, result); result is None when the rewritten word violates
-    the budget box (the caller records clipping).  Results are computed on
-    the term dicts, and only for words not known to the search.
 
-    ``table`` is the closure's ``_RewriteTable``, with the presentation and
-    budget.  Given a search's member keys ``known`` and ``queue``, an in-box
-    word (``key``, or None to key it on its first rewrite) keys its results
-    as ``key + mult * delta``; a start word outside the box keys its admitted
-    results from scratch.  A known result is yielded as ``_KNOWN``, unbuilt;
-    a new one's key goes into ``known`` and (result, key) onto ``queue``.
-    """
-    budget, moves = table.budget, table.moves
-    n, max_coeff = table.pres.nvars, budget.max_coeff
-    terms = word._terms
-    for rel_index, forward, src, dst, anchor, shifts in table.sides:
-        if anchor is not None:
-            shifts = sorted({shift for w in terms if (shift := mono_div(w, anchor)) is not None})
-        for shift in shifts:
-            moved = moves.get((rel_index, forward, shift))
-            if moved is None:
-                moved_dst = [(mono_mul(shift, v), c) for v, c in dst._terms.items()]
-                moved_src = [(mono_mul(shift, v), c) for v, c in src._terms.items()]
-                fits = all(mono_deg(w) <= budget.max_degree for w, _ in moved_dst)
-                moved = moves[rel_index, forward, shift] = [moved_src, moved_dst, fits, [], None]
-            moved_src, moved_dst, fits_degree, steps, delta = moved
-            # a zero source fits any word: the coefficient cap bounds mult
-            top = min(terms.get(w, 0) // c for w, c in moved_src) if moved_src else max_coeff
-            if top == 0:
-                continue
-            for mult in range(len(steps) + 1, top + 1):
-                steps.append(Step(rel_index, forward, shift, mult))
-            if not fits_degree:
-                yield from ((step, None) for step in steps[:top])
-                continue
-            if known is not None and (key is not None or budget.admits(word)):
-                if key is None:
-                    known.add(key := table.encode(terms.items()))
-                if delta is None:
-                    delta = moved[4] = table.encode(moved_dst) - table.encode(moved_src)
-                spread, guards = table.spread, table.guards
-            for mult in range(1, top + 1):
-                step = steps[mult - 1]
-                if key is not None:
-                    r = key + mult * delta
-                    clipped = (r + spread) & guards
-                    if clipped or r in known:
-                        yield step, None if clipped else _KNOWN
-                        continue
-                out = dict(terms)
-                for w, c in moved_src:
-                    left = out[w] - mult * c
-                    if left:
-                        out[w] = left
-                    else:
-                        del out[w]
-                for w, c in moved_dst:
-                    out[w] = out.get(w, 0) + mult * c
-                result = Polynomial._raw(n, Domain.NAT, out)
-                if key is None and not budget.admits(result):
-                    yield step, None
-                    continue
-                if known is not None:
-                    if key is None and (r := table.encode(out.items())) in known:
-                        yield step, _KNOWN
-                        continue
-                    known.add(r)
-                    queue.append((result, r))
-                yield step, result
+def _applied(terms: dict, move: list, mult: int, nvars: int) -> Polynomial:
+    out = dict(terms)
+    for w, c in move[0]:
+        left = out[w] - mult * c
+        if left:
+            out[w] = left
+        else:
+            del out[w]
+    for w, c in move[1]:
+        out[w] = out.get(w, 0) + mult * c
+    return Polynomial._raw(nvars, Domain.NAT, out)
+
+
+def _iter_rewrites(word: Polynomial, table: _RewriteTable) -> Iterator[tuple]:
+    """All one-step rewrites of ``word`` under the closure's ``table``, one
+    by one and deterministically ordered: (step, result), with result None
+    when the rewritten word violates the budget box.  A search takes the
+    same rewrites a word at a time (``_rewrites``)."""
+    budget, n, terms = table.budget, table.pres.nvars, word._terms
+    for move, top in table.fitting(terms):
+        for mult in range(1, top + 1):
+            result = None if move[3] is None else _applied(terms, move, mult, n)
+            yield _step(move, mult), result if result is None or budget.admits(result) else None
 
 
 def _rewrites(start: Polynomial, table: _RewriteTable) -> Iterator[tuple]:
-    """(word, step, result) for each rewrite of the breadth-first search from
-    ``start``.  Holds no reference to the search, so the two form no cycle."""
-    queue, known = deque([(start, None)]), set()
+    """The breadth-first search from ``start``, a popped word at a time:
+    (word, count, clipped, first_clip, news) for each word with ``count``
+    > 0 rewrites, ``clipped`` of them out of the budget box, the first of
+    those the ``first_clip``-th (0 if none).  ``news`` has an entry
+    [position, step, result, move, mult] per rewrite to a new member.  An
+    in-box word's results are keyed as ``key + mult * delta``, so rewrites
+    to known words or out of the box are only counted, and new ones are
+    left for the consumer to build (result None).  Holds no reference to
+    the search, so the two form no cycle."""
+    budget = table.budget
+    queue, known = deque([([0, None, start, None, 0], None)]), set()
     while queue:
-        word, key = queue.popleft()
-        for step, result in _iter_rewrites(word, table, key, known, queue):
-            yield word, step, result
-
-
-_UNDRAWN = object()
-_KNOWN = object()  # a rewrite result that the search has found before
+        (_, _, word, _, _), key = queue.popleft()
+        terms, count, clipped, first_clip, news = word._terms, 0, 0, 0, []
+        for move, top in table.fitting(terms):
+            if key is None:  # the start word, keyed on its first rewrite if in the box
+                if not budget.admits(word):
+                    break
+                known.add(key := table.encode(terms.items()))
+            stop, delta = 0, move[3]
+            if delta is not None:
+                spread, guards, r, stop = table.spread, table.guards, key, top
+                for mult in range(1, top + 1):
+                    r += delta
+                    if (r + spread) & guards:
+                        stop = mult - 1  # coefficients grow with mult: the rest clip too
+                        break
+                    if r not in known:
+                        known.add(r)
+                        news.append(entry := [count + mult, None, None, move, mult])
+                        queue.append((entry, r))
+            if stop < top:
+                clipped += top - stop
+                first_clip = first_clip or count + stop + 1
+            count += top
+        else:
+            if count:
+                yield word, count, clipped, first_clip, news
+            continue
+        # a start word outside the box keys its admitted results from scratch
+        for count, (step, result) in enumerate(_iter_rewrites(word, table), 1):
+            if result is None:
+                clipped += 1
+                first_clip = first_clip or count
+            elif (r := table.encode(result._terms.items())) not in known:
+                known.add(r)
+                news.append(entry := [count, step, result, None, 0])
+                queue.append((entry, r))
+        yield word, count, clipped, first_clip, news
 
 
 class _Exploration:
     """A resumable, deterministic breadth-first search of ``start``'s
     congruence component.  ``members`` maps each word found to (parent,
-    step) in discovery order, however the search was advanced, and
-    ``rewrites_used`` counts the rewrites taken.  The next rewrite is drawn
-    only to go on or to tell whether a search stopped at its cap had ended;
-    ``steps_used`` counts it (c + 1 at cap c).  ``ended``: no rewrite is
-    left.  ``complete``: the search ended and no rewrite left the budget
-    box, so the component is finite and fully known.  An over-limit
-    zero-side shift list raises BudgetError at construction, not partway; a
-    draw that raised raises again on resume.  The search reads the
-    presentation and the budget from ``table``, which searches share; they
-    test results by key, and a search drawing none keys nothing."""
+    step) in discovery order, however the search was advanced.  A popped
+    word's rewrites are drawn together, only to go on or to tell whether a
+    search stopped at its cap had ended, and taken one by one:
+    ``rewrites_used`` counts those taken, and ``steps_used`` the next one
+    too (c + 1 at cap c).  ``ended``: no rewrite is left; from a start word
+    in the budget box, the members are then its whole in-box component,
+    found in as many rewrites from any member, as rewrites are reversible
+    in the box (whether or not some left it: ``complete`` is then False).
+    ``complete``: the search ended and no rewrite left the box, so the
+    component is finite and fully known.  A draw that raised raises again
+    on resume.  Searches share ``table``, with the presentation and budget;
+    a search drawing none keys nothing."""
 
     def __init__(self, start: Polynomial, table: _RewriteTable):
-        pres, budget = table.pres, table.budget
-        for lhs, rhs in pres.relations:
-            if lhs.is_zero != rhs.is_zero:  # rewrites add every shift of the other side
-                _bounded_exponents(pres.nvars, budget.max_degree - (lhs + rhs).total_degree())
         self.members: dict[Polynomial, tuple] = {start: (None, None)}
         self._rewrites = _rewrites(start, table)
-        self._next = _UNDRAWN
-        self.rewrites_used = 0
+        # the drawn word's rewrites while some are left (_taken taken, _new
+        # news recorded), None once the search ended, or a draw's error
+        self._drawn: tuple | BaseException | None = (start, 0, 0, 0, [])
+        self._taken = self._new = self.rewrites_used = 0
         self._clipped = False
 
-    def _peek(self) -> tuple | None:
-        """The next rewrite, drawn on first need; None once the search ended."""
-        if self._next is _UNDRAWN:
+    def _draw(self) -> tuple | None:
+        if isinstance(self._drawn, BaseException):
+            raise self._drawn
+        if self._drawn is not None and self._taken == self._drawn[1]:
             try:
-                self._next = next(self._rewrites, None)
+                self._drawn = next(self._rewrites, None)
             except BaseException as error:
-                self._next = error
-        if isinstance(self._next, BaseException):
-            raise self._next
-        return self._next
+                self._drawn = error
+                raise
+            self._taken = self._new = 0
+        return self._drawn
 
     @property
     def ended(self) -> bool:
-        """No rewrite is left.  If the start word lies in the budget box,
-        the members are then its whole in-box component: rewrites are
-        reversible inside the box, so a search from any member finds the
-        same set with the same number of rewrites.  Rewrites that left the
-        box (``complete`` is then False) do not change that."""
-        return self._peek() is None
+        return self._draw() is None
 
     @property
     def complete(self) -> bool:
@@ -448,7 +472,7 @@ class _Exploration:
 
     @property
     def steps_used(self) -> int:
-        return self.rewrites_used + (self._peek() is not None)
+        return self.rewrites_used + (self._draw() is not None)
 
     def find(self, wanted: Callable[[Polynomial], bool], cap: int) -> Polynomial | None:
         """The first member, in discovery order, that ``wanted`` accepts, or
@@ -456,16 +480,24 @@ class _Exploration:
         or ``cap`` rewrites in total are used."""
         if (member := next(filter(wanted, self.members), None)) is not None:
             return member
-        while self.rewrites_used < cap and (rewrite := self._peek()) is not None:
-            word, step, result = rewrite
-            self._next = _UNDRAWN
-            self.rewrites_used += 1
-            if result is None:
-                self._clipped = True
-            elif result is not _KNOWN:
+        while self.rewrites_used < cap and (drawn := self._draw()) is not None:
+            word, count, _, first_clip, news = drawn
+            stop, found = min(count, self._taken + cap - self.rewrites_used), None
+            while self._new < len(news) and news[self._new][0] <= stop:
+                position, step, result, move, mult = entry = news[self._new]
+                self._new += 1
+                if result is None:
+                    step = _step(move, mult)
+                    result = entry[2] = _applied(word._terms, move, mult, word.nvars)
                 self.members[result] = (word, step)
                 if wanted(result):
-                    return result
+                    stop, found = position, result
+                    break
+            self.rewrites_used += stop - self._taken
+            self._taken = stop
+            self._clipped = self._clipped or 0 < first_clip <= stop
+            if found is not None:
+                return found
         return None
 
     def trace_to(self, target: Polynomial) -> tuple[Step, ...]:
@@ -532,6 +564,19 @@ def congruence_close(pres: Presentation, budget: Budget = Budget()) -> Congruenc
     return CongruenceClosure(pres, budget)
 
 
+def _check_word(word: Polynomial, pres: Presentation, budget: Budget | None = None) -> None:
+    """Reject a word outside N[T1..Tn] or, given a budget, its box."""
+    if word.domain is not Domain.NAT:
+        raise DomainError("words must be natural-domain polynomials")
+    if word.nvars != pres.nvars:
+        raise ValueError(f"word has {word.nvars} variables, presentation has {pres.nvars}")
+    if budget is not None and not budget.admits(word):
+        raise BudgetError(
+            f"word {format_poly(word)} exceeds the budget box (degree <= {budget.max_degree}, "
+            f"coefficients <= {budget.max_coeff}; raise --deg/--coeff)"
+        )
+
+
 def words_equivalent(
     p: Polynomial, q: Polynomial, cc: CongruenceClosure
 ) -> EquivalenceAnswer:
@@ -544,16 +589,7 @@ def words_equivalent(
     """
     pres, budget = cc.presentation, cc.budget
     for word in (p, q):
-        if word.domain is not Domain.NAT:
-            raise DomainError("words must be natural-domain polynomials")
-        if word.nvars != pres.nvars:
-            raise ValueError(f"word has {word.nvars} variables, presentation has {pres.nvars}")
-        if not budget.admits(word):
-            raise BudgetError(
-                f"word {format_poly(word)} exceeds the budget box "
-                f"(degree <= {budget.max_degree}, coefficients <= {budget.max_coeff}; "
-                "raise --deg/--coeff)"
-            )
+        _check_word(word, pres, budget)
     total = 0
     for source, target, backwards in ((p, q, False), (q, p, True)):
         exploration = _Exploration(source, cc._table)
@@ -677,7 +713,8 @@ def preorder_leq(
     its first member, in discovery order, that dominates a (the witness is
     that member minus a), under the closure's budget; an explicit
     ``budget`` must then equal it.  A bare Presentation is searched through
-    a fresh closure under ``budget`` (default ``Budget()``).
+    a fresh closure under ``budget`` (default ``Budget()``).  Words must lie
+    in N[T1..Tn], and ``b`` may lie outside the budget box.
     """
     if isinstance(structure, EvalHom):
         fa, fb = Fraction(a), Fraction(b)
@@ -692,6 +729,8 @@ def preorder_leq(
             )
     else:
         closure = CongruenceClosure(structure, Budget() if budget is None else budget)
+    for word in (a, b):
+        _check_word(word, closure.presentation)
     exploration = closure.explore(b)
     member = exploration.find(lambda w: w.checked_sub(a) is not None, closure.budget.max_steps)
     if member is not None:

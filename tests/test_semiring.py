@@ -461,28 +461,44 @@ def _catalog_presentation(nvars, text):
 PACKED_CATALOG = CATALOG + [(2, "2*T1 = 1"), (1, "T1 = 0"), (1, "2 = 1\n3 = 2")]
 
 
-def _outcome(result):
-    if result is None:
-        return "clipped"
-    return "known" if result is semiring._KNOWN else result
-
-
-def _dict_path_rewrites(start, pres, budget):
-    """(word, step, outcome) of a breadth-first search on the dict path,
-    drawing at most max_steps + 1 rewrites; outcome is the new word,
-    "known" or "clipped"."""
-    members, queue, out = {start}, [start], []
+def _dict_path_batches(start, pres, budget):
+    """(word, count, known, clipped, first_clip, news) per popped word of a
+    breadth-first search on the dict path, until more than max_steps
+    rewrites are drawn: ``count`` rewrites, ``known`` of them to found
+    words, ``clipped`` out of the box (the ``first_clip``-th first, 0 if
+    none), and news (position, step, result) for those to new words."""
+    members, queue, out, drawn = {start}, [start], [], 0
     table = semiring._RewriteTable(pres, budget)
     for word in queue:
-        for step, result in semiring._iter_rewrites(word, table):
-            if len(out) > budget.max_steps:
-                return out
-            if result is not None and result in members:
-                result = semiring._KNOWN
-            elif result is not None:
+        if drawn > budget.max_steps:
+            break
+        count = known = clipped = first_clip = 0
+        news = []
+        for count, (step, result) in enumerate(semiring._iter_rewrites(word, table), 1):
+            if result is None:
+                clipped += 1
+                first_clip = first_clip or count
+            elif result in members:
+                known += 1
+            else:
                 members.add(result)
                 queue.append(result)
-            out.append((word, step, _outcome(result)))
+                news.append((count, step, result))
+        drawn += count
+        if count:
+            out.append((word, count, known, clipped, first_clip, news))
+    return out
+
+
+def _packed_batches(start, table, limit):
+    """The first ``limit`` batches that a search draws, each taken in full,
+    in the form of ``_dict_path_batches``."""
+    search, out = semiring._Exploration(start, table), []
+    while len(out) < limit and (drawn := search._draw()) is not None:
+        word, count, clipped, first_clip, news = drawn
+        search.find(lambda _: False, search.rewrites_used + count)
+        news = [(position, search.members[result][1], result) for position, _, result, _, _ in news]
+        out.append((word, count, count - clipped - len(news), clipped, first_clip, news))
     return out
 
 
@@ -508,10 +524,9 @@ def test_packed_path_matches_the_dict_path(budget):
         pres = _catalog_presentation(nvars, text)
         table = semiring._RewriteTable(pres, budget)  # shared, as in one closure
         for start in _start_words(rng, pres, budget):
-            expected = _dict_path_rewrites(start, pres, budget)
-            packed = semiring._rewrites(start, table)
-            got = [(w, s, _outcome(r)) for w, s, r in islice(packed, len(expected))]
-            assert got == expected, (text, format_poly(start))
+            expected = _dict_path_batches(start, pres, budget)
+            packed = _packed_batches(start, table, len(expected))
+            assert packed == expected, (text, format_poly(start))
             reference = reference_explore(start, pres, budget)
             search = semiring._Exploration(start, table)
             search.find(lambda _: False, budget.max_steps)
@@ -539,14 +554,21 @@ def test_packed_cap_admits_the_cap_and_clips_above_it(nvars, text, start, max_co
     budget = Budget(max_degree=2, max_coeff=max_coeff, max_steps=100)
     start = parse_poly(start.format(c=max_coeff), t_names(nvars), Domain.NAT)
     table = semiring._RewriteTable(pres, budget)
+    # the start word's batch, rewrite by rewrite through Step.apply and the box
+    found, clips, news = {start}, [], []
     over = set()  # the largest coefficient minus the cap, per rewrite
-    for word, step, result in semiring._rewrites(start, table):
-        if word != start:
-            break
+    steps = [step for step, _ in semiring._iter_rewrites(start, table)]
+    for position, step in enumerate(steps, 1):
         replayed = step.apply(start, pres)
-        assert (result is not None) == budget.admits(replayed), step
-        assert result is None or result == replayed
         over.add(replayed.max_coeff_abs() - max_coeff)
+        if not budget.admits(replayed):
+            clips.append(position)
+        elif replayed not in found:
+            found.add(replayed)
+            news.append((position, step, replayed))
+    expected = (start, len(steps), len(steps) - len(clips) - len(news), len(clips))
+    expected += (clips[0] if clips else 0, news)
+    assert _packed_batches(start, table, 1) == [expected]
     assert max(over) > 0
     if text == "1 = 0":
         assert {0, 1} <= over
@@ -623,6 +645,37 @@ def test_search_matches_the_reference_search_at_every_cap():
                         assert replay_trace(start, answer.trace, pres) == target
 
 
+@pytest.mark.parametrize(
+    "nvars, text, starts",
+    [
+        (1, "T1 + 1 = T1", ["T1", "T1 + 1", "2*T1 + 2"]),
+        (1, "1 = 0", ["1", "T1 + 1", "0"]),
+        (2, "T1*T2 = 1", ["1", "T1*T2 + 1", "2*T1"]),
+    ],
+)
+def test_search_matches_the_reference_search_at_every_cap_inside_a_batch(nvars, text, starts):
+    # one popped word's rewrites are drawn together; every cap, also one
+    # that falls between two rewrites of a word, must stop the search
+    # exactly where a per-rewrite search stops, fresh or resumed
+    pres = Presentation.from_text(nvars, text)
+    for start in (parse_poly(word, t_names(nvars), Domain.NAT) for word in starts):
+        full = reference_explore(start, pres, Budget(2, 2, 10**6))
+        assert not full.complete, text  # some rewrites leave the box
+        for cap in range(1, full.steps_used + 2):
+            budget = Budget(max_degree=2, max_coeff=2, max_steps=cap)
+            expected = reference_explore(start, pres, budget)
+            fresh = _advanced(start, pres, budget, cap)
+            resumed = _advanced(start, pres, budget, cap // 2, cap)
+            for search in (fresh, resumed):
+                assert list(search.members.items()) == list(expected.members.items()), (text, cap)
+                assert (search.steps_used, search.complete, search.ended) == (
+                    expected.steps_used,
+                    expected.complete,
+                    expected.steps_used <= cap,
+                ), (text, format_poly(start), cap)
+                assert search.rewrites_used == min(expected.steps_used, cap)
+
+
 def test_queries_free_their_searches_on_return(monkeypatch):
     # a search that formed a reference cycle with its rewrite generator would
     # outlive the query with the cycle collector off
@@ -678,15 +731,14 @@ def test_oversized_shift_list_fails_before_any_search():
 
 
 def _failing_rewrites(after):
-    # the one-step rewrites, with the draw after the first ``after`` raising
-    def rewrites(word, table, *rest):
-        for step, result in iter_rewrites(word, table, *rest):
-            if counter[0] == after:
-                raise RuntimeError("draw failed")
-            counter[0] += 1
-            yield step, result
+    # the search's draws, one popped word's rewrites each, with the draw
+    # after the first ``after`` raising
+    def rewrites(start, table):
+        batches = search_rewrites(start, table)
+        yield from islice(batches, after)
+        raise RuntimeError("draw failed")
 
-    iter_rewrites, counter = semiring._iter_rewrites, [0]
+    search_rewrites = semiring._rewrites
     return rewrites
 
 
@@ -697,9 +749,12 @@ def test_search_resumed_after_a_failed_draw_answers_as_a_fresh_one(monkeypatch, 
     full.find(lambda _: False, 400)
     found = list(full.members)
     assert len(found) > 3
-    # the draw right after the one that found the third member fails
-    after = reference_explore(start, successor_absorbed, budget, target=found[2]).steps_used
-    monkeypatch.setattr(semiring, "_iter_rewrites", _failing_rewrites(after))
+    # the draw right after the one that found the third member fails: every
+    # word rewrites here, so the draws so far are the parent's and those before
+    reference = reference_explore(start, successor_absorbed, budget, target=found[2])
+    parent = reference.members[found[2]][0]
+    assert full.members[found[3]][0] != parent
+    monkeypatch.setattr(semiring, "_rewrites", _failing_rewrites(found.index(parent) + 1))
     search = semiring._Exploration(start, semiring._RewriteTable(successor_absorbed, budget))
     # the target is returned without drawing past it
     assert search.find(lambda w: w == found[2], 400) == found[2]
@@ -716,6 +771,26 @@ def test_closure_preorder_rejects_another_budget(successor_absorbed):
     with pytest.raises(ValueError):
         preorder_leq(P1("T1"), P1("T1 + 1"), cc, Budget())
 
+
+
+def test_preorder_rejects_words_of_another_arity_or_domain():
+    # checked as in words_equivalent, before any search: a search would read
+    # a three-variable word's terms against two-variable relations
+    budget = Budget(4, 8, 300)
+    pres = Presentation.from_text(2, "T1*T2 = 1")
+    for a, b in (("T1*T2", "1"), ("T3", "T1*T2*T3")):
+        a, b = (parse_poly(word, t_names(3), Domain.NAT) for word in (a, b))
+        for structure in (pres, congruence_close(pres, budget)):
+            with pytest.raises(ValueError, match="word has 3 variables, presentation has 2"):
+                preorder_leq(a, b, structure, budget)
+    one_variable = Presentation.from_text(1, "T1 = 1")
+    a, b = (parse_poly(word, t_names(2), Domain.NAT) for word in ("T1", "1"))
+    with pytest.raises(ValueError, match="word has 2 variables, presentation has 1"):
+        preorder_leq(a, b, one_variable, budget)
+    with pytest.raises(DomainError, match="natural-domain"):
+        preorder_leq(P1("T1").as_domain(Domain.INT), P1("1"), one_variable)
+    # a bound outside the box is still a supported start
+    assert preorder_leq(P1("1"), P1("T1^9 + 1"), Presentation.free(1), budget).verdict is Tri.YES
 
 # -- the set L -------------------------------------------------------------
 
