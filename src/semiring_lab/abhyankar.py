@@ -93,8 +93,9 @@ class WellDefinednessReport:
     ``relations`` are the computed generators of the relation ideal of
     f_2..f_k (tag variables X2..Xk); ``values_at_point`` are their exact
     values at the evaluation point.  ``verified`` requires both a complete
-    relation computation and all values zero; with ``relations_complete``
-    False the check is only partial and the context must refuse evaluation.
+    relation computation and all values zero, and is computed once; with
+    ``relations_complete`` False the check is only partial and the context
+    must refuse evaluation.
     """
 
     truncation: int
@@ -106,7 +107,7 @@ class WellDefinednessReport:
     def all_vanish(self) -> bool:
         return all(v == 0 for v in self.values_at_point)
 
-    @property
+    @cached_property
     def verified(self) -> bool:
         return self.relations_complete and self.all_vanish
 

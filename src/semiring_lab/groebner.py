@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .polynomials import (
     ArityError,
@@ -49,6 +49,7 @@ from .polynomials import (
 _MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
 _CONTENT_BITS = 64  # a division's common denominator past this many bits sheds its content
 _MEMO_SIZE = 1 << 13  # a first-divisor memo of _reduce past this many entries is cleared
+_TABLE_SIZE = 1 << 12  # a remainder table of a basis, or its seen set, past this many entries is cleared
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,8 @@ def _clear_content(work: _Terms, den: int) -> tuple[_Terms, int]:
 
 
 def _reduce(
-    work: _Form, table: list, pk: _Packing, degree_cap: int | None, memo: dict[int, int]
+    work: _Form, table: list, pk: _Packing, degree_cap: int | None, memo: dict[int, int],
+    known: dict[int, _Form] | None = None,
 ) -> tuple[list, _Form]:
     """The division loop, fraction-free on packed monomials; consumes ``work``.
 
@@ -246,6 +248,12 @@ def _reduce(
     packing, and only while the table grows by appending: then a hit never
     changes and a miss resumes its scan at entry n.  A memo past
     ``_MEMO_SIZE`` entries is cleared, which only costs rescans.
+
+    ``known``, given only on a reduced basis, whose remainder is unique and
+    linear, maps packed monomials to their remainders as integer forms: a
+    leading term c*u with u there leaves the work as c/D times that
+    remainder, which is added to the result, and takes no step.  The steps
+    then no longer give the quotients.
     """
     guards, low = pk.guards, pk.low
     limit = pk.limit if degree_cap is None else degree_cap
@@ -254,11 +262,18 @@ def _reduce(
     steps: list[tuple[int, int, int, int]] = []
     work, den = work
     remainder: list[tuple[int, int, int]] = []
+    hits: list[tuple[int, _Form]] = []
     while work:
         u = max(work)
         c = work[u]
         if u & low > limit:
             raise _DegreeCapHit
+        if known is not None:
+            r = known.get(u)
+            if r is not None:
+                hits.append((c, (r[0], r[1] * den)))
+                del work[u]
+                continue
         k = memo.get(u, ~0)
         if ~n < k < 0:  # unseen, or a miss over fewer entries than the table now has
             ug = u | guards
@@ -293,6 +308,8 @@ def _reduce(
         else:
             remainder.append((u, c, den))
             del work[u]
+    if hits:
+        return steps, _combination([(1, _over_lcm(remainder)), *hits])
     return steps, _over_lcm(remainder)
 
 
@@ -312,15 +329,91 @@ def _quotients(steps: list, count: int, pk: _Packing) -> list[_Form]:
     return [_over_lcm(terms) for terms in quotients]
 
 
+def _start_width(terms: _Terms, degree: int, divisors: Sequence[_Entry]) -> int:
+    """The first packing width of a division of ``terms`` by ``divisors`` of
+    largest degree ``degree``: as wide as the degrees need, and at least the
+    widest the divisors are packed at already."""
+    degree = max(degree, *map(mono_deg, terms)) if terms else degree
+    return max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+
+
+def _combination(parts: Sequence[tuple[int, _Form]]) -> _Form:
+    """The sum of c * form over ``parts`` of packed integer forms, as one
+    integer form over the lcm of their denominators; the forms are only read."""
+    common = lcm(*(den for _, (_, den) in parts))
+    out: _Terms = {}
+    for c, (terms, den) in parts:
+        f = c * (common // den)
+        for v, cv in terms.items():
+            s = out.get(v, 0) + f * cv
+            if s:
+                out[v] = s
+            else:
+                del out[v]
+    return out, common
+
+
+class _Width:
+    """What a basis keeps at one packing width: the packing, the packed
+    divisor table, :func:`_reduce`'s first-divisor memo, and for
+    :meth:`remainder` the remainders of single monomials and the set of
+    monomials seen.  The remainders and the seen set are each cleared past
+    ``_TABLE_SIZE`` entries, which only costs recomputation."""
+
+    def __init__(self, divisors: Sequence[_Entry], pk: _Packing, memo: dict[int, int]):
+        self.pk, self.memo = pk, memo
+        self.table = [e.at(pk) for e in divisors]
+        self.remainders: dict[int, _Form] = {}
+        self.seen: set[int] = set()
+
+    def divide(self, terms: _Terms, den: int) -> tuple[list, _Form]:
+        """:func:`_reduce` of the integer form ``terms``/``den``: the joint division."""
+        return _reduce((self.pk.pack_terms(terms), den), self.table, self.pk, None, self.memo)
+
+    def remainder(self, terms: _Terms, den: int) -> _Form:
+        """The remainder of ``terms``/``den`` by linearity; exact only on a
+        reduced basis, whose remainder is unique.
+
+        A monomial with a stored remainder contributes its coefficient times
+        that remainder.  One seen before gets its stored remainder now, from
+        a division of the monomial alone.  The monomials seen for the first
+        time are divided jointly, as one polynomial, and the parts are summed.
+        Both divisions take a work term whose monomial has a stored remainder
+        from the table instead of dividing it (``known`` of :func:`_reduce`).
+        """
+        pk, remainders, seen = self.pk, self.remainders, self.seen
+        fresh: _Terms = {}
+        parts: list[tuple[int, _Form]] = []
+        for u, c in pk.pack_terms(terms).items():
+            r = remainders.get(u)
+            if r is None:
+                if u not in seen:
+                    if len(seen) >= _TABLE_SIZE:
+                        seen.clear()
+                    seen.add(u)
+                    fresh[u] = c
+                    continue
+                if len(remainders) >= _TABLE_SIZE:
+                    remainders.clear()
+                _, alone = _reduce(({u: 1}, 1), self.table, pk, None, self.memo, remainders)
+                r = remainders[u] = _clear_content(*alone)
+            parts.append((c, r))
+        if fresh:
+            parts.append((1, _reduce((fresh, 1), self.table, pk, None, self.memo, remainders)[1]))
+        out, common = _combination(parts)
+        return out, common * den
+
+
 def _division(
     form: _Form, divisors: Sequence[_Entry], order: MonomialOrder, nvars: int,
     memos: dict[int, dict[int, int]],
 ) -> tuple[list, _Form, _Packing]:
-    """The division path of every division but the S-pair loop's:
-    :func:`_reduce` of the integer form ``form`` by monic divisor-table
-    entries, in ``nvars`` variables (a shorter exponent vector embeds at
-    offset 0), with no degree cap.  Returns the steps, the remainder on packed
-    monomials, and the packing they use.
+    """The interreduction's division (see :func:`_finalize`): :func:`_reduce`
+    of the integer form ``form`` by monic divisor-table entries, in ``nvars``
+    variables (a shorter exponent vector embeds at offset 0), with no degree
+    cap.  Returns the steps, the remainder on packed monomials, and the
+    packing they use.  A finished basis divides the same way, by its own
+    per-width state (:meth:`GroebnerBasis._at_width`).
 
     Packs as wide as the degrees or the divisors' packed forms need; a leading
     term at a guard bit redoes the division twice as wide, so no answer is
@@ -329,8 +422,7 @@ def _division(
     list that has since only grown by appending.
     """
     terms, den = form
-    degree = max([*map(mono_deg, terms), *(e.degree for e in divisors)], default=0)
-    width = max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
+    width = _start_width(terms, max((e.degree for e in divisors), default=0), divisors)
     while True:
         pk = _packing(order, nvars, width)
         try:
@@ -380,22 +472,38 @@ class GroebnerBasis:
     ``source``.  The divisor table shares the generators' term dicts and
     holds, made once per field width, each generator's primitive integer form
     on packed monomials (layout and guard bits as in :func:`buchberger`).  A
-    normal form runs at that width or the one its degrees need; a leading
-    term at a guard bit redoes the division at twice the width, so no answer
-    is truncated.  Per width, the basis also keeps :func:`_reduce`'s memo of
-    each leading monomial's first divisor across queries; the table never
-    changes, so a remembered divisor stays the one a fresh scan would find.
+    query runs at the widest width made so far or the one its degrees need;
+    a leading term at a guard bit redoes the division at twice the width, so
+    no answer is truncated.  Per width (:class:`_Width`), the basis keeps the
+    packed table as one list and :func:`_reduce`'s memo of each leading
+    monomial's first divisor across queries; the table never changes, so a
+    remembered divisor stays the one a fresh scan would find.
 
-    Every query runs through one integer-form normal form,
-    :meth:`_normal_form`, which is :func:`_division` on this table: an
-    integer form goes in, and the steps and the remainder come out as
-    integers on packed monomials.  :meth:`normal_form` and
-    :meth:`normal_form_with_quotients` are thin wrappers that unpack and make
-    ``Fraction`` coefficients; :func:`ideal_membership` and
-    :func:`subalgebra_membership` read the integers.  :func:`_finalize` built
-    the table through the same :func:`_division`, so ``Fraction`` appears
-    only in returned polynomials.  With cofactors, the basis keeps their
-    integer forms, and the source generators', made on first use.
+    A query goes in as an integer form, and its answer comes out as integers
+    on packed monomials, along one of two paths.  :meth:`_divide` is the
+    joint division of the whole query, with its steps: it serves
+    :meth:`normal_form_with_quotients` and :func:`ideal_membership`, which
+    need the quotients.  :meth:`_normal_form` gives the remainder alone, for
+    :meth:`normal_form` and :func:`subalgebra_membership`.  On a reduced
+    basis the remainder is unique (Cox, Little & O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 2 §6), so p |-> NF(p) is linear, and per width the
+    basis keeps a table from packed monomial to its remainder: a query adds
+    up the stored remainders of its monomials, and divides the monomials it
+    meets for the first time jointly.  A monomial gets its stored remainder,
+    from a division of it alone, at its second sighting, so a one-off query
+    costs one joint division.  A truncated basis (``reduced=False``) is not
+    a Groebner basis of its ideal, its remainder depends on the division, and
+    it never fills the table.  The table and the set of seen monomials are
+    each cleared past ``_TABLE_SIZE`` entries, which only costs
+    recomputation.
+
+    :meth:`normal_form` and :meth:`normal_form_with_quotients` are thin
+    wrappers that unpack and make ``Fraction`` coefficients;
+    :func:`ideal_membership` and :func:`subalgebra_membership` read the
+    integers.  :func:`_finalize` built the table through :func:`_division`,
+    so ``Fraction`` appears only in returned polynomials.  With cofactors,
+    the basis keeps their integer forms, and the source generators', made on
+    first use.
     """
 
     generators: tuple[Polynomial, ...]
@@ -416,9 +524,17 @@ class GroebnerBasis:
         return tuple(_entry(g, self.order) for g in self.generators)
 
     @cached_property
+    def _degree(self) -> int:
+        return max((e.degree for e in self._divisors), default=0)
+
+    @cached_property
     def _memos(self) -> dict[int, dict[int, int]]:
         """:func:`_reduce`'s first-divisor memo per packing width, kept across
         queries: the divisor table never changes, so no entry goes stale."""
+        return {}
+
+    @cached_property
+    def _widths(self) -> dict[int, _Width]:
         return {}
 
     @cached_property
@@ -435,17 +551,50 @@ class GroebnerBasis:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
         return _form(p)
 
-    def _normal_form(self, form: _Form) -> tuple[list, _Form, _Packing]:
-        """The integer-form normal form of ``form``: :func:`_reduce`'s steps,
-        the remainder as an integer form on packed monomials, and the packing
-        they use (see :func:`_division`; a shorter exponent vector embeds at
-        offset 0)."""
-        return _division(form, self._divisors, self.order, self.nvars, self._memos)
+    def _at_width(self, form: _Form, run: Callable) -> tuple:
+        """``run(at, terms, den)`` on the basis's :class:`_Width` at the first
+        width ``form`` needs (see :func:`_start_width`), redone at twice the
+        width while a leading term reaches a guard bit; returns its result and
+        the packing."""
+        terms, den = form
+        width = _start_width(terms, self._degree, self._divisors)
+        while True:
+            at = self._widths.get(width)
+            if at is None:
+                pk = _packing(self.order, self.nvars, width)
+                at = self._widths[width] = _Width(self._divisors, pk, self._memos.setdefault(width, {}))
+            try:
+                return run(at, terms, den), at.pk
+            except _DegreeCapHit:
+                width *= 2
+
+    def _divide(self, form: _Form) -> tuple[list, _Form, _Packing]:
+        """The joint division of the integer form ``form``: :func:`_reduce`'s
+        steps, the remainder as an integer form on packed monomials, and the
+        packing they use (a shorter exponent vector embeds at offset 0)."""
+        (steps, remainder), pk = self._at_width(form, _Width.divide)
+        return steps, remainder, pk
+
+    def _normal_form(self, form: _Form) -> tuple[_Form, _Packing]:
+        """The remainder of the integer form ``form``, as an integer form on
+        packed monomials, and the packing it uses.
+
+        On a reduced basis the remainder is unique, so p |-> NF(p) is linear
+        and NF(p) is the sum of c * NF(u) over p's terms c*u, whatever steps
+        a division takes: this reads the remainder table
+        (:meth:`_Width.remainder`).  On a truncated basis (``reduced=False``)
+        two divisions can leave different remainders, so this is the joint
+        division's.
+        """
+        if not self.reduced:
+            _, remainder, pk = self._divide(form)
+            return remainder, pk
+        return self._at_width(form, _Width.remainder)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
-        _, remainder, pk = self._normal_form(self._query(p))
+        remainder, pk = self._normal_form(self._query(p))
         return _from_form(p.nvars, Domain.RAT, pk.unpack_form(remainder))
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
@@ -453,7 +602,7 @@ class GroebnerBasis:
 
         Every empty quotient is the same zero polynomial object.
         """
-        steps, remainder, pk = self._normal_form(self._query(p))
+        steps, remainder, pk = self._divide(self._query(p))
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
         quotients = _quotients(steps, len(self.generators), pk)
@@ -495,12 +644,12 @@ def buchberger(
     degrees)``: lcms pack clean and the degree cap fires before a field
     overflows.
 
-    :func:`_reduce` has two callers: this S-pair loop, at one width and
-    under the degree cap, and :func:`_division`, with no cap, which redoes a
-    division that reaches a guard bit at twice the width.  Every other
-    division goes through :func:`_division`: the finalisation
-    (:func:`_finalize`) interreduces through it, since interreduction can
-    raise degrees, and returns the generators monic over Q.  ``Fraction``
+    :func:`_reduce` runs here at one width and under the degree cap; every
+    other division runs with no cap and redoes a division that reaches a
+    guard bit at twice the width: the finalisation (:func:`_finalize`)
+    interreduces through :func:`_division`, since interreduction can raise
+    degrees, and returns the generators monic over Q, and the finished basis
+    answers queries the same way (:meth:`GroebnerBasis._at_width`).  ``Fraction``
     appears only in the returned polynomials and in the coefficient cap's
     measurement.
 
@@ -733,7 +882,7 @@ def ideal_membership(
     """
     gb = _tracked_basis(tuple(gens), order, budget)
     query = gb._query(p)
-    steps, (remainder, _), pk = gb._normal_form(query)
+    steps, (remainder, _), pk = gb._divide(query)
     if not remainder:
         quotients = _quotients(steps, len(gb.generators), pk)
         used = [(q, combo) for q, combo in zip(quotients, gb._cofactor_forms) if q[0]]
@@ -754,8 +903,11 @@ def ideal_membership(
 
 
 def tag_ring_generators(gens: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """The polynomials X_i - g_i in the combined ring Q[T-block, X-block]."""
+    """The polynomials X_i - g_i in the combined ring Q[T-block, X-block];
+    generators with different variable counts raise ArityError."""
     nvars = gens[0].nvars
+    if any(g.nvars != nvars for g in gens):
+        raise ArityError("generators live in different rings")
     total = nvars + len(gens)
     out = []
     for i, g in enumerate(gens):
@@ -777,9 +929,10 @@ def _tag_elimination_basis(
     """
     nvars = gens[0].nvars  # with no ambient variable, grlex on the tags is the elimination order
     order = elimination(nvars) if nvars else MonomialOrder("grlex")
+    tagged = tag_ring_generators(gens)
     forms = tuple(map(_form, gens))
     try:
-        return forms, buchberger(tag_ring_generators(gens), order, budget)
+        return forms, buchberger(tagged, order, budget)
     except BudgetExceededError as exc:
         return forms, exc.partial
 
@@ -837,7 +990,11 @@ def subalgebra_membership(
 
     The query's integer form is packed straight into the elimination
     packing, and the T-freeness test, the projection and the integrality
-    test read the integer remainder.  The substitution check expands the
+    test read the integer remainder.  A complete basis is reduced, so the
+    remainder is unique and linear in h: it comes from the basis's table of
+    monomial remainders, with only the monomials met for the first time
+    divided jointly (see :class:`GroebnerBasis`); a truncated basis divides
+    every query jointly.  The substitution check expands the
     representation over the generators' integer forms, cached with the
     basis (:func:`~semiring_lab.polynomials._substitute`, whose powers are
     made per call), and compares integer forms; ``Fraction`` appears only in
@@ -852,7 +1009,7 @@ def subalgebra_membership(
     tag_count = len(gens)
     truncation = tag_count + 1  # generators are numbered 2..k
     query = _form(h)
-    _, (remainder, den), pk = gb._normal_form(query)
+    (remainder, den), pk = gb._normal_form(query)
     # the T-block's degree is the top field, so a T-free monomial packs below
     # every T-variable's unit, and the leading monomial is the largest; with
     # no T-variable, every monomial is T-free

@@ -16,6 +16,7 @@ from semiring_lab.abhyankar import (
     UnitIdealWitness,
     UnivarOverSubring,
     UnverifiedContextError,
+    WellDefinednessReport,
     fraction_field_witnesses,
     generator,
     non_extendability_certificate,
@@ -91,6 +92,18 @@ def test_build_default_is_verified(ctx):
     assert ctx.report.all_vanish
     assert len(ctx.generators) == 5
     assert ctx.point == tuple(Fraction(1, n) for n in range(2, 7))
+
+
+def test_verification_is_computed_once(monkeypatch):
+    checks = []
+    real = WellDefinednessReport.all_vanish.fget
+    monkeypatch.setattr(WellDefinednessReport, "all_vanish", property(lambda r: checks.append(r) or real(r)))
+    ctx = AbhyankarContext.build(5)
+    for n in range(2, 6):
+        element = ctx.generator_element(n)
+        assert element.rational_image == Fraction(1, n) and not element.in_kernel
+    assert ctx.verified and ctx.report.verified
+    assert checks == [ctx.report]
 
 
 def test_truncation_three_has_no_relations():

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -595,6 +596,109 @@ def test_memo_past_its_size_cap_is_cleared(monkeypatch):
     assert max(sizes) <= 16 and any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
+# -- the remainder table --------------------------------------------------
+
+
+@pytest.fixture
+def sightings(monkeypatch):
+    """How often the remainder path met a monomial first, met it again, or
+    found its remainder stored."""
+    counts = Counter()
+    real = groebner._Width.remainder
+
+    def spy(at, terms, den):
+        for u in at.pk.pack_terms(terms):
+            counts["stored" if u in at.remainders else "again" if u in at.seen else "first"] += 1
+        return real(at, terms, den)
+
+    monkeypatch.setattr(groebner._Width, "remainder", spy)
+    return counts
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, elimination(1)], ids=["lex", "grlex", "elim"])
+def test_remainder_table_matches_the_joint_division(order, sightings, redone):
+    rng = random.Random(f"{SEED}:table:{order.kind}")
+    bases = 0
+    for _ in range(16):
+        nvars, domain = rng.choice([2, 3]), rng.choice([Domain.INT, Domain.RAT])
+        drawn = (random_poly(rng, nvars, domain, max_terms=3, max_exp=2) for _ in range(rng.randint(1, 3)))
+        gens_list = [g for g in drawn if not g.is_zero]
+        if not gens_list:
+            continue
+        gb = buchberger(gens_list, order)
+        pool = [random_poly(rng, nvars, domain, max_terms=5, max_exp=3) for _ in range(8)]
+        # each query three times at least: a first sighting, a second, then stored hits
+        for query in pool + rng.sample(pool, 8) + rng.sample(pool, 8):
+            joint, _ = gb.normal_form_with_quotients(query)
+            _, remainder = _reference_division(query, gb.generators, order)
+            assert gb.normal_form(query) == joint == Polynomial(nvars, Domain.RAT, remainder)
+        bases += 1
+    # T1 - T2^5 raises degrees fivefold outside grlex: T1^40*T2 redoes its division
+    # at twice the width, where the basis then answers every later query
+    gb = buchberger(_WIDE_GENS, order)
+    for query in [p2("T1^40*T2"), p2("T1^3 + T2"), p2("T1^40*T2"), p2("T1^3 - T1^40*T2"), p2("T1^3 + T2")]:
+        _, remainder = _reference_division(query, gb.generators, order)
+        assert gb.normal_form(query) == Polynomial(2, Domain.RAT, remainder)
+    assert bases >= 12 and min(sightings["first"], sightings["again"], sightings["stored"]) > 0
+    assert bool(redone) is (order != GRLEX) and len(gb._widths) == 1 + (order != GRLEX)
+
+
+def test_truncated_basis_never_fills_the_table():
+    with pytest.raises(BudgetExceededError) as exc_info:
+        buchberger(_MEMO_GENS, LEX, GroebnerBudget(max_steps=2))
+    partial = exc_info.value.partial
+    queries = _memo_queries("truncated", 10)
+    for query in queries * 3:
+        _, remainder = _reference_division(query, partial.generators, partial.order)
+        assert partial.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
+    k6 = tuple(closed_form_generator(n) for n in range(2, 7))
+    for _ in range(3):
+        assert subalgebra_membership(k6[0] * k6[1], k6, GroebnerBudget(max_steps=2)).member is not False
+    cut = groebner._tag_elimination_basis(k6, GroebnerBudget(max_steps=2))[1]
+    assert not cut.reduced
+    for gb in (partial, cut):
+        assert gb._widths and all(not at.remainders and not at.seen for at in gb._widths.values())
+
+
+def test_table_stores_a_remainder_at_the_second_sighting():
+    gb = buchberger(_MEMO_GENS, LEX)
+    query = parse_poly("T1^2*T3 - 2*T2*T4 + 1/3*T4^2", T4, Domain.RAT)
+    gb.normal_form(query)
+    (at,) = gb._widths.values()
+    packed = set(at.pk.pack_terms(groebner._form(query)[0]))
+    assert at.seen == packed and not at.remainders  # a first sighting stores nothing
+    gb.normal_form(query)
+    assert at.remainders.keys() == packed
+    stored = dict(at.remainders)
+    _, remainder = _reference_division(query, gb.generators, gb.order)
+    assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
+    assert at.remainders == stored  # a third sighting only reads
+    for u, form in stored.items():  # each stored remainder is the monomial's own
+        _, remainder = _reference_division(
+            Polynomial(4, Domain.RAT, {at.pk.unpack(u): 1}), gb.generators, gb.order
+        )
+        assert _rational(at.pk.unpack_form(form)) == remainder
+
+
+def test_table_past_its_size_cap_is_cleared(monkeypatch):
+    monkeypatch.setattr(groebner, "_TABLE_SIZE", 16)
+    gb = buchberger(_MEMO_GENS, LEX)
+    queries = _memo_queries("table-cap", 30)
+    sizes = []
+    # each query twice in a row, so that its second sighting comes before the
+    # seen set is cleared
+    for query in [q for q in queries for _ in range(2)]:
+        _, remainder = _reference_division(query, gb.generators, gb.order)
+        assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
+        (at,) = gb._widths.values()
+        sizes.append((len(at.seen), len(at.remainders)))
+    seen, stored = zip(*sizes)
+    # both filled up to the cap and were cleared there, more than once
+    assert max(seen) == max(stored) == 16
+    for counts in (seen, stored):
+        assert sum(b < a for a, b in zip(counts, counts[1:])) >= 2
+
+
 # -- ideal membership ------------------------------------------------------
 
 
@@ -760,18 +864,37 @@ def test_zero_ideal_answers_with_certificates():
         )
 
 
+def _plus_last_tag(pk, form):
+    """``form`` with a tag-only, so T-free, term too many: + X_last."""
+    terms, den = form
+    last = pk.units[-1]
+    return {**terms, last: terms.get(last, 0) + den}, den
+
+
 def test_substitution_mismatch_is_caught(gens, monkeypatch):
     g = tuple(gens[n] for n in range(2, 5))
     h = gens[2] * gens[3]
-    assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
-    normal_form = GroebnerBasis._normal_form
+    groebner._tag_elimination_basis.cache_clear()
+    _, gb = groebner._tag_elimination_basis(g, GroebnerBudget())
+    real = groebner._reduce
 
-    def corrupted(self, form):  # a tag-only, so T-free, term too many: + X_last
-        steps, (terms, den), pk = normal_form(self, form)
-        last = pk.units[self.nvars - 1]
-        return steps, ({**terms, last: terms.get(last, 0) + den}, den), pk
+    def corrupted(work, table, pk, degree_cap, *rest):
+        steps, remainder = real(work, table, pk, degree_cap, *rest)
+        return steps, _plus_last_tag(pk, remainder)
 
-    monkeypatch.setattr(GroebnerBasis, "_normal_form", corrupted)
+    # the joint path: every monomial of h is new to the basis
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_reduce", corrupted)
+        with pytest.raises(RuntimeError, match="substitution mismatch"):
+            subalgebra_membership(h, g)
+    # the remainder table: h again stores its monomials' remainders, then reads them
+    for _ in range(2):
+        assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
+    (at,) = gb._widths.values()
+    packed = at.pk.pack_terms(groebner._form(h)[0])
+    assert all(u in at.remainders for u in packed)
+    u = next(iter(packed))
+    at.remainders[u] = _plus_last_tag(at.pk, at.remainders[u])
     with pytest.raises(RuntimeError, match="substitution mismatch"):
         subalgebra_membership(h, g)
 
@@ -882,6 +1005,23 @@ def test_relation_tag_count_and_variable_layout(gens):
     assert result.tag_count == 4
     for r in result.relations:
         assert r.nvars == 4
+
+
+def test_generators_in_different_rings_are_rejected(monkeypatch):
+    # T1 in Z[T1, T2] and T3 in Z[T1, T2, T3]: embedded at offset 0 into four
+    # variables, T3 would land on the first tag variable
+    calls = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *args, **kwargs: calls.append(args))
+    g1, g2 = Polynomial.variable(2, 0, Domain.INT), Polynomial.variable(3, 2, Domain.INT)
+    for gens_list in ([g1, g2], [g2, g1]):
+        for attempt in (
+            lambda: tag_ring_generators(gens_list),
+            lambda: relation_ideal(gens_list),
+            lambda: subalgebra_membership(gens_list[0], gens_list),
+        ):
+            with pytest.raises(ArityError, match="generators live in different rings"):
+                attempt()
+    assert not calls  # rejected before any basis work
 
 
 # -- subalgebra membership -------------------------------------------------
