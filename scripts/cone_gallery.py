@@ -57,8 +57,7 @@ def main() -> None:
             for w in witnesses:
                 print(
                     f"  T{w.variable_index + 1} = "
-                    f"T^{tuple(w.numerator_exp)} / T^{tuple(w.denominator_exp)} "
-                    f"(valid: {w.valid})"
+                    f"T^{tuple(w.numerator_exp)} / T^{tuple(w.denominator_exp)}"
                 )
         print()
 

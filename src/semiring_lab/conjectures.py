@@ -349,55 +349,27 @@ def find_interior_u(c: Cone) -> Exponent | None:
 
 @dataclass(frozen=True)
 class QfWitness:
-    """T_i = T^(u+e_i) / T^u, with both exponents checked against the cone
-    (v is a member when 1 + T^v is a subring generator) and the identity
-    checked by cross-multiplication."""
+    """T_i = T^(u+e_i) / T^u for an interior cone point u, so both exponents
+    are cone members (v is a member when 1 + T^v is a subring generator)."""
 
     variable_index: int
     numerator_exp: Exponent
     denominator_exp: Exponent
-    numerator_in_subring: bool
-    denominator_in_subring: bool
-    cross_multiplication_ok: bool
-
-    @property
-    def valid(self) -> bool:
-        return (
-            self.numerator_in_subring
-            and self.denominator_in_subring
-            and self.cross_multiplication_ok
-        )
 
 
 def qf_from_cone(c: Cone) -> tuple[QfWitness, ...] | None:
     """Fraction witnesses for every ambient variable from an interior cone
-    point: T_i = T^(u+e_i) / T^u.  None when the cone has no interior
-    point within its box.
-
-    Each witness is checked by cross-multiplication (T_i * T^u equals
-    T^(u+e_i) exactly) and both exponents by cone membership.
+    point u (:func:`find_interior_u`): T_i = T^(u+e_i) / T^u.  None when the
+    cone has no interior point within its box; with no ambient variable,
+    u = () and there is nothing to witness.
     """
     u = find_interior_u(c)
     if u is None:
         return None
-    witnesses = []
-    for i in range(c.nvars):
-        shifted = tuple(x + (1 if i == j else 0) for j, x in enumerate(u))
-        t_i = Polynomial.variable(c.nvars, i, Domain.NAT)
-        cross = t_i * Polynomial.monomial(u, 1, Domain.NAT) == Polynomial.monomial(
-            shifted, 1, Domain.NAT
-        )
-        witnesses.append(
-            QfWitness(
-                variable_index=i,
-                numerator_exp=shifted,
-                denominator_exp=u,
-                numerator_in_subring=c.contains(shifted),
-                denominator_in_subring=c.contains(u),
-                cross_multiplication_ok=cross,
-            )
-        )
-    return tuple(witnesses)
+    return tuple(
+        QfWitness(i, tuple(x + (1 if i == j else 0) for j, x in enumerate(u)), u)
+        for i in range(c.nvars)
+    )
 
 
 # -- the aggregate condition verifier ---------------------------------------

@@ -190,26 +190,6 @@ def _primitive(ints: _Terms) -> _Terms:
     return {u: c // content for u, c in ints.items()}
 
 
-class _Entry:
-    """Divisor-table entry of a monic polynomial g: leading monomial, terms (shared
-    with g), their largest total degree, and per width the packed ``(lm, G, a)``,
-    made once: G is g's primitive integer form and a = lc(G) > 0, so g = G/a."""
-
-    def __init__(self, lm: Exponent, terms: _Terms, degree: int):
-        self.lm, self.terms, self.degree, self.packed = lm, terms, degree, {}
-
-    def at(self, pk: _Packing) -> tuple[int, _Terms, int]:
-        if pk.width not in self.packed:
-            lm, form = pk.pack(self.lm), _primitive(_integral(pk.pack_terms(self.terms))[0])
-            self.packed[pk.width] = lm, form, form[lm]
-        return self.packed[pk.width]
-
-
-def _entry(p: Polynomial, order: MonomialOrder) -> _Entry:
-    """Divisor-table entry of a nonzero monic polynomial, sharing its dict."""
-    return _Entry(p.leading_term(order)[0], p._terms, p.total_degree())
-
-
 def _same(a: _Form, b: _Form) -> bool:
     """Whether two integer forms are the same polynomial (zero terms are never stored)."""
     (ta, da), (tb, db) = a, b
@@ -329,14 +309,6 @@ def _quotients(steps: list, count: int, pk: _Packing) -> list[_Form]:
     return [_over_lcm(terms) for terms in quotients]
 
 
-def _start_width(terms: _Terms, degree: int, divisors: Sequence[_Entry]) -> int:
-    """The first packing width of a division of ``terms`` by ``divisors`` of
-    largest degree ``degree``: as wide as the degrees need, and at least the
-    widest the divisors are packed at already."""
-    degree = max(degree, *map(mono_deg, terms)) if terms else degree
-    return max(degree.bit_length(), 1, *(divisors[0].packed if divisors else ()))
-
-
 def _combination(parts: Sequence[tuple[int, _Form]]) -> _Form:
     """The sum of c * form over ``parts`` of packed integer forms, as one
     integer form over the lcm of their denominators; the forms are only read."""
@@ -354,15 +326,17 @@ def _combination(parts: Sequence[tuple[int, _Form]]) -> _Form:
 
 
 class _Width:
-    """What a basis keeps at one packing width: the packing, the packed
-    divisor table, :func:`_reduce`'s first-divisor memo, and for
-    :meth:`remainder` the remainders of single monomials and the set of
-    monomials seen.  The remainders and the seen set are each cleared past
-    ``_TABLE_SIZE`` entries, which only costs recomputation."""
+    """The divisor table at one packing width: the packing, the packed table
+    of :class:`_Divisors`, which catches up with its list on use,
+    :func:`_reduce`'s first-divisor memo, and for :meth:`remainder` the
+    remainders of single monomials and the set of monomials seen.  The
+    remainders and the seen set are each cleared past ``_TABLE_SIZE``
+    entries, which only costs recomputation."""
 
-    def __init__(self, divisors: Sequence[_Entry], pk: _Packing, memo: dict[int, int]):
-        self.pk, self.memo = pk, memo
-        self.table = [e.at(pk) for e in divisors]
+    def __init__(self, pk: _Packing):
+        self.pk = pk
+        self.table: list[tuple[int, _Terms, int]] = []  # packed lm, primitive G, a = lc(G) > 0
+        self.memo: dict[int, int] = {}
         self.remainders: dict[int, _Form] = {}
         self.seen: set[int] = set()
 
@@ -372,7 +346,8 @@ class _Width:
 
     def remainder(self, terms: _Terms, den: int) -> _Form:
         """The remainder of ``terms``/``den`` by linearity; exact only on a
-        reduced basis, whose remainder is unique.
+        reduced basis, whose remainder is unique, and only while the table
+        stays as it is.
 
         A monomial with a stored remainder contributes its coefficient times
         that remainder.  One seen before gets its stored remainder now, from
@@ -404,34 +379,59 @@ class _Width:
         return out, common * den
 
 
-def _division(
-    form: _Form, divisors: Sequence[_Entry], order: MonomialOrder, nvars: int,
-    memos: dict[int, dict[int, int]],
-) -> tuple[list, _Form, _Packing]:
-    """The interreduction's division (see :func:`_finalize`): :func:`_reduce`
-    of the integer form ``form`` by monic divisor-table entries, in ``nvars``
-    variables (a shorter exponent vector embeds at offset 0), with no degree
-    cap.  Returns the steps, the remainder on packed monomials, and the
-    packing they use.  A finished basis divides the same way, by its own
-    per-width state (:meth:`GroebnerBasis._at_width`).
-
-    Packs as wide as the degrees or the divisors' packed forms need; a leading
-    term at a guard bit redoes the division twice as wide, so no answer is
-    truncated.  ``memos`` holds :func:`_reduce`'s first-divisor memo per
-    width; a caller passes the same one only for the same divisors, or for a
-    list that has since only grown by appending.
+class _Divisors:
+    """The divisor table of monic polynomials in ``nvars`` variables under
+    ``order``: the list of their leading monomials and terms (shared with the
+    polynomials), which only grows by appending, their largest total degree,
+    and one :class:`_Width` per packing width made so far.  A table entry is
+    ``(lm, G, a)`` packed, where G is the primitive integer form of the monic
+    g = G/a and a = lc(G) > 0; a width packs each entry once, when it first
+    divides after the entry was appended.  Since the list only appends, every
+    width's memo stays valid as it grows: a remembered divisor stays the
+    first, and a miss resumes its scan at the entries added since.
     """
-    terms, den = form
-    width = _start_width(terms, max((e.degree for e in divisors), default=0), divisors)
-    while True:
-        pk = _packing(order, nvars, width)
-        try:
-            memo = memos.setdefault(width, {})
-            table = [e.at(pk) for e in divisors]
-            steps, remainder = _reduce((pk.pack_terms(terms), den), table, pk, None, memo)
-            return steps, remainder, pk
-        except _DegreeCapHit:
-            width *= 2
+
+    def __init__(self, order: MonomialOrder, nvars: int, polys: Iterable[Polynomial] = ()):
+        self.order, self.nvars = order, nvars
+        self.entries: list[tuple[Exponent, _Terms]] = []
+        self.degree = 0
+        self.widths: dict[int, _Width] = {}
+        for p in polys:
+            self.append(p)
+
+    def append(self, p: Polynomial) -> None:
+        """Add the nonzero monic ``p`` as the last divisor."""
+        self.entries.append((p.leading_term(self.order)[0], p._terms))
+        self.degree = max(self.degree, p.total_degree())
+
+    def at(self, width: int) -> _Width:
+        """The :class:`_Width` at ``width``, its table caught up with the list;
+        every entry must fit there."""
+        at = self.widths.get(width)
+        if at is None:
+            at = self.widths[width] = _Width(_packing(self.order, self.nvars, width))
+        pk, table = at.pk, at.table
+        for lm, terms in self.entries[len(table):]:
+            form, lm = _primitive(_integral(pk.pack_terms(terms))[0]), pk.pack(lm)
+            table.append((lm, form, form[lm]))
+        return at
+
+    def run(self, form: _Form, method: Callable) -> tuple:
+        """``method(at, terms, den)`` of the integer form ``form`` (a shorter
+        exponent vector embeds at offset 0) on the :class:`_Width` ``at``, with
+        no degree cap; returns its result and the packing.  It runs as wide as
+        the degrees need, and at least as wide as any width made so far; a
+        leading term at a guard bit redoes it at twice the width, so no answer
+        is truncated."""
+        terms, den = form
+        degree = max(self.degree, *map(mono_deg, terms)) if terms else self.degree
+        width = max(degree.bit_length(), 1, *self.widths)
+        while True:
+            at = self.at(width)
+            try:
+                return method(at, terms, den), at.pk
+            except _DegreeCapHit:
+                width *= 2
 
 
 def _combo_update(
@@ -469,15 +469,17 @@ class GroebnerBasis:
     leading monomial (ascending in ``order``).  ``source`` keeps the original
     input generators (coerced to Q); when certificate tracking was on,
     ``cofactors[i]`` expresses ``generators[i]`` as a combination of
-    ``source``.  The divisor table shares the generators' term dicts and
-    holds, made once per field width, each generator's primitive integer form
-    on packed monomials (layout and guard bits as in :func:`buchberger`).  A
-    query runs at the widest width made so far or the one its degrees need;
-    a leading term at a guard bit redoes the division at twice the width, so
-    no answer is truncated.  Per width (:class:`_Width`), the basis keeps the
-    packed table as one list and :func:`_reduce`'s memo of each leading
-    monomial's first divisor across queries; the table never changes, so a
-    remembered divisor stays the one a fresh scan would find.
+    ``source``.  The basis divides by its generators' :class:`_Divisors`,
+    which shares their term dicts and packs their primitive integer forms
+    once per field width (layout and guard bits as in :func:`buchberger`).
+    A query runs at the widest width made so far or the one its degrees
+    need; a leading term at a guard bit redoes the division at twice the
+    width, so no answer is truncated.  Per width (:class:`_Width`), the basis
+    keeps :func:`_reduce`'s memo of each leading monomial's first divisor
+    across queries.  A basis from :func:`buchberger` holds the divisor state
+    its interreduction built, memos and widths included; the list only grew
+    by appending and no longer changes, so a remembered divisor stays the one
+    a fresh scan would find.
 
     A query goes in as an integer form, and its answer comes out as integers
     on packed monomials, along one of two paths.  :meth:`_divide` is the
@@ -500,10 +502,9 @@ class GroebnerBasis:
     :meth:`normal_form` and :meth:`normal_form_with_quotients` are thin
     wrappers that unpack and make ``Fraction`` coefficients;
     :func:`ideal_membership` and :func:`subalgebra_membership` read the
-    integers.  :func:`_finalize` built the table through :func:`_division`,
-    so ``Fraction`` appears only in returned polynomials.  With cofactors,
-    the basis keeps their integer forms, and the source generators', made on
-    first use.
+    integers, so ``Fraction`` appears only in returned polynomials.  With
+    cofactors, the basis keeps their integer forms, and the source
+    generators', made on first use.
     """
 
     generators: tuple[Polynomial, ...]
@@ -520,22 +521,8 @@ class GroebnerBasis:
         return self.source[0].nvars
 
     @cached_property
-    def _divisors(self) -> tuple[_Entry, ...]:
-        return tuple(_entry(g, self.order) for g in self.generators)
-
-    @cached_property
-    def _degree(self) -> int:
-        return max((e.degree for e in self._divisors), default=0)
-
-    @cached_property
-    def _memos(self) -> dict[int, dict[int, int]]:
-        """:func:`_reduce`'s first-divisor memo per packing width, kept across
-        queries: the divisor table never changes, so no entry goes stale."""
-        return {}
-
-    @cached_property
-    def _widths(self) -> dict[int, _Width]:
-        return {}
+    def _divisors(self) -> _Divisors:
+        return _Divisors(self.order, self.nvars, self.generators)
 
     @cached_property
     def _cofactor_forms(self) -> tuple[tuple[_Form, ...], ...]:
@@ -551,28 +538,11 @@ class GroebnerBasis:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
         return _form(p)
 
-    def _at_width(self, form: _Form, run: Callable) -> tuple:
-        """``run(at, terms, den)`` on the basis's :class:`_Width` at the first
-        width ``form`` needs (see :func:`_start_width`), redone at twice the
-        width while a leading term reaches a guard bit; returns its result and
-        the packing."""
-        terms, den = form
-        width = _start_width(terms, self._degree, self._divisors)
-        while True:
-            at = self._widths.get(width)
-            if at is None:
-                pk = _packing(self.order, self.nvars, width)
-                at = self._widths[width] = _Width(self._divisors, pk, self._memos.setdefault(width, {}))
-            try:
-                return run(at, terms, den), at.pk
-            except _DegreeCapHit:
-                width *= 2
-
     def _divide(self, form: _Form) -> tuple[list, _Form, _Packing]:
         """The joint division of the integer form ``form``: :func:`_reduce`'s
         steps, the remainder as an integer form on packed monomials, and the
         packing they use (a shorter exponent vector embeds at offset 0)."""
-        (steps, remainder), pk = self._at_width(form, _Width.divide)
+        (steps, remainder), pk = self._divisors.run(form, _Width.divide)
         return steps, remainder, pk
 
     def _normal_form(self, form: _Form) -> tuple[_Form, _Packing]:
@@ -589,7 +559,7 @@ class GroebnerBasis:
         if not self.reduced:
             _, remainder, pk = self._divide(form)
             return remainder, pk
-        return self._at_width(form, _Width.remainder)
+        return self._divisors.run(form, _Width.remainder)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
@@ -646,11 +616,11 @@ def buchberger(
 
     :func:`_reduce` runs here at one width and under the degree cap; every
     other division runs with no cap and redoes a division that reaches a
-    guard bit at twice the width: the finalisation (:func:`_finalize`)
-    interreduces through :func:`_division`, since interreduction can raise
-    degrees, and returns the generators monic over Q, and the finished basis
-    answers queries the same way (:meth:`GroebnerBasis._at_width`).  ``Fraction``
-    appears only in the returned polynomials and in the coefficient cap's
+    guard bit at twice the width (:meth:`_Divisors.run`): the finalisation
+    (:func:`_finalize`) interreduces that way, since interreduction can raise
+    degrees, returns the generators monic over Q, and hands its divisor state
+    to the finished basis, which answers queries by it.  ``Fraction`` appears
+    only in the returned polynomials and in the coefficient cap's
     measurement.
 
     The table only grows by appending, so one first-divisor memo (see
@@ -799,12 +769,14 @@ def _finalize(
     elements with a smaller leading monomial can divide its other terms.
     One ascending pass, each element reduced by the already reduced ones
     below it, therefore yields the interreduced basis: no remainder is zero,
-    none needs rescaling, and the order stays sorted.  Each element goes
-    into :func:`_division` as its primitive integer form G over a = lc(G),
-    with one memo for the whole pass, since the entries only grow by
-    appending; its remainder takes ``Fraction`` coefficients once, as the
-    monic generator, and with tracking the integer quotients feed
-    :func:`_combo_update`.
+    none needs rescaling, and the order stays sorted.  Each element is
+    divided by the ones before it as its primitive integer form G over
+    a = lc(G), through one :class:`_Divisors` that starts at the completion
+    packing and takes each monic generator as it is made; its remainder
+    takes ``Fraction`` coefficients once, as the monic generator, and with
+    tracking the integer quotients feed :func:`_combo_update`.  The basis
+    keeps that divisor state, memos included, since its list only grew by
+    appending.
     """
     order, nvars, guards = pk.order, pk.nvars, pk.guards
     kept: list[int] = []
@@ -814,24 +786,22 @@ def _finalize(
             kept.append(t)
 
     generators: list[Polynomial] = []
-    entries: list[_Entry] = []
+    divisors = _Divisors(order, nvars)
+    divisors.at(pk.width)  # no division runs narrower than the completion
     kept_combos: list[tuple[_Form, ...]] = []
-    memos: dict[int, dict[int, int]] = {}
     one = ({(0,) * nvars: 1}, 1)
     for t in kept:
-        _, form, a, lm = table[t]
-        reduction, remainder, rpk = _division(pk.unpack_form((form, a)), entries, order, nvars, memos)
+        _, form, a, _ = table[t]
+        (reduction, remainder), rpk = divisors.run(pk.unpack_form((form, a)), _Width.divide)
         g = _from_form(nvars, Domain.RAT, rpk.unpack_form(remainder))
         if track:
-            quotients = _quotients(reduction, len(entries), rpk)
+            quotients = _quotients(reduction, len(divisors.entries), rpk)
             kept_combos.append(_combo_update([[(c, one)] for c in combos[t]], quotients, kept_combos))
         generators.append(g)
-        entries.append(_Entry(lm, g._terms, g.total_degree()))
-        if entries[-1].degree <= pk.limit:  # hand the table out packed where it fits
-            entries[-1].at(pk)
+        divisors.append(g)
     cofactors = tuple(tuple(_from_form(nvars, Domain.RAT, c) for c in combo) for combo in kept_combos)
     basis = GroebnerBasis(tuple(generators), order, reduced, source, cofactors if track else None, steps)
-    basis.__dict__["_divisors"] = tuple(entries)  # seed the cached table, packed
+    basis.__dict__["_divisors"] = divisors  # the cached property, with the interreduction's state
     return basis
 
 

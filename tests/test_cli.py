@@ -444,7 +444,14 @@ def test_cone_interior_and_qf(capsys):
     code, envelope = run_json(capsys, "cone", "qf", "--assign", "2,3", "--box", "3")
     assert code == 0
     assert envelope["verdicts"] == {"fractions": "found"}
-    assert all(row["valid"] for row in envelope["result"]["witnesses"])
+    rows = envelope["result"]["witnesses"]
+    code, cone = run_json(capsys, "cone", "enumerate", "--assign", "2,3", "--box", "3")
+    members = cone["result"]["members"]
+    assert code == 0 and [row["variable"] for row in rows] == [1, 2]
+    for row in rows:  # both exponents are members, and they differ by e_i
+        assert row["numerator"] in members and row["denominator"] in members
+        unit = [int(j == row["variable"] - 1) for j in range(2)]
+        assert [a - b for a, b in zip(row["numerator"], row["denominator"])] == unit
 
 
 def test_cone_requires_target(capsys):

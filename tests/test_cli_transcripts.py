@@ -34,6 +34,7 @@ _FILES = {
     "absorbing.txt": "T1 + 1 = T1\n",
     "idempotent.txt": "1 + 1 = 1\n",
     "unit.txt": "T1*T2 = 1\n",
+    "trivial.txt": "1 = 1\n",
     "zero.txt": "T1 = 0\n",
     "badrel.txt": "T1 + 1\n",
 }
@@ -135,7 +136,8 @@ _CASES = [
     ("enumerate-negative-box", ["cone", "enumerate", "--assign", "2", "--box", "-1"], 2, 2, 2, "3ba01911b5404f25"),
     ("interior", ["cone", "interior", "--assign", "2,3", "--box", "3"], 0, 0, 0, "a87ea6056ef61506"),
     ("interior-not-found", ["cone", "interior", "--relations", "unit.txt", "--nvars", "2", "--box", "1", "--steps", "2"], 0, 0, 0, "35824ccea9ba17ec"),
-    ("qf", ["cone", "qf", "--assign", "1/2,1/3", "--box", "3"], 0, 0, 0, "d0ae9212c652d8ac"),
+    ("qf", ["cone", "qf", "--assign", "1/2,1/3", "--box", "3"], 0, 0, 0, "4d574f3709671afd"),
+    ("qf-no-variable", ["cone", "qf", "--relations", "trivial.txt", "--nvars", "0", "--box", "1"], 0, 0, 0, "1bb47f514ccf1572"),
     ("qf-not-found", ["cone", "qf", "--relations", "unit.txt", "--nvars", "2", "--box", "1", "--steps", "2"], 0, 0, 0, "b9420ea9935cf7b9"),
     ("purity-impure", ["cone", "purity", "--gens", "(2,0);(0,1)", "--box", "4"], 0, 0, 0, "34b1a1473b7dc046"),
     ("purity-pure", ["cone", "purity", "--gens", "(1,0);(0,1)", "--box", "3"], 0, 0, 0, "aae695c267aaa9fc"),

@@ -472,6 +472,15 @@ def test_one_plus_monomial_arity_check(ev):
 # -- fraction witnesses from cones ------------------------------------------
 
 
+def _assert_witnesses_in_cone(c, witnesses):
+    """One witness per variable; both exponents are members, and they differ by e_i."""
+    assert [w.variable_index for w in witnesses] == list(range(c.nvars))
+    for w in witnesses:
+        assert c.contains(w.numerator_exp) and c.contains(w.denominator_exp)
+        unit = tuple(int(j == w.variable_index) for j in range(c.nvars))
+        assert tuple(a - b for a, b in zip(w.numerator_exp, w.denominator_exp)) == unit
+
+
 def test_qf_from_full_box(ev):
     c = cone_enumerate(ev, 4)
     witnesses = qf_from_cone(c)
@@ -479,7 +488,12 @@ def test_qf_from_full_box(ev):
     assert witnesses[0].denominator_exp == (0, 0)
     assert witnesses[0].numerator_exp == (1, 0)
     assert witnesses[1].numerator_exp == (0, 1)
-    assert all(w.valid for w in witnesses)
+    _assert_witnesses_in_cone(c, witnesses)
+
+
+def test_qf_without_ambient_variables_is_empty():
+    point = Cone(0, 1, frozenset({()}), ())
+    assert find_interior_u(point) == () and qf_from_cone(point) == ()
 
 
 def test_qf_from_diagonal_not_found():
@@ -494,7 +508,7 @@ def test_qf_off_origin_interior():
     assert witnesses[0].denominator_exp == (1, 1)
     assert witnesses[0].numerator_exp == (2, 1)
     assert witnesses[1].numerator_exp == (1, 2)
-    assert all(w.valid for w in witnesses)
+    _assert_witnesses_in_cone(c, witnesses)
     # expansion oracle: T_i * T^u really is T^(u + e_i)
     t1 = Polynomial.variable(2, 0, Domain.NAT)
     t2 = Polynomial.variable(2, 1, Domain.NAT)

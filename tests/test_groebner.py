@@ -328,20 +328,20 @@ def _as_reference(steps, remainder, pk, count):
     return quotients, _rational(pk.unpack_form(remainder))
 
 
-def _through_division(target, table, order, memos):
-    """``_division`` of ``target`` by the entries ``table``."""
-    steps, remainder, pk = groebner._division(groebner._form(target), table, order, target.nvars, memos)
-    return _as_reference(steps, remainder, pk, len(table))
+def _through_division(target, divisors):
+    """The joint division of ``target`` by the divisor state ``divisors``."""
+    (steps, remainder), pk = divisors.run(groebner._form(target), groebner._Width.divide)
+    return _as_reference(steps, remainder, pk, len(divisors.entries))
 
 
-def _through_capped_reduce(target, table, order, cap):
+def _through_capped_reduce(target, divisors, cap):
     """``_reduce`` of ``target`` under a degree cap, at the width that
-    ``_division`` picks for the degrees, widened to hold the cap."""
-    degree = max(target.total_degree(), cap, *(e.degree for e in table))
-    pk = groebner._packing(order, target.nvars, degree.bit_length())
+    ``_Divisors.run`` picks for the degrees, widened to hold the cap."""
+    degree = max(target.total_degree(), cap, divisors.degree)
+    at = divisors.at(degree.bit_length())
     terms, den = groebner._form(target)
-    steps, remainder = groebner._reduce((pk.pack_terms(terms), den), [e.at(pk) for e in table], pk, cap, {})
-    return _as_reference(steps, remainder, pk, len(table))
+    steps, remainder = groebner._reduce((at.pk.pack_terms(terms), den), at.table, at.pk, cap, {})
+    return _as_reference(steps, remainder, at.pk, len(divisors.entries))
 
 
 _PRIMES = (65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423, 65419)
@@ -387,18 +387,18 @@ def test_divide_matches_reference_division(kind, cleared):
         for d in divisors:
             target = target + random_poly(rng, nvars, Domain.RAT, max_terms=2, max_exp=2) * d
         cap = rng.choice([None, None, 4])
-        table = [groebner._entry(d, order) for d in divisors]
+        table = groebner._Divisors(order, nvars, divisors)
         try:
             expected = _reference_division(target, divisors, order, cap)
         except groebner._DegreeCapHit:
             with pytest.raises(groebner._DegreeCapHit):
-                _through_capped_reduce(target, table, order, cap)
+                _through_capped_reduce(target, table, cap)
             raised += 1
             continue
         if cap is None:
-            assert _through_division(target, table, order, {}) == expected
+            assert _through_division(target, table) == expected
         else:
-            assert _through_capped_reduce(target, table, order, cap) == expected
+            assert _through_capped_reduce(target, table, cap) == expected
     assert raised  # the degree cap was exercised too
     # the content removal ran past its size, and some removed a common factor
     assert cleared and all(bits > groebner._CONTENT_BITS for bits, _ in cleared)
@@ -505,7 +505,7 @@ def test_interreduction_past_the_completion_width(redone):
     gens_list = [parse_poly(t, t4, Domain.INT) for t in ("T1 - T2^5", "T2 - T3^5", "T3 - T4^5")]
     gb = buchberger(gens_list, LEX)
     assert [format_poly(g, t4) for g in gb.generators] == ["-T4^5 + T3", "-T4^25 + T2", "-T4^125 + T1"]
-    assert redone and max(e.degree for e in gb._divisors) > 63
+    assert redone and gb._divisors.degree > 63
     assert gb.normal_form(parse_poly("T1*T4", t4, Domain.RAT)) == parse_poly("T4^126", t4, Domain.RAT)
 
 
@@ -544,6 +544,10 @@ def _assert_reference_answers(gb: GroebnerBasis, queries: list[Polynomial]) -> N
         assert gb.normal_form(query) == expected  # the same query on a warm memo
 
 
+def _memo_sizes(gb: GroebnerBasis) -> dict[int, int]:
+    return {width: len(at.memo) for width, at in gb._divisors.widths.items()}
+
+
 def test_warm_memo_answers_match_reference_division(redone):
     gb = buchberger(_MEMO_GENS, LEX)
     assert len(gb.generators) == 5
@@ -551,7 +555,8 @@ def test_warm_memo_answers_match_reference_division(redone):
     _assert_reference_answers(gb, queries)
     _assert_reference_answers(gb, queries[::-1])
     # one memo per packing width, both in use
-    assert 6 in redone and sorted(gb._memos) == [6, 12] and all(gb._memos.values())
+    widths = gb._divisors.widths
+    assert 6 in redone and sorted(widths) == [6, 12] and all(at.memo for at in widths.values())
 
 
 def test_partial_basis_memo_answers_match_reference_division():
@@ -559,25 +564,49 @@ def test_partial_basis_memo_answers_match_reference_division():
         buchberger(_MEMO_GENS, LEX, GroebnerBudget(max_steps=2))
     partial = exc_info.value.partial
     assert not partial.reduced and len(partial.generators) >= 3
+    before = _memo_sizes(partial)
     _assert_reference_answers(partial, _memo_queries("partial", 40) + [_MEMO_WIDE])
-    assert partial._memos
+    after = _memo_sizes(partial)
+    assert sum(after.values()) > sum(before.values())  # the queries filled the memos
 
 
 def test_memo_resumes_its_scan_after_the_table_grows():
     divisors = [p2("T1^2 - T2"), p2("T1*T2 - 1"), p2("T2^3 - 1/2*T1")]
-    table = [groebner._entry(d, GRLEX) for d in divisors]
+    table = groebner._Divisors(GRLEX, 2)
     rng = random.Random(f"{SEED}:resume")
     targets = [random_poly(rng, 2, Domain.RAT, max_terms=5, max_exp=3) for _ in range(40)]
-    memos = {}
     for n in (1, 2, 3):  # the table grows by appending; the memo is kept
+        table.append(divisors[n - 1])
         for target in targets:
-            answer = _through_division(target, table[:n], GRLEX, memos)
+            answer = _through_division(target, table)
             assert answer == _reference_division(target, divisors[:n], GRLEX)
-            assert answer == _through_division(target, table[:n], GRLEX, {})  # a fresh memo
-        found = [k for memo in memos.values() for k in memo.values()]
+            fresh = groebner._Divisors(GRLEX, 2, divisors[:n])  # a fresh memo
+            assert answer == _through_division(target, fresh)
+        found = [k for at in table.widths.values() for k in at.memo.values()]
         if n < 3:  # misses over the short table, which the next pass resumes
             assert ~n in found
     assert {1, 2} <= set(found)  # some resumed misses found an appended divisor
+
+
+def test_basis_keeps_the_interreduction_memo():
+    with pytest.raises(BudgetExceededError) as exc_info:
+        buchberger(_MEMO_GENS, LEX, GroebnerBudget(max_steps=2))
+    past = [parse_poly(t, T4, Domain.INT) for t in ("T1 - T2^5", "T2 - T3^5", "T3 - T4^5")]
+    complete, partial, wide = buchberger(_MEMO_GENS, LEX), exc_info.value.partial, buchberger(past, LEX)
+    assert complete.reduced and not partial.reduced and wide._divisors.degree > 63
+    queries = _memo_queries("kept", 30) + [_MEMO_WIDE]
+    for gb in (complete, partial, wide):
+        # before any query, every width the interreduction divided at holds its memo
+        assert all(_memo_sizes(gb).values())
+        fresh = groebner._Divisors(gb.order, gb.nvars, gb.generators)
+        count = len(gb.generators)
+        for query in queries:
+            form = groebner._form(query)
+            steps, remainder, pk = gb._divide(form)
+            (fresh_steps, fresh_remainder), fresh_pk = fresh.run(form, groebner._Width.divide)
+            expected = _as_reference(fresh_steps, fresh_remainder, fresh_pk, count)
+            assert _as_reference(steps, remainder, pk, count) == expected
+            assert gb.normal_form(query) == Polynomial(gb.nvars, Domain.RAT, expected[1])
 
 
 def test_memo_past_its_size_cap_is_cleared(monkeypatch):
@@ -590,9 +619,9 @@ def test_memo_past_its_size_cap_is_cleared(monkeypatch):
     sizes = []
     for query in queries:
         _assert_reference_answers(capped, [query])
-        sizes.append(max(map(len, capped._memos.values())))
+        sizes.append(max(_memo_sizes(capped).values()))
     # the uncapped memos outgrew the cap many times over, the capped ones never did
-    assert min(map(len, uncapped._memos.values())) > 4 * 16
+    assert min(_memo_sizes(uncapped).values()) > 4 * 16
     assert max(sizes) <= 16 and any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
@@ -640,7 +669,7 @@ def test_remainder_table_matches_the_joint_division(order, sightings, redone):
         _, remainder = _reference_division(query, gb.generators, order)
         assert gb.normal_form(query) == Polynomial(2, Domain.RAT, remainder)
     assert bases >= 12 and min(sightings["first"], sightings["again"], sightings["stored"]) > 0
-    assert bool(redone) is (order != GRLEX) and len(gb._widths) == 1 + (order != GRLEX)
+    assert bool(redone) is (order != GRLEX) and len(gb._divisors.widths) == 1 + (order != GRLEX)
 
 
 def test_truncated_basis_never_fills_the_table():
@@ -657,14 +686,15 @@ def test_truncated_basis_never_fills_the_table():
     cut = groebner._tag_elimination_basis(k6, GroebnerBudget(max_steps=2))[1]
     assert not cut.reduced
     for gb in (partial, cut):
-        assert gb._widths and all(not at.remainders and not at.seen for at in gb._widths.values())
+        widths = gb._divisors.widths.values()
+        assert any(at.memo for at in widths) and all(not at.remainders and not at.seen for at in widths)
 
 
 def test_table_stores_a_remainder_at_the_second_sighting():
     gb = buchberger(_MEMO_GENS, LEX)
     query = parse_poly("T1^2*T3 - 2*T2*T4 + 1/3*T4^2", T4, Domain.RAT)
     gb.normal_form(query)
-    (at,) = gb._widths.values()
+    (at,) = gb._divisors.widths.values()
     packed = set(at.pk.pack_terms(groebner._form(query)[0]))
     assert at.seen == packed and not at.remainders  # a first sighting stores nothing
     gb.normal_form(query)
@@ -690,7 +720,7 @@ def test_table_past_its_size_cap_is_cleared(monkeypatch):
     for query in [q for q in queries for _ in range(2)]:
         _, remainder = _reference_division(query, gb.generators, gb.order)
         assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
-        (at,) = gb._widths.values()
+        (at,) = gb._divisors.widths.values()
         sizes.append((len(at.seen), len(at.remainders)))
     seen, stored = zip(*sizes)
     # both filled up to the cap and were cleared there, more than once
@@ -803,6 +833,11 @@ def test_tracked_cofactors_match_reference_loop(gens, monkeypatch):
     assert seen["calls"] >= 300 and seen["quotients"] >= 60 and seen["scaled"] >= 100
 
 
+def _packed_tables(gb: GroebnerBasis) -> dict[int, list]:
+    """The basis's packed divisor table at each width."""
+    return {width: at.table for width, at in gb._divisors.widths.items()}
+
+
 @pytest.mark.parametrize("max_steps", [3, 40])
 def test_tracking_changes_nothing_but_cofactors(max_steps):
     budget = GroebnerBudget(max_degree=12, max_steps=max_steps)
@@ -818,7 +853,7 @@ def test_tracking_changes_nothing_but_cofactors(max_steps):
         assert (plain.generators, plain.steps_used, plain.reduced) == (
             tracked.generators, tracked.steps_used, tracked.reduced
         )
-        assert [sorted(e.packed) for e in plain._divisors] == [sorted(e.packed) for e in tracked._divisors]
+        assert _packed_tables(plain) == _packed_tables(tracked)
         assert plain.cofactors is None and len(tracked.cofactors) == len(tracked.generators)
         partial += not plain.reduced
     assert 0 < partial < 60  # both partial and complete bases were compared
@@ -890,7 +925,7 @@ def test_substitution_mismatch_is_caught(gens, monkeypatch):
     # the remainder table: h again stores its monomials' remainders, then reads them
     for _ in range(2):
         assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
-    (at,) = gb._widths.values()
+    (at,) = gb._divisors.widths.values()
     packed = at.pk.pack_terms(groebner._form(h)[0])
     assert all(u in at.remainders for u in packed)
     u = next(iter(packed))
