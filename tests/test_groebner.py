@@ -551,12 +551,14 @@ def _memo_sizes(gb: GroebnerBasis) -> dict[int, int]:
 def test_warm_memo_answers_match_reference_division(redone):
     gb = buchberger(_MEMO_GENS, LEX)
     assert len(gb.generators) == 5
+    before = _memo_sizes(gb)  # the interreduction's memos
     queries = _memo_queries("warm", 30) + [_MEMO_WIDE] + _memo_queries("wide", 30)
     _assert_reference_answers(gb, queries)
     _assert_reference_answers(gb, queries[::-1])
-    # one memo per packing width, both in use
-    widths = gb._divisors.widths
-    assert 6 in redone and sorted(widths) == [6, 12] and all(at.memo for at in widths.values())
+    # one memo per packing width, both in use: the queries grew each
+    after = _memo_sizes(gb)
+    assert 6 in redone and sorted(after) == [6, 12]
+    assert all(size > before.get(width, 0) for width, size in after.items())
 
 
 def test_partial_basis_memo_answers_match_reference_division():
@@ -676,18 +678,24 @@ def test_truncated_basis_never_fills_the_table():
     with pytest.raises(BudgetExceededError) as exc_info:
         buchberger(_MEMO_GENS, LEX, GroebnerBudget(max_steps=2))
     partial = exc_info.value.partial
+    k6 = tuple(closed_form_generator(n) for n in range(2, 7))
+    # the cached basis that subalgebra_membership divides by, made afresh here
+    groebner._tag_elimination_basis.cache_clear()
+    cut = groebner._tag_elimination_basis(k6, GroebnerBudget(max_steps=2))[1]
+    assert not cut.reduced
+    before = [sum(_memo_sizes(gb).values()) for gb in (partial, cut)]
     queries = _memo_queries("truncated", 10)
     for query in queries * 3:
         _, remainder = _reference_division(query, partial.generators, partial.order)
         assert partial.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
-    k6 = tuple(closed_form_generator(n) for n in range(2, 7))
     for _ in range(3):
         assert subalgebra_membership(k6[0] * k6[1], k6, GroebnerBudget(max_steps=2)).member is not False
-    cut = groebner._tag_elimination_basis(k6, GroebnerBudget(max_steps=2))[1]
-    assert not cut.reduced
-    for gb in (partial, cut):
+    assert groebner._tag_elimination_basis(k6, GroebnerBudget(max_steps=2))[1] is cut
+    for gb, size in zip((partial, cut), before):
         widths = gb._divisors.widths.values()
-        assert any(at.memo for at in widths) and all(not at.remainders and not at.seen for at in widths)
+        # the queries went through this basis, and stored nothing in its table
+        assert sum(_memo_sizes(gb).values()) > size
+        assert all(not at.remainders and not at.seen for at in widths)
 
 
 def test_table_stores_a_remainder_at_the_second_sighting():
