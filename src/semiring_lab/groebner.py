@@ -39,7 +39,6 @@ from .polynomials import (
     _form,
     _from_form,
     _integral,
-    _substitute,
     _sum_of_products,
     elimination,
     mono_deg,
@@ -49,7 +48,7 @@ from .polynomials import (
 _MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
 _CONTENT_BITS = 64  # a division's common denominator past this many bits sheds its content
 _MEMO_SIZE = 1 << 13  # a first-divisor memo of _reduce past this many entries is cleared
-_TABLE_SIZE = 1 << 12  # a remainder table of a basis, or its seen set, past this many entries is cleared
+_TABLE_SIZE = 1 << 12  # a remainder or image table of a basis, or its seen set, past this many entries is cleared
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def _reduce(
         if known is not None:
             r = known.get(u)
             if r is not None:
-                hits.append((c, (r[0], r[1] * den)))
+                hits.append((c, 0, (r[0], r[1] * den)))
                 del work[u]
                 continue
         k = memo.get(u, ~0)
@@ -289,7 +288,7 @@ def _reduce(
             remainder.append((u, c, den))
             del work[u]
     if hits:
-        return steps, _combination([(1, _over_lcm(remainder)), *hits])
+        return steps, _combination([(1, 0, _over_lcm(remainder)), *hits], guards)
     return steps, _over_lcm(remainder)
 
 
@@ -309,14 +308,21 @@ def _quotients(steps: list, count: int, pk: _Packing) -> list[_Form]:
     return [_over_lcm(terms) for terms in quotients]
 
 
-def _combination(parts: Sequence[tuple[int, _Form]]) -> _Form:
-    """The sum of c * form over ``parts`` of packed integer forms, as one
-    integer form over the lcm of their denominators; the forms are only read."""
-    common = lcm(*(den for _, (_, den) in parts))
+def _combination(parts: Sequence[tuple[int, int, _Form]], guards: int) -> _Form:
+    """The sum of c * X^shift * form over ``parts`` of packed integer forms, as
+    one integer form over the lcm of their denominators; the forms are only
+    read.  With a nonzero shift, a product monomial that sets a bit of
+    ``guards`` has left the packing and raises _DegreeCapHit, even if it
+    would cancel; an unshifted form is in the packing already."""
+    common = lcm(*(den for _, _, (_, den) in parts))
     out: _Terms = {}
-    for c, (terms, den) in parts:
+    for c, shift, (terms, den) in parts:
         f = c * (common // den)
         for v, cv in terms.items():
+            if shift:
+                v += shift
+                if v & guards:
+                    raise _DegreeCapHit
             s = out.get(v, 0) + f * cv
             if s:
                 out[v] = s
@@ -329,9 +335,12 @@ class _Width:
     """The divisor table at one packing width: the packing, the packed table
     of :class:`_Divisors`, which catches up with its list on use,
     :func:`_reduce`'s first-divisor memo, and for :meth:`remainder` the
-    remainders of single monomials and the set of monomials seen.  The
-    remainders and the seen set are each cleared past ``_TABLE_SIZE``
-    entries, which only costs recomputation."""
+    remainders of single monomials and the set of monomials seen.  For the
+    certificate checks it keeps the images of tag monomials (:meth:`image`)
+    with the packed generator forms they come from, and a tracked basis's
+    packed cofactor and source forms (``combos``).  The remainders, the
+    images and the seen set are each cleared past ``_TABLE_SIZE`` entries,
+    which only costs recomputation.  Every method takes packed monomials."""
 
     def __init__(self, pk: _Packing):
         self.pk = pk
@@ -339,15 +348,29 @@ class _Width:
         self.memo: dict[int, int] = {}
         self.remainders: dict[int, _Form] = {}
         self.seen: set[int] = set()
+        self.images: dict[int, _Form] = {}
+        self.gens: list[_Form] | None = None
+        self.combos: tuple[list[list[_Form]], list[_Form]] | None = None
+
+    def fit(self, forms: Iterable[_Form]) -> list[_Form]:
+        """Unpacked integer forms packed here; a monomial past the width
+        raises _DegreeCapHit."""
+        pk, out = self.pk, []
+        for terms, den in forms:
+            if any(mono_deg(u) > pk.limit for u in terms):
+                raise _DegreeCapHit
+            out.append((pk.pack_terms(terms), den))
+        return out
 
     def divide(self, terms: _Terms, den: int) -> tuple[list, _Form]:
-        """:func:`_reduce` of the integer form ``terms``/``den``: the joint division."""
-        return _reduce((self.pk.pack_terms(terms), den), self.table, self.pk, None, self.memo)
+        """:func:`_reduce` of the integer form ``terms``/``den``, which it
+        consumes: the joint division."""
+        return _reduce((terms, den), self.table, self.pk, None, self.memo)
 
     def remainder(self, terms: _Terms, den: int) -> _Form:
         """The remainder of ``terms``/``den`` by linearity; exact only on a
         reduced basis, whose remainder is unique, and only while the table
-        stays as it is.
+        stays as it is.  The query is only read.
 
         A monomial with a stored remainder contributes its coefficient times
         that remainder.  One seen before gets its stored remainder now, from
@@ -358,8 +381,8 @@ class _Width:
         """
         pk, remainders, seen = self.pk, self.remainders, self.seen
         fresh: _Terms = {}
-        parts: list[tuple[int, _Form]] = []
-        for u, c in pk.pack_terms(terms).items():
+        parts: list[tuple[int, int, _Form]] = []
+        for u, c in terms.items():
             r = remainders.get(u)
             if r is None:
                 if u not in seen:
@@ -372,11 +395,33 @@ class _Width:
                     remainders.clear()
                 _, alone = _reduce(({u: 1}, 1), self.table, pk, None, self.memo, remainders)
                 r = remainders[u] = _clear_content(*alone)
-            parts.append((c, r))
+            parts.append((c, 0, r))
         if fresh:
-            parts.append((1, _reduce((fresh, 1), self.table, pk, None, self.memo, remainders)[1]))
-        out, common = _combination(parts)
+            parts.append((1, 0, _reduce((fresh, 1), self.table, pk, None, self.memo, remainders)[1]))
+        out, common = _combination(parts, pk.guards)
         return out, common * den
+
+    def image(self, m: int, forms: Sequence[_Form], nvars: int) -> _Form:
+        """The image of the tag monomial ``m`` (the variables after the first
+        ``nvars``) under X_i |-> ``forms[i]``, integer forms in the first
+        ``nvars`` variables.  An image not stored is the image of m over its
+        last tag variable times that variable's form, and each is stored."""
+        images, pk, chain = self.images, self.pk, []
+        while m and m not in images:  # down to a stored image or to 1
+            i = next(j for j in reversed(range(nvars, pk.nvars)) if m >> pk.shifts[j] & pk.limit)
+            chain.append((m, i))
+            m -= pk.units[i]
+        if chain and self.gens is None:
+            self.gens = self.fit(forms)
+        image = images[m] if m else ({0: 1}, 1)
+        for m, i in reversed(chain):
+            terms, den = self.gens[i - nvars]
+            out, common = _combination([(c, v, image) for v, c in terms.items()], pk.guards)
+            image = out, common * den
+            if len(images) >= _TABLE_SIZE:
+                images.clear()
+            images[m] = image
+        return image
 
 
 class _Divisors:
@@ -418,18 +463,19 @@ class _Divisors:
 
     def run(self, form: _Form, method: Callable) -> tuple:
         """``method(at, terms, den)`` of the integer form ``form`` (a shorter
-        exponent vector embeds at offset 0) on the :class:`_Width` ``at``, with
-        no degree cap; returns its result and the packing.  It runs as wide as
-        the degrees need, and at least as wide as any width made so far; a
-        leading term at a guard bit redoes it at twice the width, so no answer
-        is truncated."""
+        exponent vector embeds at offset 0), its terms packed fresh on the
+        :class:`_Width` ``at``, with no degree cap; returns its result and the
+        packing.  It runs as wide as the degrees need, and at least as wide
+        as any width made so far; a monomial at a guard bit, in a division or
+        a certificate check, redoes it at twice the width, so no answer is
+        truncated."""
         terms, den = form
         degree = max(self.degree, *map(mono_deg, terms)) if terms else self.degree
         width = max(degree.bit_length(), 1, *self.widths)
         while True:
             at = self.at(width)
             try:
-                return method(at, terms, den), at.pk
+                return method(at, at.pk.pack_terms(terms), den), at.pk
             except _DegreeCapHit:
                 width *= 2
 
@@ -469,42 +515,34 @@ class GroebnerBasis:
     leading monomial (ascending in ``order``).  ``source`` keeps the original
     input generators (coerced to Q); when certificate tracking was on,
     ``cofactors[i]`` expresses ``generators[i]`` as a combination of
-    ``source``.  The basis divides by its generators' :class:`_Divisors`,
-    which shares their term dicts and packs their primitive integer forms
-    once per field width (layout and guard bits as in :func:`buchberger`).
-    A query runs at the widest width made so far or the one its degrees
-    need; a leading term at a guard bit redoes the division at twice the
-    width, so no answer is truncated.  Per width (:class:`_Width`), the basis
-    keeps :func:`_reduce`'s memo of each leading monomial's first divisor
-    across queries.  A basis from :func:`buchberger` holds the divisor state
-    its interreduction built, memos and widths included; the list only grew
-    by appending and no longer changes, so a remembered divisor stays the one
-    a fresh scan would find.
+    ``source``.
 
-    A query goes in as an integer form, and its answer comes out as integers
-    on packed monomials, along one of two paths.  :meth:`_divide` is the
-    joint division of the whole query, with its steps: it serves
-    :meth:`normal_form_with_quotients` and :func:`ideal_membership`, which
-    need the quotients.  :meth:`_normal_form` gives the remainder alone, for
-    :meth:`normal_form` and :func:`subalgebra_membership`.  On a reduced
-    basis the remainder is unique (Cox, Little & O'Shea, *Ideals, Varieties,
-    and Algorithms*, ch. 2 §6), so p |-> NF(p) is linear, and per width the
-    basis keeps a table from packed monomial to its remainder: a query adds
-    up the stored remainders of its monomials, and divides the monomials it
-    meets for the first time jointly.  A monomial gets its stored remainder,
-    from a division of it alone, at its second sighting, so a one-off query
-    costs one joint division.  A truncated basis (``reduced=False``) is not
-    a Groebner basis of its ideal, its remainder depends on the division, and
-    it never fills the table.  The table and the set of seen monomials are
-    each cleared past ``_TABLE_SIZE`` entries, which only costs
-    recomputation.
+    The basis divides by its generators' :class:`_Divisors`, which packs
+    their primitive integer forms once per field width (layout and guard bits
+    as in :func:`buchberger`) and keeps, per width (:class:`_Width`),
+    :func:`_reduce`'s first-divisor memo across queries; a basis from
+    :func:`buchberger` holds the divisor state its interreduction built.  A
+    query goes in as an integer form, packed at the widest width made so far
+    or the one its degrees need, and a monomial at a guard bit redoes it at
+    twice the width (:meth:`_Divisors.run`), so no answer is truncated.
+    :meth:`_divide` is the joint division, with its steps, for
+    :meth:`normal_form_with_quotients` and :func:`ideal_membership`.
+    :meth:`_remainder` gives the remainder alone, for :meth:`normal_form` and
+    :func:`subalgebra_membership`.  On a reduced basis the remainder is
+    unique (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2
+    §6), so p |-> NF(p) is linear, and per width the basis keeps a table from
+    packed monomial to its remainder, stored at the monomial's second
+    sighting: a query adds up the stored remainders and divides the
+    monomials it meets first jointly.  A truncated basis (``reduced=False``)
+    has no unique remainder and never fills the table.
 
-    :meth:`normal_form` and :meth:`normal_form_with_quotients` are thin
-    wrappers that unpack and make ``Fraction`` coefficients;
-    :func:`ideal_membership` and :func:`subalgebra_membership` read the
-    integers, so ``Fraction`` appears only in returned polynomials.  With
-    cofactors, the basis keeps their integer forms, and the source
-    generators', made on first use.
+    Both membership certificates are checked at the query's width, on
+    packed monomials (:func:`_combination`).  Per width the basis keeps the
+    images of the tag monomials that :func:`subalgebra_membership` met, and,
+    with cofactors, their packed forms and the source generators', packed on
+    first use.  Each table is cleared past ``_TABLE_SIZE`` entries, which
+    only costs recomputation.  Monomials are unpacked, and ``Fraction``
+    coefficients made, only for returned polynomials.
     """
 
     generators: tuple[Polynomial, ...]
@@ -524,15 +562,6 @@ class GroebnerBasis:
     def _divisors(self) -> _Divisors:
         return _Divisors(self.order, self.nvars, self.generators)
 
-    @cached_property
-    def _cofactor_forms(self) -> tuple[tuple[_Form, ...], ...]:
-        """``cofactors`` as integer forms, made on first use."""
-        return tuple(tuple(map(_form, combo)) for combo in self.cofactors)
-
-    @cached_property
-    def _source_forms(self) -> tuple[_Form, ...]:
-        return tuple(map(_form, self.source))
-
     def _query(self, p: Polynomial) -> _Form:
         if p.nvars != self.nvars:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
@@ -545,9 +574,9 @@ class GroebnerBasis:
         (steps, remainder), pk = self._divisors.run(form, _Width.divide)
         return steps, remainder, pk
 
-    def _normal_form(self, form: _Form) -> tuple[_Form, _Packing]:
-        """The remainder of the integer form ``form``, as an integer form on
-        packed monomials, and the packing it uses.
+    def _remainder(self, at: _Width, terms: _Terms, den: int) -> _Form:
+        """The remainder of the packed integer form ``terms``/``den`` at the
+        width ``at``, as an integer form; the query is only read.
 
         On a reduced basis the remainder is unique, so p |-> NF(p) is linear
         and NF(p) is the sum of c * NF(u) over p's terms c*u, whatever steps
@@ -556,15 +585,14 @@ class GroebnerBasis:
         two divisions can leave different remainders, so this is the joint
         division's.
         """
-        if not self.reduced:
-            _, remainder, pk = self._divide(form)
-            return remainder, pk
-        return self._divisors.run(form, _Width.remainder)
+        if self.reduced:
+            return at.remainder(terms, den)
+        return at.divide(dict(terms), den)[1]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Complete reduction of p: no remainder term is divisible by any
         leading monomial of the basis."""
-        remainder, pk = self._normal_form(self._query(p))
+        remainder, pk = self._divisors.run(self._query(p), self._remainder)
         return _from_form(p.nvars, Domain.RAT, pk.unpack_form(remainder))
 
     def normal_form_with_quotients(self, p: Polynomial) -> tuple[Polynomial, tuple[Polynomial, ...]]:
@@ -835,33 +863,47 @@ def ideal_membership(
     """Decide p in (gens) over Q, with cofactors on a positive answer.
 
     Member iff the normal form modulo the (reduced) basis vanishes; the
-    returned cofactors align with ``gens`` and are re-expanded here as a
-    self-check.  A budget-truncated basis can still certify MEMBER (its
-    elements are genuine ideal members); it cannot certify NON_MEMBER, so
-    that collapses to UNKNOWN with ``basis_complete=False``.  The basis is
-    computed once per generators, order and budget, and it keeps the integer
-    forms of its cofactors and its source generators; the cofactor check
-    runs on every call.  The query goes in as an integer form, and the
-    quotients come as integer forms from the division's steps.  Both the
-    cofactor assembly, sum q_i * combo_i over the quotients and the basis
-    elements' cofactors, and the re-expansion against the generators are
-    integer sums of products (:func:`~semiring_lab.polynomials._sum_of_products`),
-    and the cofactors take ``Fraction`` coefficients only in the returned
-    certificate; against the zero ideal the cofactors are zero.  A query
-    whose variable count differs from the generators' raises ArityError.
+    returned cofactors align with ``gens`` and are re-expanded as a
+    self-check on every call.  A budget-truncated basis can still certify
+    MEMBER (its elements are genuine ideal members); it cannot certify
+    NON_MEMBER, so that collapses to UNKNOWN with ``basis_complete=False``.
+    The basis is computed once per generators, order and budget.  The query
+    is divided jointly on packed monomials.  Each cofactor is built straight
+    from the division's steps, quotient terms c/D * X^shift of basis element
+    k, against the basis's packed cofactors, and the re-expansion against
+    the packed source generators is compared exactly with the packed query;
+    a product at a guard bit redoes all of it at twice the width.  Against
+    the zero ideal the cofactors are zero.  A query whose variable count
+    differs from the generators' raises ArityError.
     """
     gb = _tracked_basis(tuple(gens), order, budget)
-    query = gb._query(p)
-    steps, (remainder, _), pk = gb._divide(query)
-    if not remainder:
-        quotients = _quotients(steps, len(gb.generators), pk)
-        used = [(q, combo) for q, combo in zip(quotients, gb._cofactor_forms) if q[0]]
-        cof = [_sum_of_products((q, combo[j]) for q, combo in used) for j in range(len(gens))]
-        if not _same(_sum_of_products(zip(cof, gb._source_forms)), query):
+
+    def certified(at: _Width, terms: _Terms, den: int) -> list[_Form] | None:
+        steps, (remainder, _) = at.divide(dict(terms), den)
+        if remainder:
+            return None
+        if at.combos is None:
+            at.combos = [at.fit(map(_form, combo)) for combo in gb.cofactors], at.fit(map(_form, gb.source))
+        combos, sources = at.combos
+        parts: list[list] = [[] for _ in sources]
+        for k, shift, c, d in steps:  # the quotient term c/d * X^shift of basis element k
+            for part, (terms_kj, den_kj) in zip(parts, combos[k]):
+                if terms_kj:
+                    part.append((c, shift, (terms_kj, den_kj * d)))
+        cofactors = [_combination(part, at.pk.guards) for part in parts]
+        expansion = _combination([
+            (c, v, (cterms, cden * sden))
+            for (cterms, cden), (sterms, sden) in zip(cofactors, sources) for v, c in sterms.items()
+        ], at.pk.guards)
+        if not _same(expansion, (terms, den)):
             raise RuntimeError("internal certificate check failed: cofactor expansion mismatch")
+        return cofactors
+
+    cofactors, pk = gb._divisors.run(gb._query(p), certified)
+    if cofactors is not None:
         return MembershipCertificate(
             MembershipStatus.MEMBER,
-            cofactors=tuple(_from_form(p.nvars, Domain.RAT, c) for c in cof),
+            cofactors=tuple(_from_form(p.nvars, Domain.RAT, pk.unpack_form(c)) for c in cofactors),
             basis_complete=gb.reduced,
         )
     if gb.reduced:
@@ -958,17 +1000,15 @@ def subalgebra_membership(
     the canonical representation.  A truncated basis keeps MEMBER sound
     (substitution is re-verified) but turns failed reductions into UNKNOWN.
 
-    The query's integer form is packed straight into the elimination
-    packing, and the T-freeness test, the projection and the integrality
-    test read the integer remainder.  A complete basis is reduced, so the
-    remainder is unique and linear in h: it comes from the basis's table of
-    monomial remainders, with only the monomials met for the first time
-    divided jointly (see :class:`GroebnerBasis`); a truncated basis divides
-    every query jointly.  The substitution check expands the
-    representation over the generators' integer forms, cached with the
-    basis (:func:`~semiring_lab.polynomials._substitute`, whose powers are
-    made per call), and compares integer forms; ``Fraction`` appears only in
-    the returned representation.
+    The query is packed straight into the elimination packing, and the
+    T-freeness test, the projection and the integrality test read the
+    integer remainder: from the table of monomial remainders of a complete,
+    so reduced, basis (see :class:`GroebnerBasis`), from a joint division on
+    a truncated one.  The substitution check adds up the images of the
+    remainder's tag monomials, which the basis keeps per width
+    (:meth:`_Width.image`), and compares the sum exactly with the packed
+    query; an image at a guard bit redoes all of it at twice the width.
+    ``Fraction`` appears only in the returned representation.
     """
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -978,16 +1018,24 @@ def subalgebra_membership(
     forms, gb = _tag_elimination_basis(tuple(gens), budget)
     tag_count = len(gens)
     truncation = tag_count + 1  # generators are numbered 2..k
-    query = _form(h)
-    (remainder, den), pk = gb._normal_form(query)
-    # the T-block's degree is the top field, so a T-free monomial packs below
-    # every T-variable's unit, and the leading monomial is the largest; with
-    # no T-variable, every monomial is T-free
-    if not remainder or not nvars or max(remainder) < min(pk.units[:nvars]):
-        rep = {pk.unpack(m)[nvars:]: c for m, c in remainder.items()}
-        terms, rden = _substitute(rep.items(), forms, nvars)
-        if not _same((terms, rden * den), query):
+
+    def certified(at: _Width, terms: _Terms, den: int) -> _Form | None:
+        remainder, rden = gb._remainder(at, terms, den)
+        # the T-block's degree is the top field, so a T-free monomial packs below
+        # every T-variable's unit, and the leading monomial is the largest; with
+        # no T-variable, every monomial is T-free
+        if remainder and nvars and max(remainder) >= min(at.pk.units[:nvars]):
+            return None
+        parts = [(c, 0, at.image(m, forms, nvars)) for m, c in remainder.items()]
+        expansion, common = _combination(parts, at.pk.guards)
+        if not _same((expansion, common * rden), (terms, den)):
             raise RuntimeError("internal certificate check failed: substitution mismatch")
+        return remainder, rden
+
+    found, pk = gb._divisors.run(_form(h), certified)
+    if found is not None:
+        remainder, den = found
+        rep = {pk.unpack(m)[nvars:]: c for m, c in remainder.items()}
         return MembershipCertificate(
             MembershipStatus.MEMBER,
             representation=_from_form(tag_count, Domain.RAT, (rep, den)),

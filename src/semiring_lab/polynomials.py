@@ -109,7 +109,8 @@ def _sum_of_products(pairs: Iterable[tuple[_Form, _Form]]) -> _Form:
     a_i term, scaled by D / (den(a_i) * den(b_i)), is multiplied by each b_i
     term into one dict, in place: no intermediate sum is built, and a
     coefficient that cancels to zero is dropped.  This is the package's one
-    product loop.  The operands are only read.
+    product loop on exponent tuples; the Groebner layer multiplies packed
+    monomials instead.  The operands are only read.
     """
     pairs = list(pairs)
     den = lcm(*(da * db for (_, da), (_, db) in pairs))

@@ -49,6 +49,7 @@ from tests.oracles import (
     random_poly,
     reference_cofactors,
     reference_combo_update,
+    reference_substitute,
 )
 
 T = t_names(2)
@@ -638,7 +639,7 @@ def sightings(monkeypatch):
     real = groebner._Width.remainder
 
     def spy(at, terms, den):
-        for u in at.pk.pack_terms(terms):
+        for u in terms:
             counts["stored" if u in at.remainders else "again" if u in at.seen else "first"] += 1
         return real(at, terms, den)
 
@@ -735,6 +736,27 @@ def test_table_past_its_size_cap_is_cleared(monkeypatch):
     assert max(seen) == max(stored) == 16
     for counts in (seen, stored):
         assert sum(b < a for a, b in zip(counts, counts[1:])) >= 2
+
+
+def test_image_table_past_its_size_cap_is_cleared(monkeypatch, gens):
+    g = tuple(gens[n] for n in range(2, 7))
+    rng = random.Random(f"{SEED}:images")
+    exprs = [random_poly(rng, 5, Domain.INT, max_terms=3, max_exp=2, max_coeff=4) for _ in range(30)]
+    queries = [e.substitute([f.as_domain(Domain.RAT) for f in g]) for e in exprs]
+    groebner._tag_elimination_basis.cache_clear()
+    expected = [subalgebra_membership(h, g) for h in queries]  # uncapped
+    assert all(cert.status is MembershipStatus.MEMBER for cert in expected)
+    monkeypatch.setattr(groebner, "_TABLE_SIZE", 16)
+    groebner._tag_elimination_basis.cache_clear()
+    _, gb = groebner._tag_elimination_basis(g, GroebnerBudget())
+    sizes = []
+    for h, cert in zip(queries * 2, expected * 2):
+        assert subalgebra_membership(h, g) == cert
+        (at,) = gb._divisors.widths.values()
+        sizes.append(len(at.images))
+    # filled up to the cap, cleared there more than once, and refilled
+    assert 8 < max(sizes) <= 16 and sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2
+    groebner._tag_elimination_basis.cache_clear()
 
 
 # -- ideal membership ------------------------------------------------------
@@ -907,11 +929,15 @@ def test_zero_ideal_answers_with_certificates():
         )
 
 
+def _plus(form, u):
+    """``form`` plus the packed monomial ``u``."""
+    terms, den = form
+    return {**terms, u: terms.get(u, 0) + den}, den
+
+
 def _plus_last_tag(pk, form):
     """``form`` with a tag-only, so T-free, term too many: + X_last."""
-    terms, den = form
-    last = pk.units[-1]
-    return {**terms, last: terms.get(last, 0) + den}, den
+    return _plus(form, pk.units[-1])
 
 
 def test_substitution_mismatch_is_caught(gens, monkeypatch):
@@ -951,6 +977,73 @@ def test_cofactor_expansion_mismatch_is_caught(monkeypatch):
     monkeypatch.setattr(groebner, "_tracked_basis", lambda *args: corrupt)
     with pytest.raises(RuntimeError, match="cofactor expansion mismatch"):
         ideal_membership(p2("T2"), gens_list)
+
+
+def test_corrupted_image_is_caught(gens):
+    g = tuple(gens[n] for n in range(2, 5))
+    h = gens[2] * gens[3]
+    groebner._tag_elimination_basis.cache_clear()
+    _, gb = groebner._tag_elimination_basis(g, GroebnerBudget())
+    cert = subalgebra_membership(h, g)
+    assert cert.representation == parse_poly("X2*X3", x_names(4), Domain.RAT)
+    (at,) = gb._divisors.widths.values()
+    m = at.pk.pack((0, 0, 1, 1))  # X2*X3, whose image the check just stored
+    assert m in at.images
+    at.images[m] = _plus(at.images[m], at.pk.units[0])
+    with pytest.raises(RuntimeError, match="substitution mismatch"):
+        subalgebra_membership(h, g)
+    groebner._tag_elimination_basis.cache_clear()
+
+
+def test_corrupted_packed_combo_is_caught():
+    gens_list = [p2("T1*T2 - 1"), p2("T1^3")]
+    groebner._tracked_basis.cache_clear()
+    gb = groebner._tracked_basis(tuple(gens_list), GRLEX, GroebnerBudget())
+    assert ideal_membership(p2("T2"), gens_list).status is MembershipStatus.MEMBER
+    (at,) = gb._divisors.widths.values()
+    combos, _ = at.combos  # packed by the first query, read by the second
+    assert len(gb.generators) == 1 and combos[0][0][0]
+    combos[0][0] = _plus(combos[0][0], at.pk.units[0])
+    with pytest.raises(RuntimeError, match="cofactor expansion mismatch"):
+        ideal_membership(p2("T2"), gens_list)
+    groebner._tracked_basis.cache_clear()
+
+
+def test_image_past_the_query_width_redoes_the_check(redone):
+    gens_list = (p2("T1 + T2^5"), p2("T2^5"))
+    groebner._tag_elimination_basis.cache_clear()
+    _, gb = groebner._tag_elimination_basis(gens_list, GroebnerBudget())
+    assert sorted(gb._divisors.widths) == [6]
+    # T1^13 = (X2 - X3)^13 divides within 6-bit fields, but X3^13 |-> T2^65 does not
+    h = p2("T1^13")
+    cert = subalgebra_membership(h, gens_list)
+    assert cert == _reference_subalgebra_membership(h, gens_list)
+    assert reference_substitute(cert.representation, list(gens_list)) == h
+    assert cert.representation.coefficient((0, 13)) == -1
+    # no division overflowed: the check widened, and ran again at 12 bits
+    assert not redone and sorted(gb._divisors.widths) == [6, 12]
+    assert gb._divisors.widths[12].images
+
+
+@pytest.mark.parametrize("power", [22, 23])
+def test_cofactors_past_the_width_redo_the_check(power, redone):
+    gens_list = [p2("T1*T2^2 - 1"), p2(f"T1^{power}")]
+    groebner._tracked_basis.cache_clear()
+    gb = groebner._tracked_basis(tuple(gens_list), GRLEX, GroebnerBudget())
+    assert sorted(gb._divisors.widths) == [6]
+    one = Polynomial.one(2, Domain.RAT)
+    cert = ideal_membership(one, gens_list)
+    # at T1^22 the cofactors fit the 6-bit fields and only their products with
+    # the generators leave them; at T1^23 the cofactors leave them too
+    degrees = [c.total_degree() for c in cert.cofactors]
+    assert (max(degrees) <= 63) is (power == 22)
+    assert max(d + g.total_degree() for d, g in zip(degrees, gens_list)) > 63
+    _, quotients = gb.normal_form_with_quotients(one)
+    assert cert.cofactors == reference_cofactors(quotients, gb.cofactors, 2)
+    assert cert.cofactors[0] * gens_list[0] + cert.cofactors[1] * gens_list[1] == one
+    assert not redone and sorted(gb._divisors.widths) == [6, 12]
+    # packed at 6 bits and widened by a product, or widened by the packing
+    assert (gb._divisors.widths[6].combos is not None) is (power == 22)
 
 
 def test_membership_basis_is_computed_once_per_generators(monkeypatch):
