@@ -265,8 +265,9 @@ _OPERATIONS = {"add": ("+", operator.add), "sub": ("-", operator.sub), "mul": ("
 
 # `abhyankar generator --n 1000` takes about 0.6 s, and its coefficients (up
 # to 2,565 digits) still print; `abhyankar nonext --nmax 100000` about 0.5 s.
-# `abhyankar verify --evidence` runs the same recurrence, so it shares the
-# generator limit; `abhyankar verify --k 100` takes about 0.7 s at --deg 8
+# `abhyankar verify --evidence` shares the limit, which only bounds the
+# condition-d lines it prints; `abhyankar verify --k 100` takes about 0.7 s
+# at --deg 8
 _MAX_GENERATOR_INDEX = 1000
 _MAX_NONEXT_LEVEL = 10**5
 _MAX_TRUNCATION = 100

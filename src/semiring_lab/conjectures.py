@@ -37,7 +37,6 @@ from itertools import product
 from .abhyankar import (
     AbhyankarContext,
     UnverifiedContextError,
-    _recurrence,
     fraction_field_witnesses,
     non_kernel_annihilator,
     unit_ideal_witness,
@@ -550,7 +549,6 @@ def _condition_c_recurrence(ctx: AbhyankarContext, bases) -> ConditionVerdict:
 def _condition_d_recurrence(
     ctx: AbhyankarContext, evidence_bound: int
 ) -> ConditionVerdict:
-    bound = max(evidence_bound, ctx.truncation)
     try:
         cert = []
         for m in range(2, ctx.truncation + 1):
@@ -565,13 +563,11 @@ def _condition_d_recurrence(
             )
     except UnverifiedContextError as exc:
         return ConditionVerdict(Verdict.UNKNOWN, STATEMENTS["d"], (str(exc),))
-    # one pass of the recurrence produces every generator up to the bound
-    for m, _ in enumerate(_recurrence(bound), start=2):
-        if m > ctx.truncation:
-            cert.append(
-                f"generator {m} is the designated preimage of 1/{m} at "
-                f"truncation {m} (beyond the relation-checked level)"
-            )
+    for m in range(ctx.truncation + 1, evidence_bound + 1):
+        cert.append(
+            f"generator {m} is the designated preimage of 1/{m} at "
+            f"truncation {m} (beyond the relation-checked level)"
+        )
     denominator = math.lcm(*range(2, ctx.truncation + 1))
     cert.append(
         f"the image is a ring, so the relation-checked part alone contains "

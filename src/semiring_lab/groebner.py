@@ -48,7 +48,7 @@ from .polynomials import (
 _MAX_COEFF_BITS = 2048  # per numerator/denominator of a new basis element
 _CONTENT_BITS = 64  # a division's common denominator past this many bits sheds its content
 _MEMO_SIZE = 1 << 13  # a first-divisor memo of _reduce past this many entries is cleared
-_TABLE_SIZE = 1 << 12  # a remainder or image table of a basis, or its seen set, past this many entries is cleared
+_TABLE_SIZE = 1 << 12  # a remainder or image table of a basis past this many entries is cleared
 
 
 @dataclass(frozen=True)
@@ -335,19 +335,18 @@ class _Width:
     """The divisor table at one packing width: the packing, the packed table
     of :class:`_Divisors`, which catches up with its list on use,
     :func:`_reduce`'s first-divisor memo, and for :meth:`remainder` the
-    remainders of single monomials and the set of monomials seen.  For the
-    certificate checks it keeps the images of tag monomials (:meth:`image`)
-    with the packed generator forms they come from, and a tracked basis's
-    packed cofactor and source forms (``combos``).  The remainders, the
-    images and the seen set are each cleared past ``_TABLE_SIZE`` entries,
-    which only costs recomputation.  Every method takes packed monomials."""
+    remainders of single monomials.  For the certificate checks it keeps the
+    images of tag monomials (:meth:`image`) with the packed generator forms
+    they come from, and a tracked basis's packed cofactor and source forms
+    (``combos``).  The remainders and the images are each cleared past
+    ``_TABLE_SIZE`` entries, which only costs recomputation.  Every method
+    takes packed monomials."""
 
     def __init__(self, pk: _Packing):
         self.pk = pk
         self.table: list[tuple[int, _Terms, int]] = []  # packed lm, primitive G, a = lc(G) > 0
         self.memo: dict[int, int] = {}
         self.remainders: dict[int, _Form] = {}
-        self.seen: set[int] = set()
         self.images: dict[int, _Form] = {}
         self.gens: list[_Form] | None = None
         self.combos: tuple[list[list[_Form]], list[_Form]] | None = None
@@ -372,32 +371,21 @@ class _Width:
         reduced basis, whose remainder is unique, and only while the table
         stays as it is.  The query is only read.
 
-        A monomial with a stored remainder contributes its coefficient times
-        that remainder.  One seen before gets its stored remainder now, from
-        a division of the monomial alone.  The monomials seen for the first
-        time are divided jointly, as one polynomial, and the parts are summed.
-        Both divisions take a work term whose monomial has a stored remainder
+        Each monomial contributes its coefficient times its stored remainder.
+        A monomial without one gets it now, from a division of the monomial
+        alone, which takes a work term whose monomial has a stored remainder
         from the table instead of dividing it (``known`` of :func:`_reduce`).
         """
-        pk, remainders, seen = self.pk, self.remainders, self.seen
-        fresh: _Terms = {}
+        pk, remainders = self.pk, self.remainders
         parts: list[tuple[int, int, _Form]] = []
         for u, c in terms.items():
             r = remainders.get(u)
             if r is None:
-                if u not in seen:
-                    if len(seen) >= _TABLE_SIZE:
-                        seen.clear()
-                    seen.add(u)
-                    fresh[u] = c
-                    continue
                 if len(remainders) >= _TABLE_SIZE:
                     remainders.clear()
                 _, alone = _reduce(({u: 1}, 1), self.table, pk, None, self.memo, remainders)
                 r = remainders[u] = _clear_content(*alone)
             parts.append((c, 0, r))
-        if fresh:
-            parts.append((1, 0, _reduce((fresh, 1), self.table, pk, None, self.memo, remainders)[1]))
         out, common = _combination(parts, pk.guards)
         return out, common * den
 
@@ -525,16 +513,15 @@ class GroebnerBasis:
     query goes in as an integer form, packed at the widest width made so far
     or the one its degrees need, and a monomial at a guard bit redoes it at
     twice the width (:meth:`_Divisors.run`), so no answer is truncated.
-    :meth:`_divide` is the joint division, with its steps, for
+    :meth:`_Width.divide` is the joint division, with its steps, for
     :meth:`normal_form_with_quotients` and :func:`ideal_membership`.
     :meth:`_remainder` gives the remainder alone, for :meth:`normal_form` and
     :func:`subalgebra_membership`.  On a reduced basis the remainder is
     unique (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2
     §6), so p |-> NF(p) is linear, and per width the basis keeps a table from
-    packed monomial to its remainder, stored at the monomial's second
-    sighting: a query adds up the stored remainders and divides the
-    monomials it meets first jointly.  A truncated basis (``reduced=False``)
-    has no unique remainder and never fills the table.
+    packed monomial to its remainder, stored the first time a query meets
+    the monomial: a query adds up the stored remainders.  A truncated basis
+    (``reduced=False``) has no unique remainder and never fills the table.
 
     Both membership certificates are checked at the query's width, on
     packed monomials (:func:`_combination`).  Per width the basis keeps the
@@ -567,13 +554,6 @@ class GroebnerBasis:
             raise ArityError(f"polynomial has {p.nvars} variables, basis has {self.nvars}")
         return _form(p)
 
-    def _divide(self, form: _Form) -> tuple[list, _Form, _Packing]:
-        """The joint division of the integer form ``form``: :func:`_reduce`'s
-        steps, the remainder as an integer form on packed monomials, and the
-        packing they use (a shorter exponent vector embeds at offset 0)."""
-        (steps, remainder), pk = self._divisors.run(form, _Width.divide)
-        return steps, remainder, pk
-
     def _remainder(self, at: _Width, terms: _Terms, den: int) -> _Form:
         """The remainder of the packed integer form ``terms``/``den`` at the
         width ``at``, as an integer form; the query is only read.
@@ -600,7 +580,7 @@ class GroebnerBasis:
 
         Every empty quotient is the same zero polynomial object.
         """
-        steps, remainder, pk = self._divide(self._query(p))
+        (steps, remainder), pk = self._divisors.run(self._query(p), _Width.divide)
         n = p.nvars
         zero = Polynomial.zero(n, Domain.RAT)
         quotients = _quotients(steps, len(self.generators), pk)
@@ -1002,9 +982,9 @@ def subalgebra_membership(
 
     The query is packed straight into the elimination packing, and the
     T-freeness test, the projection and the integrality test read the
-    integer remainder: from the table of monomial remainders of a complete,
-    so reduced, basis (see :class:`GroebnerBasis`), from a joint division on
-    a truncated one.  The substitution check adds up the images of the
+    integer remainder: the sum of stored monomial remainders on a complete,
+    so reduced, basis (see :class:`GroebnerBasis`), a joint division on a
+    truncated one.  The substitution check adds up the images of the
     remainder's tag monomials, which the basis keeps per width
     (:meth:`_Width.image`), and compares the sum exactly with the packed
     query; an image at a guard bit redoes all of it at twice the width.

@@ -576,6 +576,27 @@ def test_d_evidence_bound_is_adjustable():
     assert "beyond the relation-checked level" not in " ".join(rep.d.certificate)
 
 
+def test_d_evidence_at_the_limit_is_pinned():
+    ctx = AbhyankarContext.build(6)
+    rep = verify_conditions(RecurrenceCandidate(ctx, ()), evidence_bound=1000)
+    cert = rep.d.certificate
+    assert rep.d.status is Verdict.HOLDS and rep.evidence_level == 1000
+    # generators 2..6 relation-checked, 7..1000 designated, and the closing line
+    assert len(cert) == 1000
+    assert cert[5] == (
+        "generator 7 is the designated preimage of 1/7 at truncation 7 "
+        "(beyond the relation-checked level)"
+    )
+    assert cert[-2] == (
+        "generator 1000 is the designated preimage of 1/1000 at truncation 1000 "
+        "(beyond the relation-checked level)"
+    )
+    assert cert[-1] == (
+        "the image is a ring, so the relation-checked part alone contains "
+        "every rational whose denominator divides a power of 60"
+    )
+
+
 def test_empty_base_list_leaves_c_unknown():
     ctx = AbhyankarContext.build(6)
     rep = verify_conditions(RecurrenceCandidate(ctx, ()))

@@ -605,7 +605,7 @@ def test_basis_keeps_the_interreduction_memo():
         count = len(gb.generators)
         for query in queries:
             form = groebner._form(query)
-            steps, remainder, pk = gb._divide(form)
+            (steps, remainder), pk = gb._divisors.run(form, groebner._Width.divide)
             (fresh_steps, fresh_remainder), fresh_pk = fresh.run(form, groebner._Width.divide)
             expected = _as_reference(fresh_steps, fresh_remainder, fresh_pk, count)
             assert _as_reference(steps, remainder, pk, count) == expected
@@ -633,15 +633,17 @@ def test_memo_past_its_size_cap_is_cleared(monkeypatch):
 
 @pytest.fixture
 def sightings(monkeypatch):
-    """How often the remainder path met a monomial first, met it again, or
-    found its remainder stored."""
+    """How often the remainder path met a monomial first or found its
+    remainder stored; after each query, every monomial it met is stored."""
     counts = Counter()
     real = groebner._Width.remainder
 
     def spy(at, terms, den):
         for u in terms:
-            counts["stored" if u in at.remainders else "again" if u in at.seen else "first"] += 1
-        return real(at, terms, den)
+            counts["stored" if u in at.remainders else "first"] += 1
+        out = real(at, terms, den)
+        assert at.remainders.keys() >= terms.keys()
+        return out
 
     monkeypatch.setattr(groebner._Width, "remainder", spy)
     return counts
@@ -659,7 +661,7 @@ def test_remainder_table_matches_the_joint_division(order, sightings, redone):
             continue
         gb = buchberger(gens_list, order)
         pool = [random_poly(rng, nvars, domain, max_terms=5, max_exp=3) for _ in range(8)]
-        # each query three times at least: a first sighting, a second, then stored hits
+        # each query three times at least: a first sighting, then stored hits
         for query in pool + rng.sample(pool, 8) + rng.sample(pool, 8):
             joint, _ = gb.normal_form_with_quotients(query)
             _, remainder = _reference_division(query, gb.generators, order)
@@ -671,7 +673,7 @@ def test_remainder_table_matches_the_joint_division(order, sightings, redone):
     for query in [p2("T1^40*T2"), p2("T1^3 + T2"), p2("T1^40*T2"), p2("T1^3 - T1^40*T2"), p2("T1^3 + T2")]:
         _, remainder = _reference_division(query, gb.generators, order)
         assert gb.normal_form(query) == Polynomial(2, Domain.RAT, remainder)
-    assert bases >= 12 and min(sightings["first"], sightings["again"], sightings["stored"]) > 0
+    assert bases >= 12 and min(sightings["first"], sightings["stored"]) > 0
     assert bool(redone) is (order != GRLEX) and len(gb._divisors.widths) == 1 + (order != GRLEX)
 
 
@@ -696,22 +698,20 @@ def test_truncated_basis_never_fills_the_table():
         widths = gb._divisors.widths.values()
         # the queries went through this basis, and stored nothing in its table
         assert sum(_memo_sizes(gb).values()) > size
-        assert all(not at.remainders and not at.seen for at in widths)
+        assert all(not at.remainders for at in widths)
 
 
-def test_table_stores_a_remainder_at_the_second_sighting():
+def test_table_stores_a_remainder_at_the_first_sighting():
     gb = buchberger(_MEMO_GENS, LEX)
     query = parse_poly("T1^2*T3 - 2*T2*T4 + 1/3*T4^2", T4, Domain.RAT)
-    gb.normal_form(query)
-    (at,) = gb._divisors.widths.values()
-    packed = set(at.pk.pack_terms(groebner._form(query)[0]))
-    assert at.seen == packed and not at.remainders  # a first sighting stores nothing
-    gb.normal_form(query)
-    assert at.remainders.keys() == packed
-    stored = dict(at.remainders)
     _, remainder = _reference_division(query, gb.generators, gb.order)
     assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
-    assert at.remainders == stored  # a third sighting only reads
+    (at,) = gb._divisors.widths.values()
+    packed = set(at.pk.pack_terms(groebner._form(query)[0]))
+    assert at.remainders.keys() == packed  # a first sighting stores each monomial's remainder
+    stored = dict(at.remainders)
+    assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
+    assert at.remainders == stored  # a second sighting only reads
     for u, form in stored.items():  # each stored remainder is the monomial's own
         _, remainder = _reference_division(
             Polynomial(4, Domain.RAT, {at.pk.unpack(u): 1}), gb.generators, gb.order
@@ -719,23 +719,41 @@ def test_table_stores_a_remainder_at_the_second_sighting():
         assert _rational(at.pk.unpack_form(form)) == remainder
 
 
+def test_second_asking_divides_nothing(monkeypatch):
+    gb = buchberger(_MEMO_GENS, LEX)
+    query = parse_poly("T1^3*T2 - 2*T2*T4^2 + 1/3*T3*T4 + 5", T4, Domain.RAT)
+    _, remainder = _reference_division(query, gb.generators, gb.order)
+    expected = Polynomial(4, Domain.RAT, remainder)
+    divided = []
+    real = groebner._reduce
+
+    def spy(work, *rest):
+        divided.append(dict(work[0]))
+        return real(work, *rest)
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    assert gb.normal_form(query) == expected
+    # the first asking divides each of the query's monomials once, alone
+    (at,) = gb._divisors.widths.values()
+    packed = at.pk.pack_terms(groebner._form(query)[0])
+    assert sorted(divided, key=sorted) == sorted(({u: 1} for u in packed), key=sorted)
+    divided.clear()
+    assert gb.normal_form(query) == expected
+    assert divided == []  # the second asking only reads the table
+
+
 def test_table_past_its_size_cap_is_cleared(monkeypatch):
     monkeypatch.setattr(groebner, "_TABLE_SIZE", 16)
     gb = buchberger(_MEMO_GENS, LEX)
     queries = _memo_queries("table-cap", 30)
     sizes = []
-    # each query twice in a row, so that its second sighting comes before the
-    # seen set is cleared
-    for query in [q for q in queries for _ in range(2)]:
+    for query in queries:
         _, remainder = _reference_division(query, gb.generators, gb.order)
         assert gb.normal_form(query) == Polynomial(4, Domain.RAT, remainder)
         (at,) = gb._divisors.widths.values()
-        sizes.append((len(at.seen), len(at.remainders)))
-    seen, stored = zip(*sizes)
-    # both filled up to the cap and were cleared there, more than once
-    assert max(seen) == max(stored) == 16
-    for counts in (seen, stored):
-        assert sum(b < a for a, b in zip(counts, counts[1:])) >= 2
+        sizes.append(len(at.remainders))
+    # filled up to the cap and cleared there, more than once
+    assert max(sizes) == 16 and sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2
 
 
 def test_image_table_past_its_size_cap_is_cleared(monkeypatch, gens):
@@ -951,12 +969,19 @@ def test_substitution_mismatch_is_caught(gens, monkeypatch):
         steps, remainder = real(work, table, pk, degree_cap, *rest)
         return steps, _plus_last_tag(pk, remainder)
 
-    # the joint path: every monomial of h is new to the basis
+    # a cold asking: every monomial of h is new to the basis, and divided
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "_reduce", corrupted)
         with pytest.raises(RuntimeError, match="substitution mismatch"):
             subalgebra_membership(h, g)
-    # the remainder table: h again stores its monomials' remainders, then reads them
+    # a warm asking reads the remainders the corrupted division stored
+    (at,) = gb._divisors.widths.values()
+    assert at.remainders.keys() >= set(at.pk.pack_terms(groebner._form(h)[0]))
+    with pytest.raises(RuntimeError, match="substitution mismatch"):
+        subalgebra_membership(h, g)
+    # the remainder table of a fresh basis: h stores its monomials' remainders, then reads them
+    groebner._tag_elimination_basis.cache_clear()
+    _, gb = groebner._tag_elimination_basis(g, GroebnerBudget())
     for _ in range(2):
         assert subalgebra_membership(h, g).status is MembershipStatus.MEMBER
     (at,) = gb._divisors.widths.values()
@@ -966,6 +991,7 @@ def test_substitution_mismatch_is_caught(gens, monkeypatch):
     at.remainders[u] = _plus_last_tag(at.pk, at.remainders[u])
     with pytest.raises(RuntimeError, match="substitution mismatch"):
         subalgebra_membership(h, g)
+    groebner._tag_elimination_basis.cache_clear()
 
 
 def test_cofactor_expansion_mismatch_is_caught(monkeypatch):
