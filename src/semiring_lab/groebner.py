@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -599,10 +598,16 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Deterministic for fixed input and order: pairs are processed smallest
-    lcm-degree first (ties broken by the monomial order, then indices), the
-    coprimality and chain criteria prune useless pairs, and the final basis
-    is interreduced and monic -- the canonical reduced basis, independent of
-    generator input order.
+    lcm-degree first (ties broken by the monomial order, then indices), and
+    the final basis is interreduced and monic -- the canonical reduced basis,
+    independent of generator input order.  Useless pairs are pruned once,
+    when an element is added, by Gebauer and Moeller's update (J. Symb.
+    Comp. 6, 1988): criterion B drops the queued pairs that the new element
+    chains, and the new element is paired only with the live elements (those
+    whose leading monomial no later one divides), keeping one pair per
+    minimal lcm (criteria M and F) and none whose class holds a coprime pair.
+    Elements that stop being live stay in the divisor table, and the
+    finalisation drops them.
 
     While it runs, the basis is its divisor table: one entry ``(lm, G, a,
     lm unpacked)`` per monic element g = G/a, where G is g's primitive
@@ -610,7 +615,8 @@ def buchberger(
     are formed from the integer forms over the lcm of the two a's, the
     division loop :func:`_reduce` is fraction-free, and a new element is the
     primitive part of its integer remainder, taken without ``Fraction``s;
-    the coefficient cap still measures the monic coefficients c/a.  Each
+    the coefficient cap still measures the monic coefficients c/a, as the
+    bit lengths of c/g and a/g with g = gcd(c, a).  Each
     exponent vector is packed into one int whose order is the monomial
     order.  Fields, high bits first: lex ``[x1..xn | deg]``, grlex ``[deg |
     x1..xn | deg]``, elim ``[deg(head) | head | deg(tail) | tail | deg]``,
@@ -628,8 +634,7 @@ def buchberger(
     (:func:`_finalize`) interreduces that way, since interreduction can raise
     degrees, returns the generators monic over Q, and hands its divisor state
     to the finished basis, which answers queries by it.  ``Fraction`` appears
-    only in the returned polynomials and in the coefficient cap's
-    measurement.
+    only in the returned polynomials.
 
     The table only grows by appending, so one first-divisor memo (see
     :func:`_reduce`) serves every reduction of the run: a remembered divisor
@@ -657,7 +662,7 @@ def buchberger(
             raise ArityError("generators live in different rings")
     degree = max(budget.max_degree, *(g.total_degree() for g in source))
     pk = _packing(order, nvars, (2 * degree).bit_length())
-    guards = pk.guards
+    guards, units = pk.guards, pk.units
 
     table: list[tuple[int, _Terms, int, Exponent]] = []  # packed lm, packed G, a, lm unpacked
     combos: list[tuple[_Form, ...]] = []
@@ -669,16 +674,41 @@ def buchberger(
         return _finalize(table, combos, pk, source, steps, track, reduced=False)
 
     def add(form: _Terms) -> None:
-        # push each new pair once; ``pending`` (not yet popped) feeds the chain criterion
-        j, lm = len(table), max(form)
-        table.append((lm, form, form[lm], pk.unpack(lm)))
-        for i in range(j):
-            lcm = pk.pack(map(max, table[i][3], table[j][3]))
-            heapq.heappush(heap, (lcm & pk.low, lcm, i, j))
-            pending.add((i, j))
+        # the Gebauer-Moeller update for the new element j with leading monomial u
+        j, u = len(table), max(form)
+        t_u = pk.unpack(u)
+        support = [(k, e, units[k]) for k, e in enumerate(t_u) if e]
+        lcms = []  # lcm(i, j): lm_i raised to u's exponents on u's support, no full-width pack
+        for lcm, _, _, t in table:
+            for k, e, unit in support:
+                if e > t[k]:
+                    lcm += (e - t[k]) * unit
+            lcms.append(lcm)
+        # criterion B: u chains a queued pair whose lcm it divides, unless a side lcm equals it
+        for (i, k), lcm in list(queued.items()):
+            if ((lcm | guards) - u) & guards == guards and lcms[i] != lcm and lcms[k] != lcm:
+                del queued[i, k]
+        classes: dict[int, list[int]] = {}  # the live elements by their lcm with u, ascending
+        for i in live:
+            classes.setdefault(lcms[i], []).append(i)
+        minimal: list[int] = []
+        for lcm in sorted(classes):  # a proper divisor sorts first in every monomial order
+            lcm_g = lcm | guards
+            if any((lcm_g - m) & guards == guards for m in minimal):
+                continue  # criterion M: a smaller new lcm divides this one
+            minimal.append(lcm)
+            # criterion F: one pair per lcm, the smallest i, and none if one is coprime
+            if all(lcm != table[i][0] + u for i in classes[lcm]):
+                i = classes[lcm][0]
+                queued[i, j] = lcm
+                heapq.heappush(heap, (lcm & pk.low, lcm, i, j))
+        live[:] = [i for i in live if ((table[i][0] | guards) - u) & guards != guards]
+        live.append(j)
+        table.append((u, form, form[u], t_u))
 
-    heap: list[tuple[int, int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
+    heap: list[tuple[int, int, int, int]] = []  # (lcm degree, lcm, i, j), possibly dropped since
+    queued: dict[tuple[int, int], int] = {}  # the pairs in ``heap`` not yet dropped, to their lcm
+    live: list[int] = []  # ascending; elements whose leading monomial no later one divides
     for idx, g in enumerate(source):
         if g.is_zero:
             continue
@@ -696,22 +726,9 @@ def buchberger(
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+        if queued.pop((i, j), None) is None:
+            continue  # criterion B dropped it after it was queued
         (lm_i, form_i, a_i, _), (lm_j, form_j, a_j, _) = table[i], table[j]
-        # coprimality criterion: coprime leading monomials reduce to zero
-        if lcm == lm_i + lm_j:
-            continue
-        # chain criterion: a third element dividing the lcm, both side pairs done
-        lcm_g = lcm | guards
-        skip = False
-        for k, (lm_k, _, _, _) in enumerate(table):
-            if (lcm_g - lm_k) & guards != guards or k in (i, j):
-                continue
-            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
 
         steps += 1
         if steps > budget.max_steps:
@@ -745,8 +762,11 @@ def buchberger(
 
         form = _primitive(remainder)
         lm = max(form)
-        monic = [Fraction(c, form[lm]) for c in form.values()]
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in monic)
+        a = form[lm]
+        bits = 0  # the largest numerator or denominator of a monic coefficient c/a
+        for c in form.values():
+            g = gcd(c, a)
+            bits = max(bits, (c // g).bit_length(), (a // g).bit_length())
         if bits > _MAX_COEFF_BITS:
             message = f"coefficient budget {_MAX_COEFF_BITS} bits exceeded ({bits} bits)"
             raise BudgetExceededError(message, partial_basis())

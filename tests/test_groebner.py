@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -105,14 +106,7 @@ def test_every_spolynomial_of_output_reduces_to_zero():
         gens_list = list(gb.generators)
         for i in range(len(gens_list)):
             for j in range(i + 1, len(gens_list)):
-                gi, gj = gens_list[i], gens_list[j]
-                lm_i, lc_i = gi.leading_term(GRLEX)
-                lm_j, lc_j = gj.leading_term(GRLEX)
-                lcm = tuple(max(a, b) for a, b in zip(lm_i, lm_j))
-                mi = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lm_i)), Fraction(1) / lc_i, Domain.RAT)
-                mj = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lm_j)), Fraction(1) / lc_j, Domain.RAT)
-                spoly = mi * gi - mj * gj
-                assert gb.normal_form(spoly).is_zero
+                assert gb.normal_form(_s_polynomial(gens_list[i], gens_list[j], GRLEX)).is_zero
 
 
 def test_reduced_basis_independent_of_input_order():
@@ -170,15 +164,46 @@ def test_complete_and_partial_bases_are_interreduced_randomized(kind, max_steps)
         assert partial  # truncated bases were checked too
 
 
+def _random_generators(
+    rng: random.Random, nvars: tuple[int, int], count: int, max_exp: int = 2
+) -> list[list[Polynomial]]:
+    """``count`` lists of two or three random integer polynomials, zeros
+    dropped and no list empty, each in a number of variables drawn from
+    ``nvars``."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(*nvars)
+        drawn = [random_poly(rng, n, Domain.INT, max_terms=3, max_exp=max_exp) for _ in range(rng.randint(2, 3))]
+        if gens_list := [g for g in drawn if not g.is_zero]:
+            out.append(gens_list)
+    return out
+
+
+def _sympy_ideal(gens: list[Polynomial], order: str):
+    """sympy's reduced basis of the ideal in ``order``, and the map of a
+    polynomial into sympy's ring."""
+    syms = sympy.symbols(f"x0:{gens[0].nvars}")
+
+    def to_sympy(p: Polynomial):
+        return sympy.Poly.from_dict(dict(p.terms()), *syms, domain="QQ")
+
+    return sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, domain="QQ"), to_sympy
+
+
+def _assert_in_sympy_ideal(basis: Sequence[Polynomial], gens: list[Polynomial], order: str = "grevlex") -> None:
+    """Every element of ``basis`` reduces to zero on sympy's basis of (gens)."""
+    ideal, to_sympy = _sympy_ideal(gens, order)
+    assert all(ideal.contains(to_sympy(g)) for g in basis), gens
+
+
 def _sympy_basis(gens: list[Polynomial], order: str) -> set[Polynomial]:
     """sympy's reduced basis of the ideal, each element rescaled to monic."""
     nvars = gens[0].nvars
-    syms = sympy.symbols(f"x0:{nvars}")
-    polys = [sympy.Poly.from_dict(dict(g.terms()), *syms, domain="QQ") for g in gens]
+    basis, _ = _sympy_ideal(gens, order)
     monic_order = LEX if order == "lex" else GRLEX
     out = set()
-    for e in sympy.groebner(polys, *syms, order=order).exprs:
-        poly = sympy.Poly(e, *syms)
+    for e in basis.exprs:
+        poly = sympy.Poly(e, *basis.gens)
         terms = {tuple(mon): Fraction(*coeff.as_numer_denom()) for mon, coeff in poly.terms()}
         q = Polynomial(nvars, Domain.RAT, terms)
         # sympy normalizes to integer content; rescale to monic for comparison
@@ -201,21 +226,68 @@ def test_agrees_with_sympy_on_fixed_ideals():
 
 @pytest.mark.parametrize("order", [LEX, GRLEX], ids=["lex", "grlex"])
 def test_agrees_with_sympy_on_random_ideals(order):
-    rng = random.Random(SEED + 7)
-    checked = 0
-    while checked < 50:
-        nvars = rng.randint(2, 3)
-        # exponents up to 3 already give lex runs past the default degree cap
-        gens_list = [
-            random_poly(rng, nvars, Domain.INT, max_terms=3, max_exp=2)
-            for _ in range(rng.randint(2, 3))
-        ]
-        gens_list = [g for g in gens_list if not g.is_zero]
-        if not gens_list:
-            continue
+    # exponents up to 3 already give lex runs past the default degree cap
+    for gens_list in _random_generators(random.Random(SEED + 7), (2, 3), 50):
         mine = buchberger(gens_list, order)
         assert set(mine.generators) == _sympy_basis(gens_list, order.kind), gens_list
-        checked += 1
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX], ids=["lex", "grlex"])
+def test_agrees_with_sympy_on_random_four_variable_ideals(order):
+    complete = steps = 0
+    for gens_list in _random_generators(random.Random(f"{SEED}:four:{order.kind}"), (4, 4), 40):
+        try:
+            mine = buchberger(gens_list, order)
+        except BudgetExceededError:
+            continue  # a lex draw passes the coefficient cap; partial bases have their own test
+        assert set(mine.generators) == _sympy_basis(gens_list, order.kind), gens_list
+        complete += 1
+        steps += mine.steps_used
+    assert complete >= 35 and steps > complete  # the draws reduce S-pairs, not only their inputs
+
+
+def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """The S-polynomial of f and g over the lcm of their leading monomials,
+    with both leading terms made monic."""
+    (lm_f, lc_f), (lm_g, lc_g) = f.leading_term(order), g.leading_term(order)
+    lcm = tuple(map(max, lm_f, lm_g))
+    m_f = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lm_f)), Fraction(1) / lc_f, Domain.RAT)
+    m_g = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lm_g)), Fraction(1) / lc_g, Domain.RAT)
+    return m_f * f.as_domain(Domain.RAT) - m_g * g.as_domain(Domain.RAT)
+
+
+def test_elimination_bases_agree_with_sympy():
+    # sympy has no block order, so check the three facts that make the output
+    # a Groebner basis of the input ideal in elimination(2): its S-pairs and
+    # the inputs reduce to zero on it, and it lies in the ideal
+    order = elimination(2)
+    steps = 0
+    for gens_list in _random_generators(random.Random(f"{SEED}:elimination"), (3, 4), 40):
+        gb = buchberger(gens_list, order)
+        basis = list(gb.generators)
+        for i, f in enumerate(basis):
+            for g in basis[i + 1 :]:
+                assert not _reference_division(_s_polynomial(f, g, order), basis, order)[1], gens_list
+        for g in gens_list:
+            assert not _reference_division(g, basis, order)[1], gens_list
+        _assert_in_sympy_ideal(basis, gens_list, "lex")
+        steps += gb.steps_used
+    assert steps > 40
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, elimination(2)], ids=["lex", "grlex", "elim"])
+def test_budget_stopped_partial_bases_lie_in_the_sympy_ideal(order):
+    # exponent-3 draws, stopped after at most four S-pair reductions
+    rng = random.Random(f"{SEED}:partial:{order.kind}")
+    stopped = 0
+    for gens_list in _random_generators(rng, (3, 4), 40, max_exp=3):
+        try:
+            buchberger(gens_list, order, GroebnerBudget(max_steps=rng.randint(1, 4)))
+            continue
+        except BudgetExceededError as exc:
+            _assert_in_sympy_ideal(exc.partial.generators, gens_list)
+        stopped += 1
+    assert stopped >= 10  # the draws do stop early
 
 
 def test_zero_generators_are_tolerated():
@@ -1391,15 +1463,15 @@ _RELATION_PINS = {
     5: (23, 3, "099c991b7771d655"),
     6: (45, 6, "793fe372279ab3ad"),
     7: (78, 10, "6a009f6a0d8800b5"),
-    8: (125, 15, "c9ee97faf08a80e5"),
-    9: (188, 21, "d62c3128b0879d5d"),
-    10: (270, 28, "07a1b4130a9cddfb"),
-    11: (373, 36, "0531244252500a4a"),
-    12: (500, 45, "f2528751dce53f73"),
-    13: (653, 55, "9e8f29a3bb210c89"),
-    14: (835, 66, "6af48b1f9f991a9f"),
-    15: (1048, 78, "d3229a398b251996"),
-    16: (1295, 91, "89f08ad60f11d67b"),
+    8: (124, 15, "c9ee97faf08a80e5"),
+    9: (185, 21, "d62c3128b0879d5d"),
+    10: (263, 28, "07a1b4130a9cddfb"),
+    11: (360, 36, "0531244252500a4a"),
+    12: (478, 45, "f2528751dce53f73"),
+    13: (619, 55, "9e8f29a3bb210c89"),
+    14: (785, 66, "6af48b1f9f991a9f"),
+    15: (978, 78, "d3229a398b251996"),
+    16: (1200, 91, "89f08ad60f11d67b"),
 }
 
 
