@@ -6,133 +6,98 @@ Layers, bottom to top:
   * ``groebner``    -- Groebner bases with cofactor certificates, ideal and
                        subalgebra membership, relation ideals
   * ``semiring``    -- finitely presented commutative semirings: bounded
-                       congruence closure, idempotence, cancellativity
+                       congruence closure, idempotence, cancellativity,
+                       exponent cones
   * ``abhyankar``   -- the subring of Z[T1,T2] generated by the recurrence
                        f_2 = T1*T2, f_{n+1} = (n*f_n - 1)*T2, and its
                        surjection onto Q sending f_n to 1/n
-  * ``conjectures`` -- boundedness predicates, exponent cones, and aggregate
-                       condition reports for ring candidates
+  * ``conjectures`` -- boundedness predicates, cone dimension, purity,
+                       fraction witnesses, and aggregate condition reports
+                       for ring candidates
   * ``cli``         -- command-line front end emitting certified reports
+
+Importing the package loads no layer.  A public name loads its layer (and
+what that layer imports) when it is first touched, so a cone caller loads
+``polynomials`` and ``semiring`` only, and a subring caller ``polynomials``,
+``groebner`` and ``abhyankar`` only.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .abhyankar import (
-    AbhyankarContext,
-    NotInSubringError,
-    SubringElement,
-    UnverifiedContextError,
-    fraction_field_witnesses,
-    generator,
-    non_extendability_certificate,
-    non_kernel_annihilator,
-    unit_ideal_witness,
-)
-from .conjectures import (
-    BoundClass,
-    BoundedSubsetPredicate,
-    ConditionReport,
-    Cone,
-    RecurrenceCandidate,
-    Verdict,
-    cone_dim,
-    cone_enumerate,
-    find_interior_u,
-    purity_check,
-    qf_from_cone,
-    verify_conditions,
-)
-from .groebner import (
-    BudgetExceededError,
-    GroebnerBudget,
-    MembershipStatus,
-    buchberger,
-    ideal_membership,
-    normal_form,
-    relation_ideal,
-    subalgebra_membership,
-)
-from .polynomials import (
-    ArityError,
-    Domain,
-    DomainError,
-    GRLEX,
-    LEX,
-    MonomialOrder,
-    ParseError,
-    Polynomial,
-    elimination,
-    format_poly,
-    parse_poly,
-    t_names,
-    x_names,
-)
-from .semiring import (
-    Budget,
-    BudgetError,
-    EvalHom,
-    Presentation,
-    Tri,
-    congruence_close,
-    find_L,
-    is_add_cancellative,
-    is_add_idempotent,
-    preorder_leq,
-    words_equivalent,
-)
+# each public name and the layer that defines it
+_HOMES = {
+    "ArityError": "polynomials",
+    "Domain": "polynomials",
+    "DomainError": "polynomials",
+    "GRLEX": "polynomials",
+    "LEX": "polynomials",
+    "MonomialOrder": "polynomials",
+    "ParseError": "polynomials",
+    "Polynomial": "polynomials",
+    "elimination": "polynomials",
+    "format_poly": "polynomials",
+    "parse_poly": "polynomials",
+    "t_names": "polynomials",
+    "x_names": "polynomials",
+    "BudgetExceededError": "groebner",
+    "GroebnerBudget": "groebner",
+    "MembershipStatus": "groebner",
+    "buchberger": "groebner",
+    "ideal_membership": "groebner",
+    "normal_form": "groebner",
+    "relation_ideal": "groebner",
+    "subalgebra_membership": "groebner",
+    "Budget": "semiring",
+    "BudgetError": "semiring",
+    "Cone": "semiring",
+    "EvalHom": "semiring",
+    "Presentation": "semiring",
+    "Tri": "semiring",
+    "cone_enumerate": "semiring",
+    "congruence_close": "semiring",
+    "find_L": "semiring",
+    "is_add_cancellative": "semiring",
+    "is_add_idempotent": "semiring",
+    "preorder_leq": "semiring",
+    "words_equivalent": "semiring",
+    "AbhyankarContext": "abhyankar",
+    "NotInSubringError": "abhyankar",
+    "SubringElement": "abhyankar",
+    "UnverifiedContextError": "abhyankar",
+    "fraction_field_witnesses": "abhyankar",
+    "generator": "abhyankar",
+    "non_extendability_certificate": "abhyankar",
+    "non_kernel_annihilator": "abhyankar",
+    "unit_ideal_witness": "abhyankar",
+    "BoundClass": "conjectures",
+    "BoundedSubsetPredicate": "conjectures",
+    "ConditionReport": "conjectures",
+    "RecurrenceCandidate": "conjectures",
+    "Verdict": "conjectures",
+    "cone_dim": "conjectures",
+    "find_interior_u": "conjectures",
+    "purity_check": "conjectures",
+    "qf_from_cone": "conjectures",
+    "verify_conditions": "conjectures",
+}
+_LAYERS = frozenset(_HOMES.values())
 
-__all__ = [
-    "AbhyankarContext",
-    "ArityError",
-    "BoundClass",
-    "BoundedSubsetPredicate",
-    "Budget",
-    "BudgetError",
-    "BudgetExceededError",
-    "ConditionReport",
-    "Cone",
-    "Domain",
-    "DomainError",
-    "EvalHom",
-    "GRLEX",
-    "GroebnerBudget",
-    "LEX",
-    "MembershipStatus",
-    "MonomialOrder",
-    "NotInSubringError",
-    "ParseError",
-    "Polynomial",
-    "Presentation",
-    "RecurrenceCandidate",
-    "SubringElement",
-    "Tri",
-    "UnverifiedContextError",
-    "Verdict",
-    "buchberger",
-    "cone_dim",
-    "cone_enumerate",
-    "congruence_close",
-    "elimination",
-    "find_L",
-    "find_interior_u",
-    "format_poly",
-    "fraction_field_witnesses",
-    "generator",
-    "ideal_membership",
-    "is_add_cancellative",
-    "is_add_idempotent",
-    "non_extendability_certificate",
-    "non_kernel_annihilator",
-    "normal_form",
-    "parse_poly",
-    "preorder_leq",
-    "purity_check",
-    "qf_from_cone",
-    "relation_ideal",
-    "subalgebra_membership",
-    "t_names",
-    "unit_ideal_witness",
-    "verify_conditions",
-    "words_equivalent",
-    "x_names",
-]
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import the layer that ``name`` is, or that defines it, and keep the
+    name in the package namespace so later lookups skip this hook."""
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

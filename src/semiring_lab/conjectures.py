@@ -1,5 +1,5 @@
-"""Bounded-subset predicates, exponent cones, and the aggregate
-four-condition verifier.
+"""Bounded-subset predicates, cone dimension, purity and fraction
+witnesses, and the aggregate four-condition verifier.
 
 Over a concrete commutative semiring target -- either a strictly positive
 rational evaluation or a finitely presented quotient of N[T1..Tn] -- three
@@ -11,7 +11,8 @@ subsets are distinguished by the natural preorder (a <= b iff b = a + c):
   * one-absorbing: elements l with l + 1 = l.
 
 The cone of a target collects the exponent vectors u (inside a coordinate
-box) whose monomial T^u is bounded above.  Cones carry finite member sets,
+box) whose monomial T^u is bounded above; ``semiring.cone_enumerate``
+sweeps it, and this module re-exports it.  Cones carry finite member sets,
 so dimension (rank of the members), purity of a generated subsemigroup,
 interior points (u with every u + e_i still in the cone), and the fraction
 witnesses T_i = T^(u+e_i) / T^u are all checked by direct enumeration.
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 
 from .abhyankar import (
     AbhyankarContext,
@@ -53,21 +53,19 @@ from .polynomials import (
 from .semiring import (
     Budget,
     BudgetError,
+    Cone,
     CongruenceClosure,
     EvalHom,
     Presentation,
     Tri,
+    _MAX_BOX_CELLS,
+    _check_box_cells,
+    cone_enumerate,
     congruence_close,
     preorder_leq,
+    structure_nvars,
     words_equivalent,
 )
-
-def structure_nvars(structure) -> int:
-    if isinstance(structure, EvalHom):
-        return len(structure.assignment)
-    if isinstance(structure, Presentation):
-        return structure.nvars
-    raise TypeError(f"expected EvalHom or Presentation, got {type(structure).__name__}")
 
 
 # -- bounded-subset predicates ----------------------------------------------
@@ -176,91 +174,6 @@ class BoundedSubsetPredicate:
 
 
 # -- cones ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Box-bounded set of exponent vectors whose monomials are bounded
-    above in the target.  ``unknown`` lists box vectors whose membership
-    stayed undecided within budget (excluded from the member set)."""
-
-    nvars: int
-    box: int
-    members: frozenset
-    unknown: tuple
-
-    def contains(self, u: Exponent) -> bool:
-        return tuple(u) in self.members
-
-    def sorted_members(self) -> list:
-        return sorted(self.members, key=lambda u: (mono_deg(u), u))
-
-
-# a scan lists every vector of the box [0, box]^n: 10^5 cells take about
-# 0.05 s in an evaluation cone_enumerate and 0.8 s in purity_check (all of
-# [0, 315]^2 from (1, 0) and (0, 1)); a presentation cone_enumerate costs
-# its constants' searches, about 0.35 s for T1*T2 = 1 at box 3 and the CLI's budget
-_MAX_BOX_CELLS = 10**5
-
-
-def _check_box_cells(nvars: int, box: int) -> None:
-    """Raise BudgetError, before any scan, when the box has more than
-    ``_MAX_BOX_CELLS`` vectors."""
-    if box >= 0 and (box + 1) ** nvars > _MAX_BOX_CELLS:
-        raise BudgetError(
-            f"the box [0, {box}]^{nvars} holds {box + 1}^{nvars} exponent vectors, over the "
-            f"limit of {_MAX_BOX_CELLS:,} (lower --box or the number of variables)"
-        )
-
-
-def cone_enumerate(
-    structure,
-    box: int,
-    budget: Budget = Budget(),
-    max_bound: int = 16,
-) -> Cone:
-    """All exponent vectors in [0, box]^n whose monomial is bounded above.
-
-    On an evaluation target that is the whole box (v < v + 1 in Q+).  On a
-    presentation, T^u <= q exactly when some word ~ q has u in its support,
-    so the constants q = 1..min(max_bound, max_coeff) are swept once each:
-    q's search (through one closure, under ``budget``) runs until no vector
-    is open, the search ends, or it has used ``max_steps`` rewrites, and
-    each member found closes the vectors of its support.  A constant found
-    by an earlier constant's search that ended is skipped, since its search
-    would find the same members.  The verdicts are those of
-    ``BoundedSubsetPredicate`` with ``BoundClass.ABOVE``, cell by cell.
-
-    Vectors with undecided membership are excluded and reported in
-    ``unknown``, in box order.  Deterministic for fixed inputs.  Raises
-    BudgetError when the box holds more than ``_MAX_BOX_CELLS`` vectors.
-    """
-    if box < 0:
-        raise ValueError(f"box bound must be nonnegative, got {box}")
-    n = structure_nvars(structure)
-    _check_box_cells(n, box)
-    cells = list(product(range(box + 1), repeat=n))
-    if isinstance(structure, EvalHom):
-        return Cone(n, box, frozenset(cells), ())
-    open_cells = set(cells)
-    closure = congruence_close(structure, budget)
-    covered: set[Polynomial] = set()  # the members of searches that ended
-
-    def close_support(word: Polynomial) -> bool:
-        open_cells.difference_update(word.support())
-        return not open_cells
-
-    for q in range(1, min(max_bound, budget.max_coeff) + 1):
-        if not open_cells:
-            break
-        constant = Polynomial._raw(n, Domain.NAT, {(0,) * n: q})
-        if constant in covered:
-            continue
-        search = closure.explore(constant)
-        if search.find(close_support, budget.max_steps) is None and search.ended:
-            covered.update(search.members)
-    members = frozenset(u for u in cells if u not in open_cells)
-    return Cone(n, box, members, tuple(u for u in cells if u in open_cells))
 
 
 def cone_dim(c: Cone) -> int:

@@ -25,7 +25,8 @@ coefficient, max derivation steps):
 On top of the word problem: additive idempotence (via 1+1 ~ 1, which forces
 a+a = a*(1+1) = a for every a), additive cancellativity with explicit
 counterexample triples, the natural preorder a <= b iff b = a + c, the set
-L of elements with phi(l) + 1 = phi(l).
+L of elements with phi(l) + 1 = phi(l), and the exponent cone of a target:
+the vectors u of a box whose monomial T^u lies under some constant.
 """
 
 from __future__ import annotations
@@ -778,3 +779,101 @@ def find_L(
             found.append(candidate)
     found.sort(key=lambda p: p.sort_key())
     return tuple(found)
+
+
+# -- exponent cones --------------------------------------------------------
+
+
+def structure_nvars(structure) -> int:
+    if isinstance(structure, EvalHom):
+        return len(structure.assignment)
+    if isinstance(structure, Presentation):
+        return structure.nvars
+    raise TypeError(f"expected EvalHom or Presentation, got {type(structure).__name__}")
+
+
+@dataclass(frozen=True)
+class Cone:
+    """Box-bounded set of exponent vectors whose monomials are bounded
+    above in the target.  ``unknown`` lists box vectors whose membership
+    stayed undecided within budget (excluded from the member set)."""
+
+    nvars: int
+    box: int
+    members: frozenset
+    unknown: tuple
+
+    def contains(self, u: Exponent) -> bool:
+        return tuple(u) in self.members
+
+    def sorted_members(self) -> list:
+        return sorted(self.members, key=lambda u: (mono_deg(u), u))
+
+
+# a scan lists every vector of the box [0, box]^n: 10^5 cells take about
+# 0.01 s in an evaluation cone_enumerate and 0.5 s in purity_check (all of
+# [0, 315]^2 from (1, 0) and (0, 1)); a presentation cone_enumerate costs
+# its constants' searches, about 0.2 s for T1*T2 = 1 at box 3 through the
+# CLI at its default budget
+_MAX_BOX_CELLS = 10**5
+
+
+def _check_box_cells(nvars: int, box: int) -> None:
+    """Raise BudgetError, before any scan, when the box has more than
+    ``_MAX_BOX_CELLS`` vectors."""
+    if box >= 0 and (box + 1) ** nvars > _MAX_BOX_CELLS:
+        raise BudgetError(
+            f"the box [0, {box}]^{nvars} holds {box + 1}^{nvars} exponent vectors, over the "
+            f"limit of {_MAX_BOX_CELLS:,} (lower --box or the number of variables)"
+        )
+
+
+def cone_enumerate(
+    structure,
+    box: int,
+    budget: Budget = Budget(),
+    max_bound: int = 16,
+) -> Cone:
+    """All exponent vectors in [0, box]^n whose monomial is bounded above.
+
+    On an evaluation target that is the whole box (v < v + 1 in Q+).  On a
+    presentation, T^u <= q exactly when some word ~ q has u in its support,
+    so the constants q = 1..min(max_bound, max_coeff) are swept once each:
+    q's search (through one closure, under ``budget``) runs until no vector
+    is open, the search ends, or it has used ``max_steps`` rewrites, and
+    each member found closes the vectors of its support.  A constant found
+    by an earlier constant's search that ended is skipped, since its search
+    would find the same members.  The verdicts are those of
+    ``conjectures.BoundedSubsetPredicate`` with ``BoundClass.ABOVE``, cell
+    by cell.
+
+    Vectors with undecided membership are excluded and reported in
+    ``unknown``, in box order.  Deterministic for fixed inputs.  Raises
+    BudgetError when the box holds more than ``_MAX_BOX_CELLS`` vectors.
+    """
+    if box < 0:
+        raise ValueError(f"box bound must be nonnegative, got {box}")
+    n = structure_nvars(structure)
+    _check_box_cells(n, box)
+    cells = list(product(range(box + 1), repeat=n))
+    if isinstance(structure, EvalHom):
+        return Cone(n, box, frozenset(cells), ())
+    open_cells = set(cells)
+    closure = congruence_close(structure, budget)
+    covered: set[Polynomial] = set()  # the members of searches that ended
+
+    def close_support(word: Polynomial) -> bool:
+        open_cells.difference_update(word.support())
+        return not open_cells
+
+    for q in range(1, min(max_bound, budget.max_coeff) + 1):
+        if not open_cells:
+            break
+        constant = Polynomial._raw(n, Domain.NAT, {(0,) * n: q})
+        if constant in covered:
+            continue
+        search = closure.explore(constant)
+        if search.find(close_support, budget.max_steps) is None and search.ended:
+            covered.update(search.members)
+    members = frozenset(u for u in cells if u not in open_cells)
+    return Cone(n, box, members, tuple(u for u in cells if u in open_cells))
