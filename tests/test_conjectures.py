@@ -28,7 +28,7 @@ from semiring_lab.groebner import GroebnerBudget
 from semiring_lab.polynomials import Domain, DomainError, Polynomial, parse_poly, t_names
 from semiring_lab import semiring
 from semiring_lab.semiring import Budget, EvalHom, Presentation, Tri
-from tests.oracles import purity_violations, semigroup_within_box
+from tests.oracles import purity_violations, reference_explore, semigroup_within_box
 from tests.test_semiring import CATALOG
 
 SEED = 66217
@@ -274,12 +274,67 @@ def test_cone_sweep_searches_a_shared_component_once(monkeypatch):
     assert cone.members == frozenset({(0, 0)}) and len(cone.unknown) == 15
 
 
-def test_cone_sweep_searches_each_component(monkeypatch):
-    # under T1*T2 = 1 no two constants are equivalent
+def test_monomial_cone_sweep_stops_after_the_search_from_1_ends(monkeypatch):
+    # under T1*T2 = 1 a word ~ q is q words ~ 1, so the ended search from 1
+    # has closed every cell that the other constants' searches can close
     searches = _spy_searches(monkeypatch)
     pres = Presentation.from_text(2, "T1*T2 = 1")
-    cone_enumerate(pres, 2, Budget(max_degree=5, max_coeff=8, max_steps=5000))
-    assert len(searches) == 8
+    cone = cone_enumerate(pres, 2, Budget(max_degree=5, max_coeff=8, max_steps=5000))
+    assert list(searches) == [pres.one]
+    assert cone.members == frozenset({(0, 0), (1, 1), (2, 2)}) and len(cone.unknown) == 6
+
+
+def test_cone_sweep_searches_each_component(monkeypatch):
+    # no two constants are equivalent under T1*T2 = 1 or 2*T1 = 1; each gets
+    # a search when the search from 1 stops at its cap (T1*T2 = 1 at 3
+    # rewrites), and on a presentation that is not monomial (2*T1 = 1)
+    searches = _spy_searches(monkeypatch)
+    for text, max_steps, ended in (("T1*T2 = 1", 3, False), ("2*T1 = 1", 5000, True)):
+        pres = Presentation.from_text(2, text)
+        searches.clear()
+        cone_enumerate(pres, 2, Budget(max_degree=5, max_coeff=8, max_steps=max_steps))
+        assert len(searches) == 8, text
+        assert searches[pres.one].ended is ended, text
+
+
+def _reference_cone(pres, box, budget, max_bound):
+    """The cone from ``tests.oracles.reference_explore`` run from every
+    constant, each closing the supports of its members."""
+    cells = list(product(range(box + 1), repeat=pres.nvars))
+    closed = set()
+    for q in range(1, min(max_bound, budget.max_coeff) + 1):
+        constant = Polynomial.constant(pres.nvars, q, Domain.NAT)
+        for member in reference_explore(constant, pres, budget).members:
+            closed.update(member.support())
+    members = frozenset(u for u in cells if u in closed)
+    return Cone(pres.nvars, box, members, tuple(u for u in cells if u not in closed))
+
+
+def test_monomial_cone_sweep_matches_the_reference_sweep(monkeypatch):
+    # random monomial presentations, sides 0 or T^u with exponents <= 2: the
+    # sweep gives every cell the reference's verdict, and it stops after the
+    # search from 1 exactly when that search ended
+    searches = _spy_searches(monkeypatch)
+    rng = random.Random(SEED + 2)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+
+        def side():
+            if rng.random() < 0.25:
+                return Polynomial.zero(n, Domain.NAT)
+            return Polynomial.monomial(tuple(rng.randint(0, 2) for _ in range(n)), 1, Domain.NAT)
+
+        pres = Presentation(n, tuple((side(), side()) for _ in range(rng.randint(1, 3))))
+        budget = Budget(rng.randint(1, 6), rng.randint(2, 12), rng.randint(300, 20_000))
+        box, max_bound = rng.randint(0, 3), rng.randint(1, 16)
+        label = (pres.to_text(), budget, box, max_bound)
+        searches.clear()
+        cone = cone_enumerate(pres, box, budget, max_bound)
+        assert cone == _reference_cone(pres, box, budget, max_bound), label
+        if reference_explore(pres.one, pres, budget).steps_used <= budget.max_steps:
+            assert list(searches) == [pres.one], label
+        elif cone.unknown and min(max_bound, budget.max_coeff) > 1:
+            assert len(searches) > 1, label
 
 
 def test_ended_searches_of_one_component_agree():

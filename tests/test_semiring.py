@@ -345,6 +345,28 @@ CATALOG = [
 ]
 
 
+def test_monomial_presentations_of_the_catalog():
+    # every side 0 or a monomial with coefficient 1: 7 of the 12 catalog
+    # presentations, and 4 of the 8 targets of the cone-scan benchmark
+    monomial = {
+        text
+        for nvars, text in CATALOG
+        if text is None or Presentation.from_text(nvars, text).is_monomial
+    }
+    assert Presentation.free(2).is_monomial
+    assert monomial == {None, "1 = 0", "T1 = 1", "T1^2 = T1", "T1*T2 = 1", "T1^2 = T2", "T1 = 0"}
+    cone_scan = [
+        "T1*T2 = 1", "1 + 1 = 1", "T1 + T1 = 1", "1 = 0",
+        "T1 = 1", "T1 + T2 = T2", "T1^2 = T2", "T1 + 1 = T1",
+    ]
+    assert [text for text in cone_scan if text in monomial] == [
+        "T1*T2 = 1", "1 = 0", "T1 = 1", "T1^2 = T2",
+    ]
+    for text in ("2*T1 = 1", "T1^2 = 2*T2", "T1 + T2 = 0", "T1 = T2 + 1"):
+        assert not Presentation.from_text(2, text).is_monomial, text
+    assert Presentation.from_text(2, "0 = 0\nT1^2*T2 = T2^2").is_monomial
+
+
 def test_closure_preorder_matches_presentation_preorder():
     # the closure's exploration memo must not change any verdict or witness,
     # whatever order the queries come in
