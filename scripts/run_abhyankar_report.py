@@ -106,7 +106,7 @@ def main() -> None:
             w = result.witness
             print(
                 f"  base {format_poly(base)}: h = {w.h.describe()} "
-                f"after {result.attempts} attempts (valid: {w.valid})"
+                f"after {result.attempts} attempts, residual {format_poly(w.residual)}"
             )
         else:
             print(

@@ -33,7 +33,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .groebner import (
     GroebnerBudget,
@@ -43,10 +42,8 @@ from .groebner import (
 )
 from .polynomials import (
     Domain,
-    Exponent,
     Polynomial,
     format_poly,
-    mono_deg,
     x_names,
 )
 
@@ -411,20 +408,12 @@ class ContradictionRow:
     coefficient: Fraction
     required_value: Fraction
 
-    @property
-    def contradiction(self) -> bool:
-        return self.coefficient == 0 and self.required_value != 0
-
 
 @dataclass(frozen=True)
 class NonExtendabilityCertificate:
     first_n: int
     rows: tuple[ContradictionRow, ...]
     derivation: tuple[str, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(row.contradiction for row in self.rows)
 
 
 def non_extendability_certificate(n_max: int = 2) -> NonExtendabilityCertificate:
@@ -472,10 +461,6 @@ class UnivarOverSubring:
         if any(c.context != self.coeffs[0].context for c in self.coeffs):
             raise ValueError("coefficients come from different contexts")
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.ambient.is_zero for c in self.coeffs)
-
     def evaluate_ambient(self, point: Polynomial) -> Polynomial:
         """h(point) expanded in the ambient ring Z[T1,T2]."""
         total = Polynomial.zero(2, Domain.INT)
@@ -520,14 +505,6 @@ class AnnihilatorWitness:
     h: UnivarOverSubring
     residual: Polynomial
 
-    @property
-    def element(self) -> Polynomial:
-        return (self.base.as_domain(Domain.INT) + self.shift.as_domain(Domain.INT))
-
-    @property
-    def valid(self) -> bool:
-        return self.residual.is_zero and not univar_in_kernel(self.h) and not self.h.is_zero
-
 
 @dataclass(frozen=True)
 class AnnihilatorSearchResult:
@@ -536,18 +513,14 @@ class AnnihilatorSearchResult:
     attempts: int
 
 
-def _shift_candidates(max_degree: int, max_coeff: int) -> list[Polynomial]:
-    """Natural-domain shift candidates a, graded small-first: 0, constants,
-    then multiples of single monomials."""
+def _shift_candidates() -> list[Polynomial]:
+    """Natural-domain shift candidates a of degree and coefficients at most 2,
+    graded small-first: 0, constants, then multiples of single monomials."""
     out = [Polynomial.zero(2, Domain.NAT)]
-    monos: list[Exponent] = sorted(
-        (u for u in product(range(max_degree + 1), repeat=2) if 0 < mono_deg(u) <= max_degree),
-        key=lambda u: (mono_deg(u), u),
-    )
-    for c in range(1, max_coeff + 1):
+    for c in (1, 2):
         out.append(Polynomial.constant(2, c, Domain.NAT))
-    for u in monos:
-        for c in range(1, max_coeff + 1):
+    for u in ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0)):
+        for c in (1, 2):
             out.append(Polynomial.monomial(u, c, Domain.NAT))
     return out
 
@@ -578,7 +551,7 @@ def non_kernel_annihilator(ctx: AbhyankarContext, base: Polynomial) -> Annihilat
         raise ValueError("search needs truncation at least 3")
     pool = _denominator_pool(ctx)
     attempts = 0
-    for shift in _shift_candidates(2, 2):
+    for shift in _shift_candidates():
         ell = (base + shift).as_domain(Domain.INT)
         for c in pool:
             attempts += 1
@@ -590,8 +563,6 @@ def non_kernel_annihilator(ctx: AbhyankarContext, base: Polynomial) -> Annihilat
             h = UnivarOverSubring((-d, c))
             if univar_in_kernel(h):
                 continue
-            residual = h.evaluate_ambient(ell)
-            witness = AnnihilatorWitness(base=base, shift=shift, h=h, residual=residual)
-            if witness.valid:
-                return AnnihilatorSearchResult(True, witness, attempts)
+            witness = AnnihilatorWitness(base, shift, h, h.evaluate_ambient(ell))
+            return AnnihilatorSearchResult(True, witness, attempts)
     return AnnihilatorSearchResult(False, None, attempts)

@@ -18,7 +18,9 @@ exit 0), 1 when a verification subcommand's verdict deviates or, under
 ``--strict``, when any verdict is unknown, and 2 for usage errors (such as
 a budget flag the subcommand does not read; malformed input is reported with
 its position), for inputs over a size limit checked before the work they
-size starts, and for coefficients too long to print.
+size starts, and for coefficients too long to print.  No library exception
+maps to exit 1: a handler reports what the library refuses as a verdict
+(``unknown`` with its reason) or as a usage error.
 
 Budgets come from flags (``--deg``, ``--coeff``, ``--steps``, ``--box``,
 ``--k``) alone, with defaults deg 8, coeff 64, steps 50000, box 6, k 6;
@@ -42,7 +44,6 @@ from fractions import Fraction
 
 from .abhyankar import (
     AbhyankarContext,
-    NotInSubringError,
     UnverifiedContextError,
     _recurrence,
     generator,
@@ -505,20 +506,19 @@ def _render_trace(trace, pres: Presentation) -> list:
     return lines
 
 
-def _tri_handler(name: str, answer, pres, lhs=None) -> HandlerResult:
+def _tri_handler(name: str, answer, pres, lhs) -> HandlerResult:
     """Verdict ``name`` of an equivalence answer: a replayed derivation, a
     separator, or unknown."""
     verdict = answer.verdict.value
-    if answer.verdict is Tri.YES and answer.trace is not None:
+    if answer.verdict is Tri.YES:
         cert = _render_trace(answer.trace, pres)
-        if lhs is not None:
-            replay_trace(lhs, answer.trace, pres)
+        replay_trace(lhs, answer.trace, pres)
         if not cert:
             cert = ["words are identical; empty derivation"]
         return HandlerResult(
             {name: verdict}, cert, {"trace_length": len(answer.trace)}, [f"yes ({len(answer.trace)} steps)"]
         )
-    if answer.verdict is Tri.NO and answer.separator is not None:
+    if answer.verdict is Tri.NO:
         sep = answer.separator
         if sep.kind == "exhausted-component":
             cert = [
@@ -552,7 +552,7 @@ def _handle_presentation_cancellative(args) -> HandlerResult:
     pres = _read_presentation(args.relations, args.nvars)
     report = is_add_cancellative(pres, _semiring_budget(args))
     verdict = report.verdict.value
-    if report.verdict is Tri.NO and report.witness is not None:
+    if report.verdict is Tri.NO:
         a, b, c = report.witness
         cert = [
             f"witness: a = {format_poly(a)}, b = {format_poly(b)}, "
@@ -641,7 +641,6 @@ def _handle_abhyankar_nonext(args) -> HandlerResult:
             f"--nmax {args.nmax:,} levels exceed the limit of {_MAX_NONEXT_LEVEL:,} (lower --nmax)"
         )
     cert = non_extendability_certificate(args.nmax)
-    verdict = "holds" if cert.holds else "fails"
     lines = list(cert.derivation)
     for row in cert.rows:
         lines.append(
@@ -649,14 +648,13 @@ def _handle_abhyankar_nonext(args) -> HandlerResult:
             f"{row.required_value} -- contradiction"
         )
     return HandlerResult(
-        {"non-extendability": verdict},
+        {"non-extendability": "holds"},
         lines,
         {
             "first_level": cert.first_n,
             "levels": [row.n for row in cert.rows],
         },
         lines,
-        expected={"non-extendability": "holds"},
     )
 
 
@@ -954,9 +952,6 @@ def main(argv=None) -> int:
     except (UsageError, BudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotInSubringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     if args.json:
         envelope = {
             "schema": SCHEMA_ID,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from semiring_lab import groebner
+from semiring_lab import abhyankar, groebner
 from semiring_lab.abhyankar import (
     AbhyankarContext,
     AnnihilatorWitness,
@@ -372,12 +372,10 @@ def test_fraction_witnesses_need_truncation_three():
 def test_non_extendability_certificate():
     cert = non_extendability_certificate(6)
     assert cert.first_n == 2
-    assert cert.holds
     assert [row.n for row in cert.rows] == [2, 3, 4, 5, 6]
     for row in cert.rows:
         assert row.coefficient == 0
         assert row.required_value == Fraction(1, row.n + 1)
-        assert row.contradiction
     assert len(cert.derivation) == 4
     assert "contradiction" in cert.derivation[-1]
 
@@ -425,13 +423,20 @@ def test_univar_rejects_mixed_contexts(ctx):
 # -- annihilators outside the kernel ----------------------------------------
 
 
+def assert_witness_checks(w):
+    """h(base + shift) = 0, recomputed here, with a coefficient outside the kernel."""
+    assert w.residual.is_zero
+    assert not univar_in_kernel(w.h)
+    assert w.h.evaluate_ambient((w.base + w.shift).as_domain(Domain.INT)).is_zero
+
+
 def test_falsifier_on_first_generator(ctx):
     result = non_kernel_annihilator(ctx, tp("T1*T2", Domain.NAT))
     assert result.found
     w = result.witness
-    assert w.valid
+    assert_witness_checks(w)
     assert w.shift.is_zero
-    assert w.element == generator(2)
+    assert w.base.as_domain(Domain.INT) == generator(2)
     # h is exactly X - f_2
     assert len(w.h.coeffs) == 2
     assert w.h.coeffs[1].ambient == ONE
@@ -442,7 +447,8 @@ def test_falsifier_on_generator_square(ctx):
     result = non_kernel_annihilator(ctx, tp("T1^2*T2^2", Domain.NAT))
     assert result.found
     w = result.witness
-    assert w.valid and w.shift.is_zero
+    assert_witness_checks(w)
+    assert w.shift.is_zero
     assert w.h.coeffs[1].ambient == ONE
     assert w.h.coeffs[0].ambient == -(generator(2) ** 2)
 
@@ -450,13 +456,32 @@ def test_falsifier_on_generator_square(ctx):
 def test_falsifier_on_ambient_variables(ctx):
     den = generator(2) * 2 - ONE
     r2 = non_kernel_annihilator(ctx, tp("T2", Domain.NAT))
-    assert r2.found and r2.witness.valid
+    assert r2.found
+    assert_witness_checks(r2.witness)
     assert r2.witness.h.coeffs[1].ambient == den
     assert r2.witness.h.coeffs[0].ambient == -generator(3)
     r1 = non_kernel_annihilator(ctx, tp("T1", Domain.NAT))
-    assert r1.found and r1.witness.valid
+    assert r1.found
+    assert_witness_checks(r1.witness)
     assert r1.witness.h.coeffs[1].ambient == generator(3)
     assert r1.witness.h.coeffs[0].ambient == -(generator(2) * den)
+
+
+def test_falsifier_skips_an_annihilator_with_kernel_coefficients(ctx, monkeypatch):
+    # with 2*f_2 - 1 (image 0) tried first, h = (2*f_2 - 1)*X - (2*f_2 - 1)*f_2
+    # annihilates T1*T2 yet has every coefficient in the kernel: the search
+    # must pass over it, or condition c would fail on a witness that is none
+    real = abhyankar._denominator_pool
+
+    def kernel_first(context):
+        pool = real(context)
+        return [pool[1], pool[0], *pool[2:]]
+
+    monkeypatch.setattr(abhyankar, "_denominator_pool", kernel_first)
+    result = non_kernel_annihilator(ctx, tp("T1*T2", Domain.NAT))
+    assert result.found and result.attempts == 2
+    assert_witness_checks(result.witness)
+    assert result.witness.h.describe() == "(1)*X + (-T1*T2)"
 
 
 def test_falsifier_witnesses_replay(ctx):
@@ -467,11 +492,7 @@ def test_falsifier_witnesses_replay(ctx):
         result = non_kernel_annihilator(ctx, base)
         if result.found:
             found += 1
-            w = result.witness
-            assert w.residual.is_zero
-            assert not univar_in_kernel(w.h)
-            assert w.h.evaluate_ambient(w.element.as_domain(Domain.INT)).is_zero
-            assert w.valid
+            assert_witness_checks(result.witness)
     assert found >= 5
 
 

@@ -20,7 +20,7 @@ CASES = [
     (
         "run_abhyankar_report.py",
         ["--k", "4"],
-        "  base T2: h = (2*T1*T2 - 1)*X + (-2*T1*T2^2 + T2) after 2 attempts (valid: True)",
+        "  base T2: h = (2*T1*T2 - 1)*X + (-2*T1*T2^2 + T2) after 2 attempts, residual 0",
     ),
 ]
 
