@@ -380,10 +380,7 @@ def _handle_poly(args) -> HandlerResult:
         if exponent < 0:
             raise UsageError("exponent must be nonnegative")
         _check_pow_size(a, exponent)
-        try:
-            text = format_poly(a**exponent)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        text = format_poly(a**exponent)
         return _computed(f"({format_poly(a)})^{exponent} = {text}", text)
     b = _parse_word(args.b, names, domain)
     symbol, operation = _OPERATIONS[args.op]

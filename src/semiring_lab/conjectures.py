@@ -100,13 +100,8 @@ class BoundedSubsetPredicate:
 
     A presentation target is queried through one congruence closure, built
     at construction (which explores nothing); ``closure`` is None for an
-    evaluation target.  ABOVE and TWO_SIDED queries resume its memoised
-    searches, so across the queries of one predicate each constant's search
-    runs once, and only as far as the queries need; constants of one
-    component are still searched one by one, and every query filters the
-    members found so far.  ABSORBING queries run the fresh searches of
-    ``words_equivalent``.  ``cone_enumerate`` reaches the ABOVE verdicts of
-    a whole box by one sweep over the constants instead.
+    evaluation target.  ``cone_enumerate`` reaches the ABOVE verdicts of a
+    whole box by one sweep over the constants instead.
     """
 
     kind: BoundClass

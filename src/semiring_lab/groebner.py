@@ -105,13 +105,6 @@ class MembershipCertificate:
     truncation_level: int | None = None
     basis_complete: bool = True
 
-    @property
-    def member(self) -> bool | None:
-        """True / False when decided, None when Unknown."""
-        if self.status is MembershipStatus.UNKNOWN:
-            return None
-        return self.status is MembershipStatus.MEMBER
-
 
 @dataclass(frozen=True)
 class RelationIdealResult:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -127,12 +127,6 @@ class Presentation:
             relations.append((lhs, rhs))
         return Presentation(nvars, tuple(relations))
 
-    def to_text(self) -> str:
-        names = t_names(self.nvars)
-        return "\n".join(
-            f"{format_poly(lhs, names)} = {format_poly(rhs, names)}" for lhs, rhs in self.relations
-        )
-
     @property
     def is_monomial(self) -> bool:
         """Every relation side is 0 or one monomial with coefficient 1, as in
@@ -149,10 +143,6 @@ class Presentation:
     @property
     def one(self) -> Polynomial:
         return Polynomial.one(self.nvars, Domain.NAT)
-
-    @property
-    def zero(self) -> Polynomial:
-        return Polynomial.zero(self.nvars, Domain.NAT)
 
 
 @dataclass(frozen=True)
@@ -212,9 +202,10 @@ class EquivalenceAnswer:
 _CANCELLATIVE_SIDE_STEPS = 4000
 # above the largest exponent list any default builds (12,870 at n = 8, D = 8)
 _MAX_EXPONENTS = 10**6
-# find_L tries each candidate with a full equivalence search (about 1 ms each
-# at two variables, far more on harder presentations); two variables at the
-# default search box make 729 candidates, three make 59,049
+# find_L's candidates have total degree and coefficients <= _FIND_L_BOX; it
+# tries each with a full equivalence search (about 1 ms each at two variables,
+# far more on harder presentations); two variables make 729, three 59,049
+_FIND_L_BOX = 2
 _MAX_FIND_L_CANDIDATES = 10**4
 
 
@@ -222,34 +213,20 @@ _MAX_FIND_L_CANDIDATES = 10**4
 class CongruenceClosure:
     """Congruence data for a presentation under one budget, grown on demand.
 
-    The closure memoises one resumable search (``_Exploration``) per start
-    word.  ``preorder_leq``, the bound predicates and ``cone_enumerate``
-    advance it through ``explore`` only as far as each query needs, so no
-    start word is searched twice per closure; answers, witnesses and member
-    order do not depend on what was asked before.  Words of one component
-    still get a search each, but an ended search from a word inside the
-    budget box stands for the search from any of its members
-    (``_Exploration.ended``); ``cone_enumerate`` skips those, and on a
-    monomial presentation it needs no constant past 1 once the search from
-    1 has ended.
-    ``words_equivalent`` does not use the memo; all searches share the
-    closure's ``_RewriteTable``.  Equality compares presentation and budget."""
+    Every query starts its searches through ``explore``, and they all share
+    the closure's ``_RewriteTable``; a search ends with the query that
+    started it.  Equality compares presentation and budget."""
 
     presentation: Presentation
     budget: Budget
-    _explored: dict[Polynomial, _Exploration] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def _table(self) -> _RewriteTable:
         return _RewriteTable(self.presentation, self.budget)
 
     def explore(self, start: Polynomial) -> _Exploration:
-        """The memoised search of ``start``'s component under the closure's budget."""
-        if start not in self._explored:
-            self._explored[start] = _Exploration(start, self._table)
-        return self._explored[start]
+        """A new search of ``start``'s component under the closure's budget."""
+        return _Exploration(start, self._table)
 
 
 # -- the rewrite engine ----------------------------------------------------
@@ -573,9 +550,8 @@ def congruence_close(pres: Presentation, budget: Budget = Budget()) -> Congruenc
     """The congruence closure of a presentation under a budget.
 
     Construction explores nothing.  Queries against the closure search with
-    the full budget; ``preorder_leq`` and the bound predicates resume its
-    memoised searches, while ``words_equivalent`` runs fresh searches that
-    end with the call.  Deterministic for a fixed budget.
+    the full budget, each through new searches that end with the call.
+    Deterministic for a fixed budget.
     """
     return CongruenceClosure(pres, budget)
 
@@ -608,7 +584,7 @@ def words_equivalent(
         _check_word(word, pres, budget)
     total = 0
     for source, target, backwards in ((p, q, False), (q, p, True)):
-        exploration = _Exploration(source, cc._table)
+        exploration = cc.explore(source)
         if exploration.find(lambda word: word == target, budget.max_steps) is not None:
             trace = exploration.trace_to(target)
             if backwards:
@@ -659,8 +635,8 @@ def is_add_cancellative(
     presented semirings the answer is No exactly when a witness triple
     (a, b, c) is found -- a + c ~ b + c derivable, a ~ b refuted by a
     separating certificate -- and Unknown otherwise.  Candidates pair the
-    first 50 members of each relation side's component, searched through
-    the closure's memo for at most ``_CANCELLATIVE_SIDE_STEPS`` rewrites.
+    first 50 members of each relation side's component, searched for at
+    most ``_CANCELLATIVE_SIDE_STEPS`` rewrites.
     """
     if isinstance(structure, EvalHom):
         return CancellativityReport(Tri.YES, reason="rational addition cancels")
@@ -692,8 +668,6 @@ def is_add_cancellative(
                 continue
             a = x.checked_sub(shared)
             b = y.checked_sub(shared)
-            if a == b:
-                continue
             attempts += 1
             answer = words_equivalent(a, b, cc)
             if answer.verdict is Tri.NO:
@@ -725,9 +699,9 @@ def preorder_leq(
     bounded: Yes when some member of b's component termwise dominates a,
     No when b's component is fully explored and none does, else Unknown.
 
-    Given a CongruenceClosure, b's memoised search is advanced only until
-    its first member, in discovery order, that dominates a (the witness is
-    that member minus a), under the closure's budget; an explicit
+    Given a CongruenceClosure, b's search runs only until its first
+    member, in discovery order, that dominates a (the witness is that
+    member minus a), under the closure's budget; an explicit
     ``budget`` must then equal it.  A bare Presentation is searched through
     a fresh closure under ``budget`` (default ``Budget()``).  Words must lie
     in N[T1..Tn], and ``b`` may lie outside the budget box.
@@ -757,11 +731,9 @@ def preorder_leq(
 def find_L(
     structure: "Presentation | EvalHom",
     budget: Budget = Budget(),
-    search_degree: int = 2,
-    search_coeff: int = 2,
 ) -> tuple[Polynomial, ...]:
     """Elements l with phi(l) + 1 = phi(l), enumerated over the search box
-    (total degree <= search_degree, coefficients <= search_coeff).
+    (total degree and coefficients <= ``_FIND_L_BOX``).
 
     On an EvalHom target the result is always empty: x + 1 = x has no
     rational solution.  On a presentation, a word l is returned exactly when
@@ -773,18 +745,18 @@ def find_L(
     if isinstance(structure, EvalHom):
         return ()
     pres = structure
-    monomials = _bounded_exponents(pres.nvars, search_degree)
-    count = (search_coeff + 1) ** len(monomials)
+    monomials = _bounded_exponents(pres.nvars, _FIND_L_BOX)
+    count = (_FIND_L_BOX + 1) ** len(monomials)
     if count > _MAX_FIND_L_CANDIDATES:
         raise BudgetError(
-            f"{search_coeff + 1}^{len(monomials)} find-l candidates (coefficients <= {search_coeff} on "
-            f"{len(monomials)} monomials of degree <= {search_degree} in {pres.nvars} "
+            f"{_FIND_L_BOX + 1}^{len(monomials)} find-l candidates (coefficients <= {_FIND_L_BOX} on "
+            f"{len(monomials)} monomials of degree <= {_FIND_L_BOX} in {pres.nvars} "
             f"variables) exceed the limit of {_MAX_FIND_L_CANDIDATES:,} (lower --nvars)"
         )
     cc = congruence_close(pres, budget)
     one = pres.one
     found: list[Polynomial] = []
-    for coeffs in product(range(search_coeff + 1), repeat=len(monomials)):
+    for coeffs in product(range(_FIND_L_BOX + 1), repeat=len(monomials)):
         candidate = Polynomial(
             pres.nvars, Domain.NAT, {u: c for u, c in zip(monomials, coeffs) if c}
         )
@@ -817,9 +789,6 @@ class Cone:
     box: int
     members: frozenset
     unknown: tuple
-
-    def contains(self, u: Exponent) -> bool:
-        return tuple(u) in self.members
 
     def sorted_members(self) -> list:
         return sorted(self.members, key=lambda u: (mono_deg(u), u))

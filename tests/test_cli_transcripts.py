@@ -37,6 +37,7 @@ _FILES = {
     "trivial.txt": "1 = 1\n",
     "zero.txt": "T1 = 0\n",
     "badrel.txt": "T1 + 1\n",
+    "halving.txt": "2*T1 = 1\n",
 }
 
 # argparse words these errors itself, and its wording differs across Python
@@ -62,6 +63,7 @@ _CASES = [
     ("poly-pow", ["poly", "pow", "T1+1", "2"], 0, 0, 0, "d70240bb7d5566d6"),
     ("poly-pow-terms-limit", ["poly", "pow", "T1+T2+T3+T4+1", "21", "--nvars", "4"], 2, 2, 2, "89f8b61f03a4e047"),
     ("poly-pow-bits-limit", ["poly", "pow", "3", "10000"], 2, 2, 2, "ba4c41f841e10da8"),
+    ("poly-pow-zero", ["poly", "pow", "0", "20000"], 0, 0, 0, "732d2a61a49da343"),
     ("poly-pow-negative", ["poly", "pow", "T1", "-1"], 2, 2, 2, "9f0117c163ebd374"),
     ("poly-pow-bad-exponent", ["poly", "pow", "T1", "x"], 2, 2, 2, "66cfb090033aaf72"),
     ("poly-eval", ["poly", "eval", "2*T1*T2 - 1", "1/2,1/3"], 0, 0, 0, "21f6d8cdabb1290f"),
@@ -108,6 +110,7 @@ _CASES = [
     ("preorder-yes", ["presentation", "preorder", "--a", "1", "--b", "T1 + 2"], 0, 0, 0, "5b2af4f1a23deb82"),
     ("preorder-no", ["presentation", "preorder", "--a", "T1 + 1", "--b", "T1"], 0, 0, 0, "486745cec4e5d0bf"),
     ("preorder-unknown", ["presentation", "preorder", "--relations", "unit.txt", "--nvars", "2", "--a", "T1", "--b", "T2", "--steps", "5"], 0, 0, 1, "cd40d484e005384e"),
+    ("preorder-start-outside-box", ["presentation", "preorder", "--relations", "halving.txt", "--nvars", "1", "--a", "T1", "--b", "65"], 0, 0, 0, "1184d9682f79ebb8"),
     # abhyankar
     ("verify", ["abhyankar", "verify", "--k", "6", "--deg", "8"], 0, 0, 0, "5aba0261299603c6"),
     ("verify-bases", ["abhyankar", "verify", "--k", "5", "--bases", "T1*T2;T1^2*T2"], 0, 0, 0, "d973c3649a44ad17"),

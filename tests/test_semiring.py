@@ -1,6 +1,7 @@
 """Presented semirings: word problem, idempotence, cancellativity,
 preorder, L-sets."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -67,9 +68,7 @@ def free1():
 
 
 def test_text_format_roundtrip(successor_absorbed):
-    text = successor_absorbed.to_text()
-    assert text == "T1 + 1 = T1"
-    assert Presentation.from_text(1, text) == successor_absorbed
+    assert Presentation.from_text(1, "T1 + 1 = T1") == successor_absorbed
 
 
 def test_text_format_skips_blank_lines():
@@ -368,8 +367,8 @@ def test_monomial_presentations_of_the_catalog():
 
 
 def test_closure_preorder_matches_presentation_preorder():
-    # the closure's exploration memo must not change any verdict or witness,
-    # whatever order the queries come in
+    # one closure answers as fresh closures do, whatever order the queries
+    # come in
     budget = Budget(max_degree=4, max_coeff=8, max_steps=300)
     rng = random.Random(SEED + 6)
     for nvars, text in CATALOG:
@@ -698,9 +697,8 @@ def test_search_matches_the_reference_search_at_every_cap_inside_a_batch(nvars, 
                 assert search.rewrites_used == min(expected.steps_used, cap)
 
 
-def test_queries_free_their_searches_on_return(monkeypatch):
-    # a search that formed a reference cycle with its rewrite generator would
-    # outlive the query with the cycle collector off
+def _tracked_searches(monkeypatch) -> list:
+    """Weak references to every search created from here on."""
     refs = []
     exploration = semiring._Exploration
 
@@ -710,6 +708,14 @@ def test_queries_free_their_searches_on_return(monkeypatch):
         return search
 
     monkeypatch.setattr(semiring, "_Exploration", tracking)
+    return refs
+
+
+def test_queries_free_their_searches_on_return(monkeypatch):
+    # a search that formed a reference cycle with its rewrite generator would
+    # outlive the query with the cycle collector off
+    refs = _tracked_searches(monkeypatch)
+    monkeypatch.setattr(semiring, "_FIND_L_BOX", 1)
     budget = Budget(max_degree=3, max_coeff=4, max_steps=400)
     gc.disable()
     try:
@@ -717,7 +723,7 @@ def test_queries_free_their_searches_on_return(monkeypatch):
             pres = _catalog_presentation(nvars, text)
             queries = [
                 lambda: words_equivalent(pres.one + pres.one, pres.one, congruence_close(pres, budget)),
-                lambda: find_L(pres, budget, search_degree=1),
+                lambda: find_L(pres, budget),
             ]
             if pres.relations:  # the free presentation is cancellative without a search
                 queries.append(lambda: is_add_cancellative(pres, budget))
@@ -728,6 +734,21 @@ def test_queries_free_their_searches_on_return(monkeypatch):
                 assert all(ref() is None for ref in refs), text
     finally:
         gc.enable()
+
+
+def test_closure_holds_no_search_after_a_query(monkeypatch, successor_absorbed):
+    # a closure keeps only its presentation, budget and rewrite table: the
+    # searches of a query die with the query while the closure lives on
+    refs = _tracked_searches(monkeypatch)
+    cc = congruence_close(successor_absorbed, Budget(max_degree=3, max_coeff=4, max_steps=400))
+    gc.disable()
+    try:
+        assert preorder_leq(successor_absorbed.one, P1("T1"), cc).verdict is Tri.YES
+        assert refs
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert [f.name for f in dataclasses.fields(cc)] == ["presentation", "budget"]
 
 
 def test_oversized_exponent_list_fails_before_building():
